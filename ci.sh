@@ -64,9 +64,9 @@ echo "== perf counters (hslb-perf --smoke) =="
 
 echo "== mpc newton gate (hslb-perf --mpc-gate) =="
 # Counter gate for the Mehrotra predictor-corrector barrier: the pinned
-# E7 nlp-bnb solve must spend <= 60% of the legacy fixed-μ schedule's
-# 25,848 Newton iterations (observed ~4x cut; the floor catches any
-# regression back toward the fixed schedule's per-node cost).
+# E7 nlp-bnb solve must spend <= 15,508 Newton iterations, 60% of the
+# 25,848 the fixed-μ schedule spent (observed 6,629; the ceiling catches
+# any regression back toward the fixed schedule's per-node cost).
 ./target/release/hslb-perf --mpc-gate
 
 echo "== serve throughput (hslb-perf --serve-qps) =="

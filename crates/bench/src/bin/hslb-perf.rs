@@ -6,8 +6,7 @@
 //! hslb-perf --out <path>     # write/compare somewhere else
 //! hslb-perf --speedup        # wall-clock gate: sparse >= 5x dense at n=1k
 //! hslb-perf --serve-qps      # wall-clock gate: served throughput >= 1000/s
-//! hslb-perf --mpc-gate       # counter gate: E7 newton_iters <= 60% of the
-//!                            #   legacy fixed-μ schedule's 25,848
+//! hslb-perf --mpc-gate       # counter gate: E7 nlp-bnb newton_iters <= 15,508
 //! ```
 //!
 //! The suite records only deterministic work counters (no timings), so the

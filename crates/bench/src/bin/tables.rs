@@ -10,7 +10,6 @@
 //! tables -- fig4               # E6: layouts 1-3 predicted scaling (1°)
 //! tables -- solver-time        # E7: MINLP solve time at 40,960 nodes
 //! tables -- warm-start         # E7b: warm vs cold solves (counters + wall clock)
-//! tables -- mpc                # E7c: predictor-corrector vs fixed-μ barrier
 //! tables -- sos-ablation       # E8: SOS branching vs binary encoding
 //! tables -- objectives         # E9: min-max vs max-min vs min-sum
 //! tables -- fmo                # E10: FMO HSLB vs baselines (title paper)
@@ -39,7 +38,6 @@ fn main() {
                 "fig4",
                 "solver-time",
                 "warm-start",
-                "mpc",
                 "sos-ablation",
                 "objectives",
                 "fmo",
@@ -105,10 +103,6 @@ fn run(cmd: &str) {
         "warm-start" => {
             let pts = warm_cold_report(40_960);
             print!("{}", render_warm_cold(&pts));
-        }
-        "mpc" => {
-            let pts = mpc_report(40_960);
-            print!("{}", render_mpc(&pts));
         }
         "sos-ablation" => {
             let pts = sos_ablation(&[8, 32, 128, 512]);

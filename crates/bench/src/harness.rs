@@ -408,103 +408,6 @@ pub fn warm_cold_report(total_nodes: u64) -> Vec<WarmColdReport> {
     .collect()
 }
 
-/// One backend's barrier-v2 ablation row: the same E7 model solved on the
-/// Mehrotra predictor-corrector loop (the default) and on the legacy
-/// fixed-μ schedule (`MinlpOptions::legacy_mu_schedule`).
-pub struct MpcReport {
-    pub backend: &'static str,
-    pub mpc_seconds: f64,
-    pub legacy_seconds: f64,
-    pub mpc_newton: u64,
-    pub legacy_newton: u64,
-    pub predictor_steps: u64,
-    pub corrector_steps: u64,
-    pub line_search_backtracks: u64,
-}
-
-impl MpcReport {
-    /// Newton-iteration reduction factor of the predictor-corrector loop.
-    pub fn newton_cut(&self) -> f64 {
-        self.legacy_newton as f64 / self.mpc_newton.max(1) as f64
-    }
-}
-
-/// Runs the E7 full-machine model on every backend twice — the Mehrotra
-/// predictor-corrector barrier (default) and the legacy fixed-μ schedule —
-/// and reports the Newton-iteration cut plus the new MPC work counters.
-/// Both schedules must land on the same optimum; only work counters move.
-pub fn mpc_report(total_nodes: u64) -> Vec<MpcReport> {
-    let scenario = Scenario::one_degree(total_nodes);
-    let spec = true_spec(&scenario);
-    let model = build_layout_model(&spec, Layout::Hybrid);
-    let mpc_opts = MinlpOptions::default();
-    let legacy_opts = MinlpOptions {
-        legacy_mu_schedule: true,
-        ..MinlpOptions::default()
-    };
-    [
-        ("lp/nlp-bnb (paper)", SolverBackend::OuterApproximation),
-        ("nlp-bnb", SolverBackend::NlpBnb),
-        ("parallel-bnb", SolverBackend::ParallelBnb),
-    ]
-    .into_iter()
-    .map(|(name, backend)| {
-        let start = Instant::now();
-        let mpc = solve_model_with(&model.problem, backend, &mpc_opts);
-        let mpc_seconds = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let legacy = solve_model_with(&model.problem, backend, &legacy_opts);
-        let legacy_seconds = start.elapsed().as_secs_f64();
-        assert!(
-            (mpc.objective - legacy.objective).abs() < 1e-6 * legacy.objective.abs().max(1.0),
-            "MPC and legacy optima disagree on {name}: {} vs {}",
-            mpc.objective,
-            legacy.objective
-        );
-        MpcReport {
-            backend: name,
-            mpc_seconds,
-            legacy_seconds,
-            mpc_newton: mpc.stats.newton_iters,
-            legacy_newton: legacy.stats.newton_iters,
-            predictor_steps: mpc.stats.predictor_steps,
-            corrector_steps: mpc.stats.corrector_steps,
-            line_search_backtracks: mpc.stats.line_search_backtracks,
-        }
-    })
-    .collect()
-}
-
-pub fn render_mpc(points: &[MpcReport]) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "# E7c — Mehrotra predictor-corrector vs fixed-μ barrier, 1° layout 1 (40,960 nodes)"
-    );
-    let _ = writeln!(
-        s,
-        "{:>20} {:>8} {:>8} {:>9} {:>9} {:>6} {:>8} {:>8} {:>8}",
-        "backend", "mpc(ms)", "leg(ms)", "mpc Nt", "leg Nt", "cut", "pred", "corr", "backtr"
-    );
-    for p in points {
-        let _ = writeln!(
-            s,
-            "{:>20} {:>8.2} {:>8.2} {:>9} {:>9} {:>5.1}x {:>8} {:>8} {:>8}",
-            p.backend,
-            1e3 * p.mpc_seconds,
-            1e3 * p.legacy_seconds,
-            p.mpc_newton,
-            p.legacy_newton,
-            p.newton_cut(),
-            p.predictor_steps,
-            p.corrector_steps,
-            p.line_search_backtracks
-        );
-    }
-    s
-}
-
 pub fn render_warm_cold(points: &[WarmColdReport]) -> String {
     use std::fmt::Write;
     let mut s = String::new();
@@ -606,17 +509,7 @@ pub fn sos_ablation(set_sizes: &[usize]) -> Vec<SosAblationPoint> {
         .iter()
         .map(|&k| {
             let p = sos_test_problem(k);
-            // The §III-E claim is about the *branching scheme*, so both
-            // encodings run on the paper-era fixed-μ barrier schedule.
-            // The predictor-corrector loop cuts per-node barrier work
-            // 3-5x on both encodings (and softens the blowup ratio,
-            // 39x -> 24x at k=32) — pinning the legacy schedule keeps the
-            // row magnitudes comparable with the paper-era measurement
-            // instead of mixing two effects (see EXPERIMENTS.md § E7c).
-            let opts = MinlpOptions {
-                legacy_mu_schedule: true,
-                ..MinlpOptions::default()
-            };
+            let opts = MinlpOptions::default();
 
             let start = Instant::now();
             let native = hslb_minlp::solve_oa_bnb(&p, &opts);

@@ -305,27 +305,7 @@ pub fn serve_from_doc(doc: &Json) -> Result<Vec<ServePerfCase>, String> {
             errors: read("serve", "errors")?,
             evictions: read("serve", "evictions")?,
         };
-        let work = SolveStats {
-            nodes_opened: read("work", "nodes_opened")?,
-            pruned_by_bound: read("work", "pruned_by_bound")?,
-            pruned_infeasible: read("work", "pruned_infeasible")?,
-            incumbents: read("work", "incumbents")?,
-            oa_cuts: read("work", "oa_cuts")?,
-            lp_solves: read("work", "lp_solves")?,
-            nlp_solves: read("work", "nlp_solves")?,
-            simplex_pivots: read("work", "simplex_pivots")?,
-            newton_iters: read("work", "newton_iters")?,
-            lm_steps: read("work", "lm_steps")?,
-            presolve_tightenings: read("work", "presolve_tightenings")?,
-            warm_start_hits: read("work", "warm_start_hits")?,
-            dual_pivots: read("work", "dual_pivots")?,
-            factorizations: read("work", "factorizations")?,
-            factor_updates: read("work", "factor_updates")?,
-            fill_nnz: read("work", "fill_nnz")?,
-            predictor_steps: read("work", "predictor_steps")?,
-            corrector_steps: read("work", "corrector_steps")?,
-            line_search_backtracks: read("work", "line_search_backtracks")?,
-        };
+        let work = SolveStats::from_fields(|field| read("work", field))?;
         cases.push(ServePerfCase {
             name,
             serve,

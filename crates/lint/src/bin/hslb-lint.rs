@@ -23,7 +23,7 @@ struct Args {
     workspace: bool,
     root: PathBuf,
     baseline_path: Option<PathBuf>,
-    fix_baseline: bool,
+    update_baseline: bool,
     rules_override: Option<Vec<String>>,
     extend: Vec<String>,
     list_baselined: bool,
@@ -35,7 +35,7 @@ usage: hslb-lint [--workspace] [--root DIR] [--baseline FILE] [--update-baseline
                  [--rules r1,r2] [--extend r1,r2] [--list-baselined] [FILES…]
 
 --update-baseline  regenerate lint-baseline.txt deterministically from the
-                   current findings (alias: --fix-baseline)
+                   current findings
 
 lexical rules:   float-eq panic-in-lib lossy-cast magic-epsilon dep-policy
                  slice-index (default in lp/linalg/loaders, opt-in elsewhere)
@@ -49,7 +49,7 @@ fn parse_args() -> Result<Args, String> {
         workspace: false,
         root: PathBuf::from("."),
         baseline_path: None,
-        fix_baseline: false,
+        update_baseline: false,
         rules_override: None,
         extend: Vec::new(),
         list_baselined: false,
@@ -65,7 +65,7 @@ fn parse_args() -> Result<Args, String> {
             "--workspace" => args.workspace = true,
             "--root" => args.root = PathBuf::from(value("--root")?),
             "--baseline" => args.baseline_path = Some(PathBuf::from(value("--baseline")?)),
-            "--update-baseline" | "--fix-baseline" => args.fix_baseline = true,
+            "--update-baseline" => args.update_baseline = true,
             "--rules" => {
                 args.rules_override =
                     Some(value("--rules")?.split(',').map(str::to_owned).collect())
@@ -165,7 +165,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.fix_baseline {
+    if args.update_baseline {
         let fps = workspace::current_fingerprints(&res);
         if let Err(e) = baseline::write(&baseline_path, &fps) {
             eprintln!("hslb-lint: writing {}: {e}", baseline_path.display());

@@ -194,7 +194,7 @@ pub fn run(
 }
 
 /// Fingerprints for everything the gate currently sees (active + baselined):
-/// this is exactly what `--fix-baseline` writes.
+/// this is exactly what `--update-baseline` writes.
 pub fn current_fingerprints(res: &RunResult) -> Vec<String> {
     let mut all: Vec<Finding> = res
         .active

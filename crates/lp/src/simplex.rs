@@ -32,10 +32,16 @@ use hslb_obs::{Event, Trace};
 
 use hslb_linalg::approx::exactly_zero;
 
-/// Default reduced-cost optimality tolerance.
-pub const DEFAULT_OPT_TOL: f64 = 1e-9;
-/// Default primal feasibility tolerance (bound violations, Phase 1 target).
-pub const DEFAULT_FEAS_TOL: f64 = 1e-7;
+/// Hard cap on total pivots across both phases.
+const MAX_ITERS: usize = 50_000;
+/// Reduced-cost optimality tolerance.
+const OPT_TOL: f64 = 1e-9;
+/// Primal feasibility tolerance (bound violations, Phase 1 target).
+const FEAS_TOL: f64 = 1e-7;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+const DEGENERACY_LIMIT: usize = 200;
+/// Pivots between basis refactorizations.
+const REFACTOR_EVERY: usize = 100;
 /// Ratio-test pivots smaller than this are numerically unusable.
 const PIVOT_TOL: f64 = 1e-9;
 /// Ratio-test tie window: steps within this of the best are "tied" and
@@ -45,24 +51,15 @@ const RATIO_TIE_TOL: f64 = 1e-12;
 /// Bland's-rule switch.
 const DEGENERATE_STEP_TOL: f64 = 1e-10;
 /// Reduced-cost sign tolerance when validating a reloaded basis. Looser
-/// than `DEFAULT_OPT_TOL` because the saved optimum was itself only
+/// than `OPT_TOL` because the saved optimum was itself only
 /// tolerance-optimal and the basis is refactorized on reload; any residual
 /// drift is repaired by the primal clean-up phase after the dual pivots.
 const WARM_DUAL_TOL: f64 = 1e-7;
 
-/// Simplex tuning knobs. Defaults suit the HSLB problem sizes.
+/// Simplex options. The tolerances and pivot budgets are module consts
+/// sized for the HSLB problems.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
-    /// Hard cap on total pivots across both phases.
-    pub max_iters: usize,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Primal feasibility tolerance (bound violations, Phase 1 target).
-    pub feas_tol: f64,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub degeneracy_limit: usize,
-    /// Pivots between basis refactorizations.
-    pub refactor_every: usize,
     /// Event trace (off by default; see `hslb-obs`). When enabled, every
     /// solve emits one `LpSolved` event carrying its pivot count.
     pub trace: Trace,
@@ -75,11 +72,6 @@ pub struct SimplexOptions {
 impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
-            max_iters: 50_000,
-            opt_tol: DEFAULT_OPT_TOL,
-            feas_tol: DEFAULT_FEAS_TOL,
-            degeneracy_limit: 200,
-            refactor_every: 100,
             trace: Trace::off(),
             backend: LinalgBackend::Auto,
         }
@@ -626,7 +618,7 @@ fn solve_inner(
     let mut art_status = Vec::new();
     for (r, &s) in resid.iter().enumerate() {
         let sj = slack_base + r;
-        if s >= lo[sj] - opts.feas_tol && s <= hi[sj] + opts.feas_tol {
+        if s >= lo[sj] - FEAS_TOL && s <= hi[sj] + FEAS_TOL {
             status.push(VarStatus::Basic(r));
             basis.push(sj);
             xb.push(s);
@@ -692,7 +684,7 @@ fn solve_inner(
         for &a in &artificials {
             costs1[a] = 1.0;
         }
-        match run_phase(&mut tab, &costs1, opts, &mut iterations) {
+        match run_phase(&mut tab, &costs1, &mut iterations) {
             PhaseEnd::Optimal => {}
             // Phase 1 objective is bounded below by 0, so Unbounded cannot
             // legitimately happen; treat as numerical failure.
@@ -712,7 +704,7 @@ fn solve_inner(
             }
         }
         let infeasibility: f64 = artificials.iter().map(|&a| tab.value(a).max(0.0)).sum();
-        if infeasibility > opts.feas_tol * 10.0 {
+        if infeasibility > FEAS_TOL * 10.0 {
             let mut sol = LpSolution::infeasible(iterations);
             sol.factorizations = tab.factorizations;
             sol.factor_updates = tab.factor_updates;
@@ -734,7 +726,7 @@ fn solve_inner(
     // ---- Phase 2 -------------------------------------------------------
     let mut costs2 = vec![0.0; tab.cols.len()];
     costs2[..n].copy_from_slice(lp.costs());
-    let end = run_phase(&mut tab, &costs2, opts, &mut iterations);
+    let end = run_phase(&mut tab, &costs2, &mut iterations);
     match end {
         PhaseEnd::Optimal => {
             let x: Vec<f64> = (0..n).map(|j| tab.value(j)).collect();
@@ -861,10 +853,10 @@ fn try_dual_warm(
     let mut since_refactor = 0usize;
 
     loop {
-        if iterations >= opts.max_iters {
+        if iterations >= MAX_ITERS {
             return None;
         }
-        if since_refactor >= opts.refactor_every {
+        if since_refactor >= REFACTOR_EVERY {
             tab.refactorize().ok()?;
             since_refactor = 0;
         }
@@ -875,10 +867,10 @@ fn try_dual_warm(
             let bvar = tab.basis[r];
             let below = tab.lo[bvar] - tab.xb[r];
             let above = tab.xb[r] - tab.hi[bvar];
-            if below > opts.feas_tol && leave.is_none_or(|(_, v, _)| below > v) {
+            if below > FEAS_TOL && leave.is_none_or(|(_, v, _)| below > v) {
                 leave = Some((r, below, true));
             }
-            if above > opts.feas_tol && leave.is_none_or(|(_, v, _)| above > v) {
+            if above > FEAS_TOL && leave.is_none_or(|(_, v, _)| above > v) {
                 leave = Some((r, above, false));
             }
         }
@@ -965,7 +957,7 @@ fn try_dual_warm(
 
     // Primal feasible. A primal clean-up phase mops up any reduced-cost
     // drift the dual tolerances let through (usually zero pivots).
-    match run_phase(&mut tab, &costs, opts, &mut iterations) {
+    match run_phase(&mut tab, &costs, &mut iterations) {
         PhaseEnd::Optimal => {
             let x: Vec<f64> = (0..n).map(|j| tab.value(j)).collect();
             let duals = tab.duals(&costs);
@@ -1008,21 +1000,16 @@ fn initial_status(lo: f64, hi: f64) -> VarStatus {
 }
 
 /// Runs primal simplex until optimality/unboundedness for the given costs.
-fn run_phase(
-    tab: &mut Tableau,
-    costs: &[f64],
-    opts: &SimplexOptions,
-    iterations: &mut usize,
-) -> PhaseEnd {
+fn run_phase(tab: &mut Tableau, costs: &[f64], iterations: &mut usize) -> PhaseEnd {
     let mut degenerate_run = 0usize;
     let mut bland = false;
     let mut since_refactor = 0usize;
 
     loop {
-        if *iterations >= opts.max_iters {
+        if *iterations >= MAX_ITERS {
             return PhaseEnd::IterationLimit;
         }
-        if since_refactor >= opts.refactor_every {
+        if since_refactor >= REFACTOR_EVERY {
             // A singular refactorization here would indicate corruption of
             // the basis bookkeeping; keep going with the updated inverse.
             let _ = tab.refactorize();
@@ -1049,11 +1036,11 @@ fn run_phase(
             }
             let d = tab.reduced_cost(j, costs, &y);
             let (eligible, dir) = if exactly_zero(dir) {
-                (d.abs() > opts.opt_tol, if d > 0.0 { -1.0 } else { 1.0 })
+                (d.abs() > OPT_TOL, if d > 0.0 { -1.0 } else { 1.0 })
             } else if dir > 0.0 {
-                (d < -opts.opt_tol, 1.0)
+                (d < -OPT_TOL, 1.0)
             } else {
-                (d > opts.opt_tol, -1.0)
+                (d > OPT_TOL, -1.0)
             };
             if !eligible {
                 continue;
@@ -1120,7 +1107,7 @@ fn run_phase(
         since_refactor += 1;
         if t_max < DEGENERATE_STEP_TOL {
             degenerate_run += 1;
-            if degenerate_run >= opts.degeneracy_limit {
+            if degenerate_run >= DEGENERACY_LIMIT {
                 bland = true;
             }
         } else {

@@ -4,17 +4,14 @@
 use crate::branching::{make_branch, select_branch_var_with_stats, PseudocostTracker};
 use crate::model::MinlpProblem;
 use crate::scratch::ScratchArena;
-use crate::types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection};
+use crate::types::{
+    MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection, ABS_GAP, FEAS_TOL, INT_TOL, REL_GAP,
+};
 use hslb_nlp::{BarrierOptions, NlpProblem, NlpStatus, WarmStart};
 use hslb_obs::{Deadline, Event, PruneReason, SolveStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Floor on the feasibility tolerance used when vetting polished
-/// candidates: polishing pins integers and re-solves, so residuals a bit
-/// above a very tight user `feas_tol` are still acceptable incumbents.
-const POLISH_FEAS_FLOOR: f64 = 1e-6;
 
 /// Total-ordered f64 wrapper for the best-bound heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,13 +104,7 @@ pub(crate) fn solve_relaxation(
         Ok(s) => s,
         Err(_) => return None,
     };
-    stats.newton_iters += sol.newton_iters as u64;
-    stats.warm_start_hits += sol.warm_started as u64;
-    stats.factorizations += sol.factorizations;
-    stats.fill_nnz += sol.fill_nnz;
-    stats.predictor_steps += sol.predictor_steps;
-    stats.corrector_steps += sol.corrector_steps;
-    stats.line_search_backtracks += sol.line_search_backtracks;
+    stats.merge(&sol.work());
     match sol.status {
         NlpStatus::Infeasible => None,
         NlpStatus::Optimal => Some(RelaxOutcome {
@@ -161,7 +152,7 @@ pub(crate) fn polish_candidate(
     // The snap must stay inside the node box (otherwise this candidate
     // belongs to a sibling node; skip — the sibling will find it).
     for j in problem.discrete_vars() {
-        if snapped[j] < lo[j] - opts.int_tol || snapped[j] > hi[j] + opts.int_tol {
+        if snapped[j] < lo[j] - INT_TOL || snapped[j] > hi[j] + INT_TOL {
             return None;
         }
         // Allowed-set snap can also land outside the *node's* member subset
@@ -197,26 +188,20 @@ pub(crate) fn polish_candidate(
         arena.put(s.x);
     }
     let sol = res.ok()?;
-    stats.newton_iters += sol.newton_iters as u64;
-    stats.warm_start_hits += sol.warm_started as u64;
-    stats.factorizations += sol.factorizations;
-    stats.fill_nnz += sol.fill_nnz;
-    stats.predictor_steps += sol.predictor_steps;
-    stats.corrector_steps += sol.corrector_steps;
-    stats.line_search_backtracks += sol.line_search_backtracks;
+    stats.merge(&sol.work());
     if sol.status != NlpStatus::Optimal {
         return None;
     }
-    if !problem.is_feasible(&sol.x, opts.feas_tol.max(POLISH_FEAS_FLOOR)) {
+    if !problem.is_feasible(&sol.x, FEAS_TOL) {
         return None;
     }
     Some((sol.x, sol.objective))
 }
 
 /// Prune threshold given the incumbent.
-pub(crate) fn prune_cutoff(incumbent: f64, opts: &MinlpOptions) -> f64 {
+pub(crate) fn prune_cutoff(incumbent: f64) -> f64 {
     if incumbent.is_finite() {
-        incumbent - opts.abs_gap.max(opts.rel_gap * incumbent.abs())
+        incumbent - ABS_GAP.max(REL_GAP * incumbent.abs())
     } else {
         f64::INFINITY
     }
@@ -247,13 +232,7 @@ pub fn solve_nlp_bnb_seeded(
     opts: &MinlpOptions,
     root_seed: Option<WarmStart>,
 ) -> MinlpSolution {
-    let barrier = BarrierOptions {
-        trace: opts.trace.clone(),
-        backend: opts.backend,
-        mu0_scale: opts.mu0_scale,
-        legacy_schedule: opts.legacy_mu_schedule,
-        ..BarrierOptions::default()
-    };
+    let barrier = opts.barrier();
     let mut arena = ScratchArena::new(problem.relaxation().clone());
     let deadline = Deadline::start(&opts.clock, opts.time_limit);
 
@@ -327,7 +306,7 @@ pub fn solve_nlp_bnb_seeded(
         });
 
         // Bound-based prune (incumbent may have improved since push).
-        if node.bound >= prune_cutoff(incumbent_obj, opts) {
+        if node.bound >= prune_cutoff(incumbent_obj) {
             stats.pruned_by_bound += 1;
             opts.trace.emit(|| Event::NodePruned {
                 reason: PruneReason::Bound,
@@ -366,7 +345,7 @@ pub fn solve_nlp_bnb_seeded(
                 pseudocosts.record(var, is_up, dist, relax.objective - node.bound);
             }
         }
-        if node_bound >= prune_cutoff(incumbent_obj, opts) {
+        if node_bound >= prune_cutoff(incumbent_obj) {
             stats.pruned_by_bound += 1;
             opts.trace.emit(|| Event::NodePruned {
                 reason: PruneReason::Bound,
@@ -378,7 +357,7 @@ pub fn solve_nlp_bnb_seeded(
 
         // Root rounding heuristic + every node: try to polish the relaxation
         // point into a feasible incumbent (cheap: one pinned NLP).
-        if node.depth == 0 || problem.is_domain_feasible(&relax.x, opts.int_tol) {
+        if node.depth == 0 || problem.is_domain_feasible(&relax.x, INT_TOL) {
             if let Some((cand, obj)) = polish_candidate(
                 problem, &mut arena, &relax.x, &node.lo, &node.hi, opts, &barrier, &mut stats,
             ) {
@@ -393,7 +372,7 @@ pub fn solve_nlp_bnb_seeded(
 
         // Domain-feasible relaxation: node is settled (polish above already
         // captured the candidate).
-        if problem.is_domain_feasible(&relax.x, opts.int_tol) {
+        if problem.is_domain_feasible(&relax.x, INT_TOL) {
             recycle_node(&mut arena, node);
             continue;
         }
@@ -404,7 +383,7 @@ pub fn solve_nlp_bnb_seeded(
             &relax.x,
             &node.lo,
             &node.hi,
-            opts.int_tol,
+            INT_TOL,
             opts.branch_rule,
             Some(&pseudocosts),
         ) else {

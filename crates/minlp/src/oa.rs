@@ -24,9 +24,9 @@ use crate::bnb::{polish_candidate, prune_cutoff, recycle_node, Node, OrdF64};
 use crate::branching::{make_branch, select_branch_var};
 use crate::model::MinlpProblem;
 use crate::scratch::ScratchArena;
-use crate::types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection};
+use crate::types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection, FEAS_TOL, INT_TOL};
 use hslb_lp::{LinearProgram, LpStatus, RowSense, VarId};
-use hslb_nlp::{BarrierOptions, NlpStatus};
+use hslb_nlp::NlpStatus;
 use hslb_obs::{Deadline, Event, PruneReason, SolveStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -76,17 +76,10 @@ fn sample_points(relax: &hslb_nlp::NlpProblem) -> Vec<Vec<f64>> {
 /// positivity argument); on nonconvex input the result is a heuristic and
 /// the caller should prefer [`crate::solve_nlp_bnb`].
 pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolution {
-    let barrier = BarrierOptions {
-        trace: opts.trace.clone(),
-        backend: opts.backend,
-        mu0_scale: opts.mu0_scale,
-        legacy_schedule: opts.legacy_mu_schedule,
-        ..BarrierOptions::default()
-    };
+    let barrier = opts.barrier();
     let lp_opts = hslb_lp::SimplexOptions {
         trace: opts.trace.clone(),
         backend: opts.backend,
-        ..hslb_lp::SimplexOptions::default()
     };
     let relax = problem.relaxation();
     let n = problem.num_vars();
@@ -120,23 +113,13 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
         None,
         &mut arena.sparse_ws,
     ) {
-        Ok(s) if s.status == NlpStatus::Optimal && !s.x.is_empty() => {
-            stats.newton_iters += s.newton_iters as u64;
-            stats.factorizations += s.factorizations;
-            stats.fill_nnz += s.fill_nnz;
-            stats.predictor_steps += s.predictor_steps;
-            stats.corrector_steps += s.corrector_steps;
-            stats.line_search_backtracks += s.line_search_backtracks;
-            vec![s.x]
-        }
         Ok(s) => {
-            stats.newton_iters += s.newton_iters as u64;
-            stats.factorizations += s.factorizations;
-            stats.fill_nnz += s.fill_nnz;
-            stats.predictor_steps += s.predictor_steps;
-            stats.corrector_steps += s.corrector_steps;
-            stats.line_search_backtracks += s.line_search_backtracks;
-            sample_points(relax)
+            stats.merge(&s.work());
+            if s.status == NlpStatus::Optimal && !s.x.is_empty() {
+                vec![s.x]
+            } else {
+                sample_points(relax)
+            }
         }
         Err(_) => sample_points(relax),
     };
@@ -243,7 +226,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
             bound: node.bound,
         });
 
-        if node.bound >= prune_cutoff(incumbent_obj, opts) {
+        if node.bound >= prune_cutoff(incumbent_obj) {
             stats.pruned_by_bound += 1;
             opts.trace.emit(|| Event::NodePruned {
                 reason: PruneReason::Bound,
@@ -290,7 +273,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
             }
         }
         let node_bound = lp_sol.objective.max(node.bound);
-        if node_bound >= prune_cutoff(incumbent_obj, opts) {
+        if node_bound >= prune_cutoff(incumbent_obj) {
             stats.pruned_by_bound += 1;
             opts.trace.emit(|| Event::NodePruned {
                 reason: PruneReason::Bound,
@@ -301,13 +284,13 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
         }
         let x = lp_sol.x;
 
-        if problem.is_domain_feasible(&x, opts.int_tol) {
+        if problem.is_domain_feasible(&x, INT_TOL) {
             // Integer point: check the true nonlinear constraints.
             let viol = nonlinear_ids
                 .iter()
                 .map(|&ci| relax.constraints()[ci].eval(&x).max(0.0))
                 .fold(0.0_f64, f64::max);
-            if viol <= opts.feas_tol {
+            if viol <= FEAS_TOL {
                 let obj = problem.objective_value(&x);
                 if obj < incumbent_obj {
                     incumbent_obj = obj;
@@ -345,7 +328,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
             let mut point_cuts = 0u64;
             for &ci in &nonlinear_ids {
                 let c = &relax.constraints()[ci];
-                if c.eval(&x) > opts.feas_tol {
+                if c.eval(&x) > FEAS_TOL {
                     let (coeffs, rhs) = c.linearize(&x);
                     let row: Vec<(VarId, f64)> =
                         coeffs.into_iter().map(|(v, co)| (VarId(v), co)).collect();
@@ -370,14 +353,8 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
         }
 
         // Fractional: branch.
-        let Some(j) = select_branch_var(
-            problem,
-            &x,
-            &node.lo,
-            &node.hi,
-            opts.int_tol,
-            opts.branch_rule,
-        ) else {
+        let Some(j) = select_branch_var(problem, &x, &node.lo, &node.hi, INT_TOL, opts.branch_rule)
+        else {
             recycle_node(&mut arena, node);
             continue;
         };

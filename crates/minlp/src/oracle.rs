@@ -9,7 +9,7 @@ use hslb_nlp::{BarrierOptions, NlpStatus};
 use hslb_obs::SolveStats;
 
 /// Feasibility tolerance applied when vetting each pinned-assignment NLP
-/// solution (matches `MinlpOptions::default().feas_tol`).
+/// solution (matches the searches' `FEAS_TOL`).
 const EXHAUSTIVE_FEAS_TOL: f64 = 1e-6;
 
 /// Enumerates every admissible assignment of the discrete variables, solving

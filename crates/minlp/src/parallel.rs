@@ -56,7 +56,7 @@ use crate::bnb::{polish_candidate, prune_cutoff, solve_relaxation};
 use crate::branching::{make_branch, select_branch_var};
 use crate::model::MinlpProblem;
 use crate::scratch::ScratchArena;
-use crate::types::{MinlpOptions, MinlpSolution, MinlpStatus};
+use crate::types::{MinlpOptions, MinlpSolution, MinlpStatus, INT_TOL};
 use hslb_nlp::{BarrierOptions, WarmStart};
 use hslb_obs::{Deadline, Event, PruneReason, SolveStats};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
@@ -231,13 +231,7 @@ pub fn solve_parallel_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpS
     let shared = Shared {
         problem,
         opts,
-        barrier: BarrierOptions {
-            trace: opts.trace.clone(),
-            backend: opts.backend,
-            mu0_scale: opts.mu0_scale,
-            legacy_schedule: opts.legacy_mu_schedule,
-            ..BarrierOptions::default()
-        },
+        barrier: opts.barrier(),
         budget: SpawnBudget::new(workers.saturating_sub(1)),
         deadline: Deadline::start(&opts.clock, opts.time_limit),
         candidates: Mutex::new(Vec::new()),
@@ -278,7 +272,7 @@ pub fn solve_parallel_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpS
     if !limited {
         // Complete search: the replay *is* the result. Counters, incumbent
         // and objective all come from the reconstructed serial traversal.
-        let (stats, incumbent) = replay(&mut records, opts);
+        let (stats, incumbent) = replay(&mut records);
         return match incumbent {
             Some((obj, x)) => MinlpSolution {
                 status: MinlpStatus::Optimal,
@@ -341,10 +335,7 @@ pub fn solve_parallel_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpS
 /// records: walk in label order, apply the serial prune/incumbent rules,
 /// skip whole subtrees the serial solver would have pruned, and sum only
 /// the work it would have done.
-fn replay(
-    records: &mut [NodeRecord],
-    opts: &MinlpOptions,
-) -> (SolveStats, Option<(f64, Vec<f64>)>) {
+fn replay(records: &mut [NodeRecord]) -> (SolveStats, Option<(f64, Vec<f64>)>) {
     records.sort_unstable_by(|a, b| a.label.cmp(&b.label));
     let mut stats = SolveStats::default();
     let mut best_obj = f64::INFINITY;
@@ -360,7 +351,7 @@ fn replay(
             skip = None;
         }
         stats.nodes_opened += 1;
-        if rec.bound_in >= prune_cutoff(best_obj, opts) {
+        if rec.bound_in >= prune_cutoff(best_obj) {
             stats.pruned_by_bound += 1;
             skip = Some(&rec.label);
             continue;
@@ -384,7 +375,7 @@ fn replay(
             } => {
                 stats.merge(relax_work);
                 debug_assert!(
-                    *node_bound >= prune_cutoff(best_obj, opts),
+                    *node_bound >= prune_cutoff(best_obj),
                     "live post-prune survived serial replay"
                 );
                 stats.pruned_by_bound += 1;
@@ -398,7 +389,7 @@ fn replay(
                 candidate,
             } => {
                 stats.merge(relax_work);
-                if *node_bound >= prune_cutoff(best_obj, opts) {
+                if *node_bound >= prune_cutoff(best_obj) {
                     // Speculatively expanded: the serial solver prunes here
                     // and never sees this subtree.
                     stats.pruned_by_bound += 1;
@@ -555,9 +546,7 @@ fn explore_node(
         return;
     }
 
-    let domain_ok = shared
-        .problem
-        .is_domain_feasible(&relax.x, shared.opts.int_tol);
+    let domain_ok = shared.problem.is_domain_feasible(&relax.x, INT_TOL);
     let mut polish_work = SolveStats::default();
     let mut candidate = None;
     if depth == 0 || domain_ok {
@@ -594,7 +583,7 @@ fn explore_node(
             &relax.x,
             lo,
             hi,
-            shared.opts.int_tol,
+            INT_TOL,
             shared.opts.branch_rule,
         )
         .and_then(|j| make_branch(shared.problem, j, relax.x[j], lo[j], hi[j]).map(|b| (j, b)))

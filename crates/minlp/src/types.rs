@@ -1,6 +1,7 @@
 //! Shared solver types: options, status, solution, statistics.
 
 use crate::branching::BranchRule;
+use hslb_nlp::BarrierOptions;
 use hslb_obs::{ClockHandle, SolveStats, Trace};
 
 /// Node selection strategy for the serial trees.
@@ -13,18 +14,20 @@ pub enum NodeSelection {
     DepthFirst,
 }
 
-/// Options shared by all MINLP solvers.
+/// Absolute optimality gap at which a node is pruned and the search
+/// declared optimal.
+pub(crate) const ABS_GAP: f64 = 1e-6;
+/// Relative optimality gap (on top of [`ABS_GAP`]).
+pub(crate) const REL_GAP: f64 = 1e-6;
+/// Integrality / set-membership tolerance.
+pub(crate) const INT_TOL: f64 = 1e-6;
+/// Constraint feasibility tolerance for accepting incumbents.
+pub(crate) const FEAS_TOL: f64 = 1e-6;
+
+/// Options shared by all MINLP solvers. The gap, integrality and
+/// feasibility tolerances are the consts above.
 #[derive(Debug, Clone)]
 pub struct MinlpOptions {
-    /// Absolute optimality gap at which a node is pruned and the search
-    /// declared optimal.
-    pub abs_gap: f64,
-    /// Relative optimality gap (on top of `abs_gap`).
-    pub rel_gap: f64,
-    /// Integrality / set-membership tolerance.
-    pub int_tol: f64,
-    /// Constraint feasibility tolerance for accepting incumbents.
-    pub feas_tol: f64,
     /// Hard cap on explored nodes.
     pub max_nodes: usize,
     /// Wall-clock budget in seconds measured on `clock` (`None` =
@@ -62,29 +65,22 @@ pub struct MinlpOptions {
     /// default can shift the whole search's starting centrality without
     /// touching per-node options.
     pub mu0_scale: f64,
-    /// Run every NLP subsolve on the legacy fixed-μ barrier schedule
-    /// instead of the Mehrotra predictor-corrector loop
-    /// (`BarrierOptions::legacy_schedule`). A/B hook: answers must agree
-    /// within the backend diff tolerance; only the work counters differ.
-    pub legacy_mu_schedule: bool,
 }
 
-/// Default absolute optimality gap.
-const DEFAULT_ABS_GAP: f64 = 1e-6;
-/// Default relative optimality gap.
-const DEFAULT_REL_GAP: f64 = 1e-6;
-/// Default integrality tolerance.
-const DEFAULT_INT_TOL: f64 = 1e-6;
-/// Default constraint feasibility tolerance.
-const DEFAULT_FEAS_TOL: f64 = 1e-6;
+impl MinlpOptions {
+    /// The barrier options every NLP subsolve of this search runs with.
+    pub(crate) fn barrier(&self) -> BarrierOptions {
+        BarrierOptions {
+            trace: self.trace.clone(),
+            backend: self.backend,
+            mu0_scale: self.mu0_scale,
+        }
+    }
+}
 
 impl Default for MinlpOptions {
     fn default() -> Self {
         MinlpOptions {
-            abs_gap: DEFAULT_ABS_GAP,
-            rel_gap: DEFAULT_REL_GAP,
-            int_tol: DEFAULT_INT_TOL,
-            feas_tol: DEFAULT_FEAS_TOL,
             max_nodes: 2_000_000,
             time_limit: None,
             clock: ClockHandle::default(),
@@ -95,7 +91,6 @@ impl Default for MinlpOptions {
             warm_start: true,
             backend: hslb_linalg::LinalgBackend::Auto,
             mu0_scale: 1.0,
-            legacy_mu_schedule: false,
         }
     }
 }

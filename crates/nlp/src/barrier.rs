@@ -1,19 +1,25 @@
-//! Log-barrier interior-point solver for structured convex NLPs.
+//! Interior-point solver for structured convex NLPs.
 //!
 //! Minimizes `cᵀx` subject to `g_i(x) <= 0`, linear equalities `A x = b`,
-//! and box bounds by solving a sequence of barrier subproblems
+//! and box bounds. The Mehrotra predictor-corrector loop in [`crate::mpc`]
+//! does the work; this module owns everything around it: the reduced
+//! problem, start points (warm repair, equality projection, phase 1), the
+//! shared multiplier refinement, and the fixed-μ barrier loop
 //!
 //! ```text
 //! min  cᵀx - μ Σ log(-g_i(x)) - μ Σ log(x_j - lo_j) - μ Σ log(hi_j - x_j)
 //! s.t. A x = b
 //! ```
 //!
-//! with damped equality-constrained Newton steps (KKT system), shrinking `μ`
-//! geometrically. Fixed variables (`lo == hi`, produced when branch-and-bound
-//! pins an integer) are eliminated from the Newton system, and constraints
-//! that touch no free variable become plain feasibility checks — they may sit
-//! exactly on their boundary (e.g. a saturated capacity row), which the
-//! strict barrier interior would otherwise reject.
+//! with damped equality-constrained Newton steps and geometric μ shrink.
+//! That loop runs only where MPC cannot finish: MPC exhausted its budget,
+//! or the problem has no barrier terms to center on. Each solve that ran
+//! it says so in [`NlpSolution::barrier_fallbacks`]. Fixed variables
+//! (`lo == hi`, produced when branch-and-bound pins an integer) are
+//! eliminated from the Newton system, and constraints that touch no free
+//! variable become plain feasibility checks — they may sit exactly on their
+//! boundary (e.g. a saturated capacity row), which the strict barrier
+//! interior would otherwise reject.
 
 use crate::problem::NlpProblem;
 use hslb_linalg::approx::exactly_zero;
@@ -21,14 +27,28 @@ use hslb_linalg::{
     CholSymbolic, Cholesky, CscMatrix, LinalgBackend, Lu, LuSymbolic, Matrix, Qr, SparseCholesky,
     SparseLu, SparseWorkspace,
 };
-use hslb_obs::{Event, Trace};
+use hslb_obs::{Event, SolveStats, Trace};
 
-/// Default duality-gap stopping tolerance (`BarrierOptions::gap_tol`).
-const DEFAULT_GAP_TOL: f64 = 1e-9;
-/// Default inner Newton step-norm tolerance (`BarrierOptions::newton_tol`).
-const DEFAULT_NEWTON_TOL: f64 = 1e-10;
-/// Default strict-feasibility margin demanded of starting points.
-const DEFAULT_INTERIOR_MARGIN: f64 = 1e-8;
+/// Initial barrier weight of a cold solve (before `mu0_scale`), and the
+/// ceiling on warm ones.
+const MU0: f64 = 10.0;
+/// Multiplicative μ decrease per fixed-μ stage.
+const MU_SHRINK: f64 = 0.2;
+/// Duality-gap stopping tolerance: a solve is done once
+/// `μ·(#constraints + #finite bounds)` is at most this.
+pub(crate) const GAP_TOL: f64 = 1e-9;
+/// Fixed-μ stage convergence: the Newton step norm, relative to the
+/// iterate's scale, falls below this.
+const NEWTON_TOL: f64 = 1e-10;
+/// Newton budget: MPC iterations per solve, and fixed-μ Newton steps per
+/// μ stage. Epigraph formulations start far from the central path (t at
+/// the midpoint of a huge box) and need well over 60 steps to walk it in;
+/// stalling there costs more than converging.
+pub(crate) const MAX_NEWTON: usize = 200;
+/// Fixed-μ stages before the loop gives up.
+const MAX_OUTER: usize = 60;
+/// Strict-feasibility margin demanded of starting points.
+const INTERIOR_MARGIN: f64 = 1e-8;
 /// Relative feasibility tolerance for constraints whose variables are all
 /// pinned: they are checked once against this, not barrier-enforced.
 const PINNED_FEAS_TOL: f64 = 1e-7;
@@ -88,7 +108,7 @@ const WARM_PUSH_ROUNDS: usize = 16;
 /// outer rounds from its stopping μ.
 const WARM_PUSH_SLACK: f64 = 1e-4;
 /// Barrier weight for warm starts when the parent multipliers give no
-/// usable complementarity estimate. Far below the cold `mu0` (the point is
+/// usable complementarity estimate. Far below the cold [`MU0`] (the point is
 /// already near the child optimum) but high enough that the first rounds
 /// still recenter the iterate.
 const WARM_MU0_DEFAULT: f64 = 1e-2;
@@ -102,23 +122,9 @@ const WARM_MU0_MIN: f64 = 1e-6;
 /// already centered there, so re-solving at that μ wastes a round.
 const WARM_MU0_SIGMA: f64 = 0.1;
 
-/// Barrier solver options.
+/// Barrier solver options. The tolerances and budgets are module consts.
 #[derive(Debug, Clone)]
 pub struct BarrierOptions {
-    /// Initial barrier weight.
-    pub mu0: f64,
-    /// Multiplicative decrease per outer iteration.
-    pub mu_shrink: f64,
-    /// Stop when `mu * (#constraints + #finite bounds)` drops below this.
-    pub gap_tol: f64,
-    /// Inner Newton tolerance on the step norm.
-    pub newton_tol: f64,
-    /// Maximum Newton iterations per barrier subproblem.
-    pub max_newton: usize,
-    /// Maximum outer (barrier) iterations.
-    pub max_outer: usize,
-    /// Strict-feasibility margin required of starting points.
-    pub interior_margin: f64,
     /// Event trace (off by default; see `hslb-obs`). When enabled, every
     /// completed solve emits one `NlpSolved` event carrying its Newton
     /// iteration count.
@@ -131,35 +137,16 @@ pub struct BarrierOptions {
     /// alike (must be positive). A per-problem-family heuristic hook: a
     /// family whose instances start far from the central path can raise
     /// it, one whose warm seeds are reliably near-optimal can lower it,
-    /// without touching the shared `mu0` default. `1.0` is neutral.
+    /// without touching the shared μ₀. `1.0` is neutral.
     pub mu0_scale: f64,
-    /// Run the pre-Mehrotra fixed-μ schedule (geometric shrink, damped
-    /// Newton, Armijo search) instead of the predictor-corrector loop in
-    /// [`crate::mpc`]. Kept for one release as a differential baseline —
-    /// the equivalence batteries diff its answers against the MPC path.
-    pub legacy_schedule: bool,
 }
 
 impl Default for BarrierOptions {
     fn default() -> Self {
         BarrierOptions {
-            mu0: 10.0,
-            mu_shrink: 0.2,
-            gap_tol: DEFAULT_GAP_TOL,
-            newton_tol: DEFAULT_NEWTON_TOL,
-            // Generous inner budget: epigraph formulations start far from
-            // the central path (t at the midpoint of a huge box), and the
-            // first barrier rounds need well over 60 Newton steps to walk
-            // it in. Stalling there is *more* expensive than converging —
-            // the solve limps through every later round — and can terminate
-            // at a badly suboptimal point that still reports Optimal.
-            max_newton: 200,
-            max_outer: 60,
-            interior_margin: DEFAULT_INTERIOR_MARGIN,
             trace: Trace::off(),
             backend: LinalgBackend::Auto,
             mu0_scale: 1.0,
-            legacy_schedule: false,
         }
     }
 }
@@ -217,27 +204,33 @@ pub struct NlpSolution {
     /// Cumulative nonzeros across all sparse factors (zero on the dense
     /// path).
     pub fill_nnz: u64,
-    /// Affine-scaling predictor solves (zero on the legacy schedule).
+    /// Affine-scaling predictor solves.
     pub predictor_steps: u64,
-    /// Corrector solves, including pure-centering rescues (zero on the
-    /// legacy schedule).
+    /// Corrector solves, including pure-centering rescues.
     pub corrector_steps: u64,
-    /// Merit-search trial steps rejected before acceptance (zero on the
-    /// legacy schedule, whose Armijo halvings are not counted here).
+    /// Merit-search trial steps rejected before acceptance (the fixed-μ
+    /// loop's Armijo halvings are not counted here).
     pub line_search_backtracks: u64,
+    /// 1 when the fixed-μ loop ran in this solve (phase 1 or main), else 0:
+    /// MPC exhausted its budget, or the problem had no barrier terms.
+    pub barrier_fallbacks: u64,
 }
 
 impl NlpSolution {
-    fn failed(status: NlpStatus, newton_iters: usize) -> Self {
+    /// A solution with every work counter but `newton_iters` at zero;
+    /// `solve_inner` attaches the solve's tally on the way out.
+    pub(crate) fn new(
+        status: NlpStatus,
+        x: Vec<f64>,
+        objective: f64,
+        multipliers: Vec<f64>,
+        newton_iters: usize,
+    ) -> Self {
         NlpSolution {
             status,
-            x: Vec::new(),
-            objective: match status {
-                NlpStatus::Infeasible => f64::INFINITY,
-                NlpStatus::Unbounded => f64::NEG_INFINITY,
-                _ => f64::NAN,
-            },
-            multipliers: Vec::new(),
+            x,
+            objective,
+            multipliers,
             newton_iters,
             warm_started: false,
             factorizations: 0,
@@ -245,7 +238,45 @@ impl NlpSolution {
             predictor_steps: 0,
             corrector_steps: 0,
             line_search_backtracks: 0,
+            barrier_fallbacks: 0,
         }
+    }
+
+    fn failed(status: NlpStatus, newton_iters: usize) -> Self {
+        let objective = match status {
+            NlpStatus::Infeasible => f64::INFINITY,
+            NlpStatus::Unbounded => f64::NEG_INFINITY,
+            _ => f64::NAN,
+        };
+        NlpSolution::new(status, Vec::new(), objective, Vec::new(), newton_iters)
+    }
+
+    /// This solve's barrier work as [`SolveStats`] counters, for callers
+    /// that fold it into a larger solve's totals (`nlp_solves` is theirs).
+    pub fn work(&self) -> SolveStats {
+        SolveStats {
+            newton_iters: self.newton_iters as u64,
+            warm_start_hits: u64::from(self.warm_started),
+            factorizations: self.factorizations,
+            fill_nnz: self.fill_nnz,
+            predictor_steps: self.predictor_steps,
+            corrector_steps: self.corrector_steps,
+            line_search_backtracks: self.line_search_backtracks,
+            barrier_fallbacks: self.barrier_fallbacks,
+            ..SolveStats::default()
+        }
+    }
+
+    /// Iterates left the divergence guard at `x`.
+    pub(crate) fn unbounded(p: &NlpProblem, x: Vec<f64>, newton_iters: usize) -> Self {
+        let multipliers = vec![0.0; p.num_constraints()];
+        NlpSolution::new(
+            NlpStatus::Unbounded,
+            x,
+            f64::NEG_INFINITY,
+            multipliers,
+            newton_iters,
+        )
     }
 }
 
@@ -397,56 +428,32 @@ fn solve_inner(
     // Warm path: repair the parent point into a strictly feasible start.
     // Only a *proven* strictly feasible repair is used, so the warm path can
     // never produce an infeasibility verdict the cold path wouldn't.
-    let mut warm_seed: Option<(Vec<f64>, f64)> = None;
-    if let Some(ws) = warm {
-        if ws.x.len() == n {
-            let has_duals = !ws.multipliers.is_empty();
-            if let Some(xw) = repair_warm_point(&reduced, &ws.x, has_duals, opts) {
-                let mu0 = warm_mu0(p, &xw, &ws.multipliers, opts);
-                warm_seed = Some((xw, mu0));
-            }
-        }
-    }
+    let warm_seed = warm.filter(|ws| ws.x.len() == n).and_then(|ws| {
+        let xw = repair_warm_point(&reduced, &ws.x, !ws.multipliers.is_empty())?;
+        let mu0 = warm_mu0(p, &xw, &ws.multipliers, opts);
+        Some((xw, mu0))
+    });
     let warm_started = warm_seed.is_some();
-
-    let (x0, mu0) = match warm_seed {
-        Some(seed) => seed,
-        None => {
-            // Cold path: a point on the equality manifold, strictly inside
-            // bounds, then phase 1 when inequalities are not strictly
-            // satisfied there.
-            let Some(mut x0) = equality_start(&reduced, opts) else {
-                return Ok(NlpSolution::failed(NlpStatus::Infeasible, newton_total));
-            };
-            if !strictly_feasible(&reduced, &x0, opts.interior_margin) {
-                match phase_one(&reduced, &x0, opts, &mut newton_total, &mut tally, scratch) {
-                    Ok(Some(feasible)) => x0 = feasible,
-                    Ok(None) => {
-                        return Ok(NlpSolution::failed(NlpStatus::Infeasible, newton_total))
-                    }
-                    Err(status) => return Ok(NlpSolution::failed(status, newton_total)),
-                }
-            }
-            (x0, opts.mu0 * opts.mu0_scale)
-        }
+    let start = match warm_seed {
+        Some(seed) => Ok(seed),
+        None => cold_start(&reduced, opts, &mut newton_total, &mut tally, scratch)
+            .map(|x0| (x0, MU0 * opts.mu0_scale)),
     };
-
-    let mut out = barrier_loop(
-        &reduced,
-        x0,
-        mu0,
-        opts,
-        &mut newton_total,
-        &mut tally,
-        scratch,
-        None,
-    );
+    let mut out = match start {
+        Ok((x0, mu0)) => barrier_loop(
+            &reduced,
+            x0,
+            mu0,
+            opts,
+            &mut newton_total,
+            &mut tally,
+            scratch,
+            None,
+        ),
+        Err(status) => NlpSolution::failed(status, newton_total),
+    };
     out.warm_started = warm_started;
-    out.factorizations = tally.factorizations;
-    out.fill_nnz = tally.fill_nnz;
-    out.predictor_steps = tally.predictor_steps;
-    out.corrector_steps = tally.corrector_steps;
-    out.line_search_backtracks = tally.line_search_backtracks;
+    tally.attach(&mut out);
     // Re-inflate multipliers to the original constraint indexing.
     if out.multipliers.len() == active_map.len() && p.num_constraints() != out.multipliers.len() {
         let mut full = vec![0.0; p.num_constraints()];
@@ -499,12 +506,7 @@ fn free_vars(p: &NlpProblem) -> Vec<usize> {
 /// proximity via the parent's complementarity. Dual-less seeds (candidate
 /// polish) get the blend repair alone — an active-set-hugging start paired
 /// with the fallback μ reliably stalls the inner Newton at its cap.
-fn repair_warm_point(
-    p: &NlpProblem,
-    parent: &[f64],
-    has_duals: bool,
-    opts: &BarrierOptions,
-) -> Option<Vec<f64>> {
+fn repair_warm_point(p: &NlpProblem, parent: &[f64], has_duals: bool) -> Option<Vec<f64>> {
     let mut xw = parent.to_vec();
     clamp_into_box(p, &mut xw);
     let mid = default_start(p);
@@ -522,7 +524,7 @@ fn repair_warm_point(
                 None => continue,
             }
         };
-        if strictly_feasible(p, &cand, opts.interior_margin) {
+        if strictly_feasible(p, &cand, INTERIOR_MARGIN) {
             return Some(cand);
         }
     }
@@ -531,7 +533,7 @@ fn repair_warm_point(
     // blend segment sits outside the feasible set. Project the slack back
     // directly instead of interpolating toward an infeasible anchor.
     if has_duals {
-        push_interior(p, xw, opts)
+        push_interior(p, xw)
     } else {
         None
     }
@@ -568,12 +570,12 @@ fn clamp_into_box(p: &NlpProblem, x: &mut [f64]) {
 /// constraints are convex, so each linearized step can undershoot; the round
 /// loop absorbs the curvature. Returns `None` (cold fallback) when a
 /// violated constraint has no free support or a round cannot move.
-fn push_interior(p: &NlpProblem, mut x: Vec<f64>, opts: &BarrierOptions) -> Option<Vec<f64>> {
+fn push_interior(p: &NlpProblem, mut x: Vec<f64>) -> Option<Vec<f64>> {
     // Aim deeper than the strict-feasibility margin so the accepted point
     // survives the clamp/projection that follows each round.
-    let target = WARM_PUSH_SLACK.max(4.0 * opts.interior_margin);
+    let target = WARM_PUSH_SLACK.max(4.0 * INTERIOR_MARGIN);
     for _round in 0..WARM_PUSH_ROUNDS {
-        if strictly_feasible(p, &x, opts.interior_margin) {
+        if strictly_feasible(p, &x, INTERIOR_MARGIN) {
             return Some(x);
         }
         let mut moved = false;
@@ -609,7 +611,7 @@ fn push_interior(p: &NlpProblem, mut x: Vec<f64>, opts: &BarrierOptions) -> Opti
             x = equality_project(p, x)?;
         }
     }
-    strictly_feasible(p, &x, opts.interior_margin).then_some(x)
+    strictly_feasible(p, &x, INTERIOR_MARGIN).then_some(x)
 }
 
 /// Initial barrier weight for a warm-started solve: the parent's
@@ -625,9 +627,9 @@ fn warm_mu0(p: &NlpProblem, x: &[f64], multipliers: &[f64], opts: &BarrierOption
         }
     }
     let base = if est > 0.0 {
-        (WARM_MU0_SIGMA * est).clamp(WARM_MU0_MIN, opts.mu0)
+        (WARM_MU0_SIGMA * est).clamp(WARM_MU0_MIN, MU0)
     } else {
-        WARM_MU0_DEFAULT.min(opts.mu0)
+        WARM_MU0_DEFAULT.min(MU0)
     };
     // The per-family scale applies to warm starts too (a family whose warm
     // seeds need extra recentering raises it), floored so the first rounds
@@ -635,10 +637,22 @@ fn warm_mu0(p: &NlpProblem, x: &[f64], multipliers: &[f64], opts: &BarrierOption
     (base * opts.mu0_scale).max(WARM_MU0_MIN)
 }
 
-/// Finds a point on the equality manifold strictly inside the bound box,
-/// starting from the cold midpoint.
-fn equality_start(p: &NlpProblem, _opts: &BarrierOptions) -> Option<Vec<f64>> {
-    equality_project(p, default_start(p))
+/// Cold start: the box midpoint projected onto the equality manifold
+/// strictly inside the box, then phase 1 when the inequalities are not
+/// strictly satisfied there. `Err` carries the verdict when no strictly
+/// feasible point is found.
+fn cold_start(
+    p: &NlpProblem,
+    opts: &BarrierOptions,
+    newton_total: &mut usize,
+    tally: &mut FactorTally,
+    scratch: &mut SparseWorkspace,
+) -> Result<Vec<f64>, NlpStatus> {
+    let x0 = equality_project(p, default_start(p)).ok_or(NlpStatus::Infeasible)?;
+    if strictly_feasible(p, &x0, INTERIOR_MARGIN) {
+        return Ok(x0);
+    }
+    phase_one(p, &x0, opts, newton_total, tally, scratch)
 }
 
 /// Projects `x` onto the equality manifold strictly inside the bound box by
@@ -738,7 +752,8 @@ fn strictly_feasible(p: &NlpProblem, x: &[f64], margin: f64) -> bool {
 }
 
 /// Phase 1: minimize `s` over `g_i(x) - s <= 0` (equalities preserved);
-/// a strictly feasible point exists iff the optimum is negative.
+/// a strictly feasible point exists iff the optimum is negative. `Err`
+/// carries the verdict when phase 1 finds none.
 fn phase_one(
     p: &NlpProblem,
     x0: &[f64],
@@ -746,7 +761,7 @@ fn phase_one(
     newton_total: &mut usize,
     tally: &mut FactorTally,
     scratch: &mut SparseWorkspace,
-) -> Result<Option<Vec<f64>>, NlpStatus> {
+) -> Result<Vec<f64>, NlpStatus> {
     let n = p.num_vars();
     let mut aug = NlpProblem::new();
     for j in 0..n {
@@ -781,11 +796,11 @@ fn phase_one(
     // the solve stalls at the phase-1 point while reporting Optimal. When
     // the feasible region is too thin to reach this depth, phase 1 simply
     // runs to its own optimum, which is the deepest interior point anyway.
-    let target = -(2.0 * opts.interior_margin).max(PHASE1_DEPTH_FRAC * (1.0 + viol));
+    let target = -(2.0 * INTERIOR_MARGIN).max(PHASE1_DEPTH_FRAC * (1.0 + viol));
     let sol = barrier_loop(
         &aug,
         z0,
-        opts.mu0 * opts.mu0_scale,
+        MU0 * opts.mu0_scale,
         opts,
         newton_total,
         tally,
@@ -794,28 +809,27 @@ fn phase_one(
     );
     match sol.status {
         NlpStatus::Optimal | NlpStatus::IterationLimit => {
-            if !sol.x.is_empty() && sol.x[s] < -opts.interior_margin {
+            if !sol.x.is_empty() && sol.x[s] < -INTERIOR_MARGIN {
                 let x: Vec<f64> = sol.x[..n].to_vec();
-                if strictly_feasible(p, &x, opts.interior_margin * 0.5) {
-                    return Ok(Some(x));
+                if strictly_feasible(p, &x, INTERIOR_MARGIN * 0.5) {
+                    return Ok(x);
                 }
             }
-            if sol.status == NlpStatus::IterationLimit {
-                Err(NlpStatus::IterationLimit)
-            } else {
-                Ok(None)
-            }
+            Err(match sol.status {
+                NlpStatus::IterationLimit => NlpStatus::IterationLimit,
+                _ => NlpStatus::Infeasible,
+            })
         }
         NlpStatus::Unbounded => {
             if !sol.x.is_empty() {
                 let x: Vec<f64> = sol.x[..n].to_vec();
-                if strictly_feasible(p, &x, opts.interior_margin * 0.5) {
-                    return Ok(Some(x));
+                if strictly_feasible(p, &x, INTERIOR_MARGIN * 0.5) {
+                    return Ok(x);
                 }
             }
             Err(NlpStatus::IterationLimit)
         }
-        NlpStatus::Infeasible => Ok(None),
+        NlpStatus::Infeasible => Err(NlpStatus::Infeasible),
     }
 }
 
@@ -829,6 +843,20 @@ pub(crate) struct FactorTally {
     pub(crate) predictor_steps: u64,
     pub(crate) corrector_steps: u64,
     pub(crate) line_search_backtracks: u64,
+    /// Set once the fixed-μ loop runs, in phase 1 or the main solve.
+    fixed_mu_ran: bool,
+}
+
+impl FactorTally {
+    /// Copies the solve's totals onto its result.
+    fn attach(self, out: &mut NlpSolution) {
+        out.factorizations = self.factorizations;
+        out.fill_nnz = self.fill_nnz;
+        out.predictor_steps = self.predictor_steps;
+        out.corrector_steps = self.corrector_steps;
+        out.line_search_backtracks = self.line_search_backtracks;
+        out.barrier_fallbacks = u64::from(self.fixed_mu_ran);
+    }
 }
 
 /// Sparse Newton/KKT system with its symbolic analysis done once per
@@ -990,7 +1018,8 @@ impl<'a> SparseKkt<'a> {
     }
 }
 
-/// Core barrier loop from a strictly feasible start.
+/// Barrier solve from a strictly feasible start: the predictor-corrector
+/// loop, with the fixed-μ loop behind it.
 ///
 /// `mu0` is the initial barrier weight (warm starts pass a reduced one);
 /// `early_exit`: optional `(var, threshold)` — stop as soon as `x[var]`
@@ -1013,65 +1042,76 @@ fn barrier_loop(
         }
     }
     if free.is_empty() {
-        let feasible = p.max_violation(&x) <= PINNED_FEAS_TOL;
-        return NlpSolution {
-            status: if feasible {
-                NlpStatus::Optimal
-            } else {
-                NlpStatus::Infeasible
-            },
-            objective: if feasible {
-                p.objective_value(&x)
-            } else {
-                f64::INFINITY
-            },
-            multipliers: vec![0.0; p.num_constraints()],
-            x,
-            newton_iters: *newton_total,
-            warm_started: false,
-            factorizations: 0,
-            fill_nnz: 0,
-            predictor_steps: 0,
-            corrector_steps: 0,
-            line_search_backtracks: 0,
+        let (status, objective) = if p.max_violation(&x) <= PINNED_FEAS_TOL {
+            (NlpStatus::Optimal, p.objective_value(&x))
+        } else {
+            (NlpStatus::Infeasible, f64::INFINITY)
         };
+        let multipliers = vec![0.0; p.num_constraints()];
+        return NlpSolution::new(status, x, objective, multipliers, *newton_total);
     }
 
-    // Predictor-corrector path: the Mehrotra loop replaces the fixed-μ
-    // schedule whenever there is at least one barrier term to center on.
-    // Pure equality-constrained problems (no inequalities, no finite
-    // bounds over the free coordinates) have no complementarity to drive
-    // and stay on the damped-Newton loop below.
-    if !opts.legacy_schedule {
-        let has_barrier_terms = p.num_constraints() > 0
-            || free
-                .iter()
-                .any(|&j| p.lowers()[j].is_finite() || p.uppers()[j].is_finite());
-        if has_barrier_terms {
-            let sol = crate::mpc::run(
-                p,
-                x.clone(),
-                &free,
-                mu0,
-                opts,
-                newton_total,
-                tally,
-                scratch,
-                early_exit,
-            );
-            // The predictor-corrector loop is the fast path, not the only
-            // path: an instance whose long primal journey defeats the
-            // central-path neighborhood (a huge box entered far from the
-            // optimum) can exhaust its budget off-center. Fall back to the
-            // damped-Newton schedule from the same start instead of
-            // returning the cut-short solve; the counters keep both halves,
-            // so the fallback is paid for, never hidden.
-            if sol.status != NlpStatus::IterationLimit {
-                return sol;
-            }
+    // The predictor-corrector loop runs whenever there is at least one
+    // barrier term to center on. Pure equality-constrained problems (no
+    // inequalities, no finite bounds over the free coordinates) have no
+    // complementarity to drive and go straight to the fixed-μ loop.
+    let has_barrier_terms = p.num_constraints() > 0
+        || free
+            .iter()
+            .any(|&j| p.lowers()[j].is_finite() || p.uppers()[j].is_finite());
+    if has_barrier_terms {
+        let sol = crate::mpc::run(
+            p,
+            x.clone(),
+            &free,
+            mu0,
+            opts,
+            newton_total,
+            tally,
+            scratch,
+            early_exit,
+        );
+        // An instance whose long primal journey defeats the central-path
+        // neighborhood (a start far from the optimum in a wide box, or a
+        // warm seed under a μ₀ at its floor) can exhaust the budget
+        // off-center. The fixed-μ loop then restarts from the same point;
+        // the counters keep both halves and `barrier_fallbacks` records it.
+        if sol.status != NlpStatus::IterationLimit {
+            return sol;
         }
     }
+    tally.fixed_mu_ran = true;
+    fixed_mu_loop(
+        p,
+        x,
+        &free,
+        mu0,
+        opts,
+        newton_total,
+        tally,
+        scratch,
+        early_exit,
+    )
+}
 
+/// The fixed-μ barrier loop: damped Newton on each barrier subproblem,
+/// then μ shrinks geometrically. Reports `Optimal` only when the gap test
+/// passes *and* the last μ stage converged (its Newton step fell below
+/// [`NEWTON_TOL`]); a last stage that ended on the Newton cap or a stalled
+/// line search leaves the point short of the optimum, so that is an
+/// `IterationLimit`, and branch-and-bound does not trust it as a bound.
+#[allow(clippy::too_many_arguments)] // mirrors barrier_loop
+fn fixed_mu_loop(
+    p: &NlpProblem,
+    mut x: Vec<f64>,
+    free: &[usize],
+    mu0: f64,
+    opts: &BarrierOptions,
+    newton_total: &mut usize,
+    tally: &mut FactorTally,
+    scratch: &mut SparseWorkspace,
+    early_exit: Option<(usize, f64)>,
+) -> NlpSolution {
     // Equality matrix over the free subspace.
     let m_eq = p.equalities().len();
     let k = free.len();
@@ -1103,10 +1143,11 @@ fn barrier_loop(
     };
 
     let mut mu = mu0;
-    for _outer in 0..opts.max_outer {
-        for _inner in 0..opts.max_newton {
+    for _outer in 0..MAX_OUTER {
+        let mut stage_converged = false;
+        for _inner in 0..MAX_NEWTON {
             *newton_total += 1;
-            let (grad, hess) = barrier_derivatives(p, &x, mu, &free);
+            let (grad, hess) = barrier_derivatives(p, &x, mu, free);
 
             // KKT system: [H Âᵀ; Â 0] [d; λ] = [-g; r].
             let step = if m_eq == 0 {
@@ -1170,7 +1211,8 @@ fn barrier_loop(
             }
             let xnorm = 1.0 + free.iter().map(|&j| x[j].abs()).fold(0.0, f64::max);
             let step_norm = step.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            if step_norm < opts.newton_tol * xnorm * (1.0 + mu) {
+            if step_norm < NEWTON_TOL * xnorm * (1.0 + mu) {
+                stage_converged = true;
                 break;
             }
 
@@ -1190,7 +1232,7 @@ fn barrier_loop(
             }
 
             // Backtracking line search: strict feasibility + descent.
-            let phi0 = barrier_value(p, &x, mu, &free);
+            let phi0 = barrier_value(p, &x, mu, free);
             let slope: f64 = grad.iter().zip(&step).map(|(g, s)| g * s).sum();
             let mut alpha = (FRACTION_TO_BOUNDARY * alpha_bound).min(1.0);
             let mut accepted = false;
@@ -1199,8 +1241,8 @@ fn barrier_loop(
                 for (c, &j) in free.iter().enumerate() {
                     cand[j] += alpha * step[c];
                 }
-                if strictly_inside(p, &cand, &free) {
-                    let phi = barrier_value(p, &cand, mu, &free);
+                if strictly_inside(p, &cand, free) {
+                    let phi = barrier_value(p, &cand, mu, free);
                     // Accept on sufficient decrease, or on any decrease when
                     // the model slope is unhelpful (KKT steps with equality
                     // correction are not always descent directions for φ).
@@ -1216,19 +1258,7 @@ fn barrier_loop(
                 break;
             }
             if x.iter().any(|v| v.abs() > DIVERGENCE_LIMIT) {
-                return NlpSolution {
-                    status: NlpStatus::Unbounded,
-                    objective: f64::NEG_INFINITY,
-                    multipliers: vec![0.0; p.num_constraints()],
-                    x,
-                    newton_iters: *newton_total,
-                    warm_started: false,
-                    factorizations: 0,
-                    fill_nnz: 0,
-                    predictor_steps: 0,
-                    corrector_steps: 0,
-                    line_search_backtracks: 0,
-                };
+                return NlpSolution::unbounded(p, x, *newton_total);
             }
             if let Some((var, threshold)) = early_exit {
                 if x[var] < threshold {
@@ -1237,10 +1267,14 @@ fn barrier_loop(
             }
         }
 
-        if mu * barrier_count as f64 <= opts.gap_tol {
-            return finish(p, x, mu, *newton_total);
+        if mu * barrier_count as f64 <= GAP_TOL {
+            let mut out = finish(p, x, mu, *newton_total);
+            if !stage_converged {
+                out.status = NlpStatus::IterationLimit;
+            }
+            return out;
         }
-        mu *= opts.mu_shrink;
+        mu *= MU_SHRINK;
     }
     let mut out = finish(p, x, mu, *newton_total);
     out.status = NlpStatus::IterationLimit;
@@ -1273,19 +1307,8 @@ pub(crate) fn finish_with_duals(
     newton_iters: usize,
 ) -> NlpSolution {
     let multipliers = refine_multipliers(p, &x, raw);
-    NlpSolution {
-        status: NlpStatus::Optimal,
-        objective: p.objective_value(&x),
-        multipliers,
-        x,
-        newton_iters,
-        warm_started: false,
-        factorizations: 0,
-        fill_nnz: 0,
-        predictor_steps: 0,
-        corrector_steps: 0,
-        line_search_backtracks: 0,
-    }
+    let objective = p.objective_value(&x);
+    NlpSolution::new(NlpStatus::Optimal, x, objective, multipliers, newton_iters)
 }
 
 /// Replaces the barrier dual estimates `μ/(-g_i)` with a stationarity fit.

@@ -15,10 +15,14 @@
 //! positivity of the coefficients implies that the nonlinear functions are
 //! convex, which ensures that MINOTAUR finds a global solution").
 //!
-//! The solver is a log-barrier interior-point method with damped Newton
-//! steps ([`barrier::solve`]), plus a phase-1 routine that manufactures a
-//! strictly feasible starting point by relaxing all constraints with a slack
-//! variable.
+//! The solver ([`barrier::solve`]) is a Mehrotra predictor-corrector
+//! interior-point method ([`mpc`]) on the condensed primal-dual KKT system.
+//! It starts from a strictly feasible point: a repaired parent optimum on
+//! warm starts, else the box midpoint, passed through a phase-1 solve that
+//! relaxes every constraint with one slack variable when needed. A fixed-μ
+//! log-barrier loop with damped Newton steps runs only where MPC cannot
+//! finish (its budget ran out, or the problem has no barrier terms); each
+//! solve that ran it sets [`NlpSolution::barrier_fallbacks`].
 
 //! # Example
 //!

@@ -11,8 +11,8 @@
 //! iteration: the affine-scaling predictor, the centering corrector, and
 //! (rarely) the pure-centering rescue — up to three solves per
 //! factorization instead of one factorization per solve. Backends mirror
-//! the legacy loop: dense Cholesky/LU below the sparse crossover, the
-//! analyzed [`SparseKkt`] pattern above it (M has exactly the legacy
+//! the fixed-μ loop: dense Cholesky/LU below the sparse crossover, the
+//! analyzed [`SparseKkt`] pattern above it (M has exactly the fixed-μ
 //! barrier Hessian's sparsity, so the symbolic analysis is shared).
 //!
 //! Assembly and solves fail fast on non-finite input with a typed
@@ -50,7 +50,7 @@ pub(crate) struct AugmentedSystem<'a> {
 impl<'a> AugmentedSystem<'a> {
     /// Chooses the backend and (on the sparse path) runs the symbolic
     /// analysis once. A failed analysis silently degrades to dense,
-    /// matching the legacy loop.
+    /// matching the fixed-μ loop.
     pub(crate) fn new(
         p: &NlpProblem,
         col_of: &std::collections::HashMap<usize, usize>,
@@ -104,7 +104,7 @@ impl<'a> AugmentedSystem<'a> {
                 }
             }
             // Numeric sparse failure: degrade to the dense factorization
-            // below, the same ladder the legacy loop descends.
+            // below, the same ladder the fixed-μ loop descends.
         }
         if self.m_eq == 0 {
             match Cholesky::new_regularized(m, HESS_CHOL_REG) {

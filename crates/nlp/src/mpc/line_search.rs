@@ -1,5 +1,5 @@
 //! Fraction-to-boundary step limits and the barrier-merit backtracking
-//! search that replace the legacy loop's fixed damping.
+//! search that replace the fixed-μ loop's fixed damping.
 //!
 //! The fraction-to-boundary rule caps each step so every positivity
 //! quantity (slacks, bound distances, dual iterates) keeps at least a
@@ -7,7 +7,7 @@
 //! touch the boundary, which is what keeps the condensed KKT matrix
 //! finite. The primal block additionally backtracks against the barrier
 //! merit `Φ_μ̂` (objective plus μ̂-weighted log barriers, the same merit
-//! the legacy loop descends): the corrected Mehrotra direction carries
+//! the fixed-μ loop descends): the corrected Mehrotra direction carries
 //! second-order terms that are not a descent guarantee, and on nonlinear
 //! constraints the linearized slack prediction undershoots the true one,
 //! so trial points must re-prove both strict feasibility and progress.
@@ -19,7 +19,7 @@ use crate::barrier::ARMIJO_C1;
 
 /// Fraction-to-boundary factor τ: steps stop just short of the positivity
 /// boundary so slacks and dual iterates never collapse to zero. Matches
-/// the legacy loop's boundary damping so step geometry is comparable
+/// the fixed-μ loop's boundary damping so step geometry is comparable
 /// across schedules.
 pub(crate) const FRACTION_TO_BOUNDARY_TAU: f64 = 0.995;
 /// Multiplicative shrink applied to the trial scale after each rejected
@@ -51,7 +51,7 @@ pub(crate) fn max_step(pairs: impl Iterator<Item = (f64, f64)>, tau: f64) -> f64
 /// fraction-to-boundary cap the caller folds into the trial step and
 /// `slope` the directional derivative `∇Φᵀd` of the merit along the raw
 /// direction, so the Armijo test sees the true step `θ·scale·d`. Like the
-/// legacy search, any strict decrease is also accepted: equality-corrected
+/// fixed-μ search, any strict decrease is also accepted: equality-corrected
 /// KKT steps are not always descent directions for Φ. Returns the
 /// accepted θ, or `None` when the budget runs out.
 pub(crate) fn backtrack(

@@ -1,9 +1,10 @@
 //! Mehrotra predictor-corrector interior-point loop — barrier v2.
 //!
-//! Replaces the fixed-μ schedule of the legacy loop with a primal-dual
-//! method that holds the primal strictly feasible (slacks stay implicit,
-//! `s_i = −g_i(x)`) and carries explicit dual iterates: `λ` per
-//! inequality, `z` per finite bound, `ν` per equality. Each iteration:
+//! The primary barrier path (the fixed-μ loop in [`crate::barrier`] only
+//! runs when this one cannot finish). A primal-dual method that holds the
+//! primal strictly feasible (slacks stay implicit, `s_i = −g_i(x)`) and
+//! carries explicit dual iterates: `λ` per inequality, `z` per finite
+//! bound, `ν` per equality. Each iteration:
 //!
 //! 1. factors the condensed KKT system once ([`augmented_system`]),
 //! 2. solves it for the affine-scaling predictor (μ̂ = 0),
@@ -24,7 +25,7 @@
 //! [ Â   0 ] [Δν] = rhs,             + diag(zlo/dlo + zhi/dhi)
 //! ```
 //!
-//! which has exactly the sparsity pattern of the legacy barrier Hessian —
+//! which has exactly the sparsity pattern of the fixed-μ barrier Hessian —
 //! the analyzed `SparseKkt` structure is reused verbatim. The dual
 //! components are recovered from the linearized complementarity rows
 //! after each solve.
@@ -41,7 +42,7 @@ use std::collections::HashMap;
 
 use crate::barrier::{
     barrier_value, finish_with_duals, strictly_inside, BarrierOptions, FactorTally, NlpSolution,
-    NlpStatus, DIVERGENCE_LIMIT,
+    NlpStatus, DIVERGENCE_LIMIT, GAP_TOL, MAX_NEWTON,
 };
 use crate::problem::NlpProblem;
 use augmented_system::{AugmentedSystem, KktFactor, SystemError};
@@ -60,7 +61,7 @@ const DUAL_INIT_CAP: f64 = 1e8;
 /// Newton corrections pull it under this within the first steps.
 const EQ_CONVERGENCE_TOL: f64 = 1e-8;
 /// Relative dual-residual (stationarity) tolerance required at
-/// convergence, on top of the legacy gap test `μ·count ≤ gap_tol`.
+/// convergence, on top of the gap test `μ·count ≤ GAP_TOL`.
 const DUAL_CONVERGENCE_TOL: f64 = 1e-7;
 /// Centrality band: the target μ may only decrease while every
 /// complementarity product sits within `[μ/RATIO, μ·RATIO]`. Chasing a
@@ -202,7 +203,7 @@ impl<'p> Ctx<'p> {
     /// disagree with the barrier curvature `μ̂/s²`, and the Newton
     /// direction then rides tangentially along the constraint instead of
     /// lifting off it. The reset makes the next direction the exact
-    /// damped-Newton barrier direction — the legacy loop's recovery — and
+    /// damped-Newton barrier direction — the fixed-μ loop's recovery — and
     /// the untouched in-band duals resume Mehrotra stepping immediately.
     fn recenter_duals(&self, st: &mut State, ev: &Eval, mu_hat: f64) -> bool {
         let (dlo, dhi) = self.dists(&st.x);
@@ -602,24 +603,8 @@ fn bail(ctx: &Ctx, st: State, newton_iters: usize, _err: SystemError) -> NlpSolu
     out
 }
 
-fn diverged(p: &NlpProblem, st: State, newton_iters: usize) -> NlpSolution {
-    NlpSolution {
-        status: NlpStatus::Unbounded,
-        objective: f64::NEG_INFINITY,
-        multipliers: vec![0.0; p.num_constraints()],
-        x: st.x,
-        newton_iters,
-        warm_started: false,
-        factorizations: 0,
-        fill_nnz: 0,
-        predictor_steps: 0,
-        corrector_steps: 0,
-        line_search_backtracks: 0,
-    }
-}
-
 /// The predictor-corrector loop from a strictly feasible start. Arguments
-/// mirror the legacy `barrier_loop`; `mu0` seeds the perfectly-centered
+/// mirror `barrier_loop`; `mu0` seeds the perfectly-centered
 /// initial duals, and `early_exit` is phase 1's `(var, threshold)` stop.
 #[allow(clippy::too_many_arguments)] // mirrors barrier_loop: problem + accumulators + scratch
 pub(crate) fn run(
@@ -703,12 +688,12 @@ pub(crate) fn run(
     let mut mu_target = mu0;
     // The target never needs to fall below the gap test's exit level: a
     // μ within one centrality band of this floor already passes
-    // `μ·count ≤ gap_tol`. Chasing a deeper target is pure downside — it
+    // `μ·count ≤ GAP_TOL`. Chasing a deeper target is pure downside — it
     // is unattainable once the primal has hit its strict-interior limit,
     // and the band safeguard would fight stationarity forever over it.
-    let target_floor = opts.gap_tol / (CENTRALITY_RATIO * ctx.count as f64);
+    let target_floor = GAP_TOL / (CENTRALITY_RATIO * ctx.count as f64);
 
-    for _iter in 0..opts.max_newton {
+    for _iter in 0..MAX_NEWTON {
         let ev = match ctx.eval(&st.x) {
             Ok(ev) => ev,
             Err(err) => return bail(&ctx, st, *newton_total, err),
@@ -719,7 +704,7 @@ pub(crate) fn run(
         // acceptable) stationarity residual on the exit iteration.
         let mut mu = ctx.mu_of(&st, &ev);
         let mut r_d = ctx.r_dual(&st, &ev);
-        let gap_ok = mu * ctx.count as f64 <= opts.gap_tol;
+        let gap_ok = mu * ctx.count as f64 <= GAP_TOL;
         let r_eq_norm = ev.r_eq.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
         let eq_ok = r_eq_norm <= EQ_CONVERGENCE_TOL * ctx.eq_scale;
         let dual_scale = |st: &State| {
@@ -806,7 +791,7 @@ pub(crate) fn run(
         st = accepted;
 
         if st.x.iter().any(|v| v.abs() > DIVERGENCE_LIMIT) {
-            return diverged(p, st, *newton_total);
+            return NlpSolution::unbounded(p, st.x, *newton_total);
         }
         if let Some((var, threshold)) = early_exit {
             if st.x[var] < threshold {
@@ -819,7 +804,7 @@ pub(crate) fn run(
     // closed (the per-step merit noise at tiny μ can block the final dual
     // cleanup; the least-squares refinement recovers the duals from x).
     let gap_closed = match ctx.eval(&st.x) {
-        Ok(ev) => ctx.mu_of(&st, &ev) * ctx.count as f64 <= opts.gap_tol,
+        Ok(ev) => ctx.mu_of(&st, &ev) * ctx.count as f64 <= GAP_TOL,
         Err(_) => false,
     };
     let mut out = converged(&ctx, st, *newton_total);

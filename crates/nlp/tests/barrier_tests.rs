@@ -363,3 +363,72 @@ mod sparse_backend {
         }
     }
 }
+
+/// A real 1° layout-1 root relaxation from the CESM pipeline (fitted
+/// models, 256 nodes): phase 1 exits with the ice and land nodes barely
+/// inside their boxes, the predictor-corrector loop spends its whole
+/// budget from there, and the fixed-μ loop finishes the solve (456 Newton
+/// steps: 203 predictor-corrector, then 253 fixed-μ). Pins that path, its
+/// verdict and its counter.
+#[test]
+fn exhausted_mpc_budget_falls_back_to_the_fixed_mu_loop() {
+    let t_max = 165_921.027_706_537_72;
+    let mut p = NlpProblem::new();
+    let ice = p.add_var(0.0, 1.0, 253.0);
+    let lnd = p.add_var(0.0, 1.0, 253.0);
+    let atm = p.add_var(0.0, 2.0, 254.0);
+    let ocn = p.add_var(0.0, 2.0, 254.0);
+    let t = p.add_var(1.0, 0.0, t_max);
+    let t_icelnd = p.add_var(0.0, 0.0, t_max);
+    let perf = ScalarFn::perf_model;
+    p.add_constraint(
+        ConstraintFn::new("ice")
+            .nonlinear_term(ice, perf(8530.44246515005, 0.0, 1.0314056524385347))
+            .linear_term(t_icelnd, -1.0)
+            .with_constant(22.13004085913353),
+    );
+    p.add_constraint(
+        ConstraintFn::new("lnd")
+            .nonlinear_term(
+                lnd,
+                perf(1479.68988072122, 0.0032251147036605346, 0.9954874457550463),
+            )
+            .linear_term(t_icelnd, -1.0)
+            .with_constant(1.0744336260356906),
+    );
+    p.add_constraint(
+        ConstraintFn::new("atm")
+            .nonlinear_term(
+                atm,
+                perf(27286.86242828113, 0.08394205044132383, 0.995094770246192),
+            )
+            .linear_term(t_icelnd, 1.0)
+            .linear_term(t, -1.0)
+            .with_constant(23.4273357120915),
+    );
+    p.add_constraint(
+        ConstraintFn::new("ocn")
+            .nonlinear_term(
+                ocn,
+                perf(7565.979249070386, 0.06199806370250199, 0.9690541675950798),
+            )
+            .linear_term(t, -1.0)
+            .with_constant(21.40782579294544),
+    );
+    p.add_constraint(
+        ConstraintFn::new("cap")
+            .linear_term(atm, 1.0)
+            .linear_term(ocn, 1.0)
+            .with_constant(-256.0),
+    );
+    p.add_constraint(
+        ConstraintFn::new("icelnd_within_atm")
+            .linear_term(ice, 1.0)
+            .linear_term(lnd, 1.0)
+            .linear_term(atm, -1.0),
+    );
+    let sol = solve(&p).unwrap();
+    assert_eq!(sol.status, NlpStatus::Optimal);
+    assert_close(sol.objective, 231.924725331, 1e-8 * 231.924725331);
+    assert_eq!(sol.barrier_fallbacks, 1);
+}

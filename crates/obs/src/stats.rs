@@ -35,15 +35,18 @@ pub struct SolveStats {
     /// (and once each in `predictor_steps`/`corrector_steps`).
     pub newton_iters: u64,
     /// Affine-scaling predictor solves in the Mehrotra barrier (one per
-    /// predictor-corrector iteration; zero on the legacy fixed-μ schedule).
+    /// predictor-corrector iteration).
     pub predictor_steps: u64,
     /// Centering-corrector solves in the Mehrotra barrier (one per
     /// predictor-corrector iteration, plus pure-centering rescue solves).
     pub corrector_steps: u64,
     /// Merit-function backtracks: trial steps rejected by the barrier line
-    /// search before a step was accepted (zero on the legacy schedule,
-    /// whose Armijo damping is not counted here).
+    /// search before a step was accepted (the fixed-μ loop's Armijo damping
+    /// is not counted here).
     pub line_search_backtracks: u64,
+    /// Barrier solves in which the fixed-μ loop ran: the predictor-corrector
+    /// loop exhausted its budget, or the problem had no barrier terms.
+    pub barrier_fallbacks: u64,
     /// Total accepted Levenberg-Marquardt steps across all fits.
     pub lm_steps: u64,
     /// Variable-bound tightenings performed by presolve/propagation.
@@ -68,29 +71,25 @@ pub struct SolveStats {
 
 impl SolveStats {
     /// Number of counters in [`fields`](SolveStats::fields).
-    pub const FIELD_COUNT: usize = 19;
+    pub const FIELD_COUNT: usize = 20;
 
     /// Adds every counter of `other` into `self` (parallel merge).
     pub fn merge(&mut self, other: &SolveStats) {
-        self.nodes_opened += other.nodes_opened;
-        self.pruned_by_bound += other.pruned_by_bound;
-        self.pruned_infeasible += other.pruned_infeasible;
-        self.incumbents += other.incumbents;
-        self.oa_cuts += other.oa_cuts;
-        self.lp_solves += other.lp_solves;
-        self.nlp_solves += other.nlp_solves;
-        self.simplex_pivots += other.simplex_pivots;
-        self.newton_iters += other.newton_iters;
-        self.predictor_steps += other.predictor_steps;
-        self.corrector_steps += other.corrector_steps;
-        self.line_search_backtracks += other.line_search_backtracks;
-        self.lm_steps += other.lm_steps;
-        self.presolve_tightenings += other.presolve_tightenings;
-        self.warm_start_hits += other.warm_start_hits;
-        self.dual_pivots += other.dual_pivots;
-        self.factorizations += other.factorizations;
-        self.factor_updates += other.factor_updates;
-        self.fill_nnz += other.fill_nnz;
+        for ((_, mine), (_, theirs)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *mine += theirs;
+        }
+    }
+
+    /// Builds counters by looking each [`fields`](SolveStats::fields) name
+    /// up with `read` — the decoder side of the serialization schema.
+    pub fn from_fields<E>(
+        mut read: impl FnMut(&'static str) -> Result<u64, E>,
+    ) -> Result<SolveStats, E> {
+        let mut stats = SolveStats::default();
+        for (name, slot) in stats.fields_mut() {
+            *slot = read(name)?;
+        }
+        Ok(stats)
     }
 
     /// Stable `(name, value)` view of every counter, in declaration order.
@@ -110,6 +109,7 @@ impl SolveStats {
             ("predictor_steps", self.predictor_steps),
             ("corrector_steps", self.corrector_steps),
             ("line_search_backtracks", self.line_search_backtracks),
+            ("barrier_fallbacks", self.barrier_fallbacks),
             ("lm_steps", self.lm_steps),
             ("presolve_tightenings", self.presolve_tightenings),
             ("warm_start_hits", self.warm_start_hits),
@@ -117,6 +117,32 @@ impl SolveStats {
             ("factorizations", self.factorizations),
             ("factor_updates", self.factor_updates),
             ("fill_nnz", self.fill_nnz),
+        ]
+    }
+
+    /// [`fields`](SolveStats::fields) with mutable slots, same order.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); Self::FIELD_COUNT] {
+        [
+            ("nodes_opened", &mut self.nodes_opened),
+            ("pruned_by_bound", &mut self.pruned_by_bound),
+            ("pruned_infeasible", &mut self.pruned_infeasible),
+            ("incumbents", &mut self.incumbents),
+            ("oa_cuts", &mut self.oa_cuts),
+            ("lp_solves", &mut self.lp_solves),
+            ("nlp_solves", &mut self.nlp_solves),
+            ("simplex_pivots", &mut self.simplex_pivots),
+            ("newton_iters", &mut self.newton_iters),
+            ("predictor_steps", &mut self.predictor_steps),
+            ("corrector_steps", &mut self.corrector_steps),
+            ("line_search_backtracks", &mut self.line_search_backtracks),
+            ("barrier_fallbacks", &mut self.barrier_fallbacks),
+            ("lm_steps", &mut self.lm_steps),
+            ("presolve_tightenings", &mut self.presolve_tightenings),
+            ("warm_start_hits", &mut self.warm_start_hits),
+            ("dual_pivots", &mut self.dual_pivots),
+            ("factorizations", &mut self.factorizations),
+            ("factor_updates", &mut self.factor_updates),
+            ("fill_nnz", &mut self.fill_nnz),
         ]
     }
 
@@ -168,13 +194,14 @@ mod tests {
             predictor_steps: 10,
             corrector_steps: 11,
             line_search_backtracks: 12,
-            lm_steps: 13,
-            presolve_tightenings: 14,
-            warm_start_hits: 15,
-            dual_pivots: 16,
-            factorizations: 17,
-            factor_updates: 18,
-            fill_nnz: 19,
+            barrier_fallbacks: 13,
+            lm_steps: 14,
+            presolve_tightenings: 15,
+            warm_start_hits: 16,
+            dual_pivots: 17,
+            factorizations: 18,
+            factor_updates: 19,
+            fill_nnz: 20,
         };
         let b = a;
         a.merge(&b);

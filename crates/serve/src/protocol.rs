@@ -205,27 +205,7 @@ pub fn solve_stats_to_json(stats: &SolveStats) -> Json {
 /// Decodes [`SolveStats`]; missing counters default to zero so newer
 /// servers can add fields without breaking older clients.
 pub fn solve_stats_from_json(v: &Json) -> Result<SolveStats, DecodeError> {
-    Ok(SolveStats {
-        nodes_opened: opt_field(v, "nodes_opened")?.unwrap_or(0),
-        pruned_by_bound: opt_field(v, "pruned_by_bound")?.unwrap_or(0),
-        pruned_infeasible: opt_field(v, "pruned_infeasible")?.unwrap_or(0),
-        incumbents: opt_field(v, "incumbents")?.unwrap_or(0),
-        oa_cuts: opt_field(v, "oa_cuts")?.unwrap_or(0),
-        lp_solves: opt_field(v, "lp_solves")?.unwrap_or(0),
-        nlp_solves: opt_field(v, "nlp_solves")?.unwrap_or(0),
-        simplex_pivots: opt_field(v, "simplex_pivots")?.unwrap_or(0),
-        newton_iters: opt_field(v, "newton_iters")?.unwrap_or(0),
-        lm_steps: opt_field(v, "lm_steps")?.unwrap_or(0),
-        presolve_tightenings: opt_field(v, "presolve_tightenings")?.unwrap_or(0),
-        warm_start_hits: opt_field(v, "warm_start_hits")?.unwrap_or(0),
-        dual_pivots: opt_field(v, "dual_pivots")?.unwrap_or(0),
-        factorizations: opt_field(v, "factorizations")?.unwrap_or(0),
-        factor_updates: opt_field(v, "factor_updates")?.unwrap_or(0),
-        fill_nnz: opt_field(v, "fill_nnz")?.unwrap_or(0),
-        predictor_steps: opt_field(v, "predictor_steps")?.unwrap_or(0),
-        corrector_steps: opt_field(v, "corrector_steps")?.unwrap_or(0),
-        line_search_backtracks: opt_field(v, "line_search_backtracks")?.unwrap_or(0),
-    })
+    SolveStats::from_fields(|name| Ok(opt_field(v, name)?.unwrap_or(0)))
 }
 
 /// Encodes [`ServeStats`] as an object keyed by its stable field names.

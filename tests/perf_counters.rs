@@ -46,6 +46,7 @@ fn e7_oa_counters_golden() {
         predictor_steps: 198,
         corrector_steps: 198,
         line_search_backtracks: 94,
+        barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 3,
         warm_start_hits: 22,
@@ -80,6 +81,7 @@ fn e7_nlp_bnb_counters_golden() {
         predictor_steps: 6629,
         corrector_steps: 6629,
         line_search_backtracks: 3765,
+        barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 248,
         warm_start_hits: 492,
@@ -107,6 +109,7 @@ fn e7_parallel_t1_counters_golden() {
         predictor_steps: 6571,
         corrector_steps: 6571,
         line_search_backtracks: 3726,
+        barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 248,
         warm_start_hits: 488,
@@ -125,18 +128,14 @@ fn e7_parallel_t1_counters_golden() {
 /// k-dimensional space with a weak relaxation, while native interval
 /// branching keeps the NLP three-dimensional. (Node counts barely move —
 /// the blowup is per-node work, which wall timings hide in noise and
-/// counters expose deterministically.)
-/// The pinned comparison runs both encodings on the paper-era fixed-μ
-/// schedule so the rows measure the encoding alone (barrier v2 cuts
-/// per-node work on both sides — see the next test).
+/// counters expose deterministically.) The blowup is a property of the
+/// lifted space, not of the barrier's μ schedule: 24x at k=32 and 33x at
+/// k=128.
 #[test]
 fn e8_binary_encoding_newton_blowup() {
     for k in [32usize, 128] {
         let p = sos_test_problem(k);
-        let opts = MinlpOptions {
-            legacy_mu_schedule: true,
-            ..MinlpOptions::default()
-        };
+        let opts = MinlpOptions::default();
         let native = hslb_minlp::solve_oa_bnb(&p, &opts);
         let (enc, _) = encode_sets_as_binaries(&p);
         let binary = hslb_minlp::solve_oa_bnb(&enc, &opts);
@@ -152,46 +151,6 @@ fn e8_binary_encoding_newton_blowup() {
             native.stats.newton_iters
         );
     }
-}
-
-/// Under the Mehrotra predictor-corrector loop (the default), the blowup
-/// *survives* — it is a property of the lifted k-dimensional space, not of
-/// the μ schedule — but MPC cuts the per-node barrier cost several-fold on
-/// both encodings and softens the ratio (39x -> 24x at k=32: binary
-/// 18 321 -> 3 603, native 469 -> 148). This is the E8-side witness of the
-/// barrier-v2 speedup (EXPERIMENTS.md § E7c) and the reason the pinned
-/// §III-E comparison above stays on the legacy schedule: otherwise the
-/// rows would mix the encoding penalty with the schedule change.
-#[test]
-fn e8_mpc_cuts_binary_encoding_cost() {
-    let k = 32usize;
-    let p = sos_test_problem(k);
-    let legacy_opts = MinlpOptions {
-        legacy_mu_schedule: true,
-        ..MinlpOptions::default()
-    };
-    let mpc_opts = MinlpOptions::default();
-    let (enc, _) = encode_sets_as_binaries(&p);
-    let native = hslb_minlp::solve_oa_bnb(&p, &mpc_opts);
-    let binary = hslb_minlp::solve_oa_bnb(&enc, &mpc_opts);
-    let binary_legacy = hslb_minlp::solve_oa_bnb(&enc, &legacy_opts);
-    assert!(
-        (native.objective - binary.objective).abs() < 1e-3 * native.objective.abs().max(1.0),
-        "k={k}: encodings must agree on the optimum"
-    );
-    assert!(
-        binary.stats.newton_iters >= 10 * native.stats.newton_iters,
-        "k={k}: the dimension blowup is schedule-independent, got {} vs {}",
-        binary.stats.newton_iters,
-        native.stats.newton_iters
-    );
-    assert!(
-        4 * binary.stats.newton_iters < binary_legacy.stats.newton_iters,
-        "k={k}: MPC should cut the binary encoding's Newton cost >=4x vs \
-         the fixed-μ schedule, got {} vs {}",
-        binary.stats.newton_iters,
-        binary_legacy.stats.newton_iters
-    );
 }
 
 /// The committed `BENCH_solver.json` baseline must match a fresh solve

@@ -2,9 +2,12 @@
 //! simulator, asserting the paper's qualitative results.
 
 use hslb::pipeline::run_hslb;
-use hslb::{Layout, SolverBackend, Workload};
+use hslb::{
+    build_layout_model, fit_all, gather, solve_model_with, CesmModelSpec, ComponentSpec, Layout,
+    SolverBackend, Workload,
+};
 use hslb_cesm_sim::{manual_allocation, CesmSimulator, Scenario};
-use hslb_minlp::MinlpOptions;
+use hslb_minlp::{MinlpOptions, MinlpStatus};
 
 fn run(scenario: &Scenario, seed: u64) -> (hslb::HslbOutcome, f64) {
     let mut sim = CesmSimulator::new(scenario.clone(), seed);
@@ -203,4 +206,45 @@ fn workload_trait_is_object_safe_enough_for_generic_use() {
     }
     let sim = CesmSimulator::new(Scenario::one_degree(64), 0);
     assert_eq!(generic(&sim), 64);
+}
+
+/// Regression: on this fitted ⅛° layout-2 model two warm-started NLP-B&B
+/// node relaxations exhaust the predictor-corrector budget and fall back to
+/// the fixed-μ loop, whose last μ stage ends on the Newton cap at
+/// 3377.5079 and 3377.5082 (a cold solve of the same nodes reaches
+/// 3377.3182). Such a fallback must report `IterationLimit`: called
+/// `Optimal`, both nodes are pruned on the inflated bounds and NLP-B&B
+/// returns a worse allocation (3377.483, atm 5,272) as optimal.
+#[test]
+fn nlp_bnb_matches_oa_on_fitted_eighth_degree_layout2() {
+    let scenario = Scenario::eighth_degree_unconstrained(7892);
+    let counts = scenario.benchmark_counts(5);
+    let mut sim = CesmSimulator::new(scenario.clone(), 0x14b1_43ff_6581_11be);
+    let fits = fit_all(&gather(&mut sim, &counts)).expect("benchmarks fit");
+    let names = ["ice", "lnd", "atm", "ocn"];
+    let [ice, lnd, atm, ocn] = std::array::from_fn(|c| ComponentSpec {
+        name: names[c].to_string(),
+        model: fits[c].model,
+        allowed: scenario.allowed(c),
+    });
+    let spec = CesmModelSpec {
+        ice,
+        lnd,
+        atm,
+        ocn,
+        total_nodes: sim.total_nodes() as i64,
+        tsync: None,
+    };
+    let model = build_layout_model(&spec, Layout::SequentialAtmGroup);
+    let opts = MinlpOptions::default();
+    let oa = solve_model_with(&model.problem, SolverBackend::OuterApproximation, &opts);
+    let nlp = solve_model_with(&model.problem, SolverBackend::NlpBnb, &opts);
+    assert_eq!(oa.status, MinlpStatus::Optimal);
+    assert_eq!(nlp.status, MinlpStatus::Optimal);
+    assert!(
+        (nlp.objective - oa.objective).abs() <= 2e-6 * oa.objective.abs(),
+        "NLP-B&B {} vs OA {}",
+        nlp.objective,
+        oa.objective
+    );
 }

@@ -198,88 +198,6 @@ fn minlp_backends_agree_across_150_generated_instances() {
     }
 }
 
-/// Schedule equivalence: the Mehrotra predictor-corrector loop (default)
-/// and the legacy fixed-μ schedule (`BarrierOptions::legacy_schedule`,
-/// kept for one release as the A/B control) are two routes to the same
-/// barrier optimum — statuses, objectives, and feasibility must agree to
-/// the same tolerance as a backend swap; only the work counters differ.
-#[test]
-fn mpc_and_legacy_schedule_agree_across_150_generated_instances() {
-    // NLP layer: the barrier solver head-to-head.
-    let mpc_opts = BarrierOptions::default();
-    let legacy_opts = BarrierOptions {
-        legacy_schedule: true,
-        ..Default::default()
-    };
-    assert!(
-        !mpc_opts.legacy_schedule,
-        "MPC must be the default schedule"
-    );
-    let mut rng = Rng::new(0x3C4E_D01E);
-    for case in 0..60u64 {
-        let size = (case % 6) as u32 + 1;
-        let inst = gen::nlp_instance(&mut rng, size);
-        let mpc = hslb_nlp::solve_with(&inst.problem, &mpc_opts)
-            .unwrap_or_else(|e| panic!("case {case}: MPC barrier error {e:?}"));
-        let legacy = hslb_nlp::solve_with(&inst.problem, &legacy_opts)
-            .unwrap_or_else(|e| panic!("case {case}: legacy barrier error {e:?}"));
-        assert_eq!(
-            mpc.status, legacy.status,
-            "case {case}: schedule status diverged"
-        );
-        if mpc.status != NlpStatus::Optimal {
-            continue;
-        }
-        assert!(
-            (mpc.objective - legacy.objective).abs() <= OBJ_TOL * legacy.objective.abs().max(1.0),
-            "case {case}: mpc {} vs legacy {}",
-            mpc.objective,
-            legacy.objective
-        );
-        assert!(
-            inst.problem.is_feasible(&mpc.x, FEAS_TOL),
-            "case {case}: MPC point infeasible"
-        );
-    }
-
-    // MINLP layer: whole trees under each schedule, cycling the backend so
-    // every solver sees both; each instance is judged on the same solver.
-    let mpc_opts = MinlpOptions::default();
-    let legacy_opts = MinlpOptions {
-        legacy_mu_schedule: true,
-        ..MinlpOptions::default()
-    };
-    let mut rng = Rng::new(0x3C4E_D02E);
-    for case in 0..90u64 {
-        let size = (case % 6) as u32 + 1;
-        let inst = gen::minlp_instance(&mut rng, size);
-        let solve: fn(&hslb_minlp::MinlpProblem, &MinlpOptions) -> MinlpSolution = match case % 3 {
-            0 => solve_oa_bnb,
-            1 => solve_nlp_bnb,
-            _ => solve_parallel_bnb,
-        };
-        let mpc = solve(&inst.problem, &mpc_opts);
-        let legacy = solve(&inst.problem, &legacy_opts);
-        assert_eq!(
-            mpc.status, legacy.status,
-            "case {case}: schedule status diverged"
-        );
-        if mpc.status != MinlpStatus::Optimal {
-            continue;
-        }
-        assert!(
-            (mpc.objective - legacy.objective).abs() <= OBJ_TOL * legacy.objective.abs().max(1.0),
-            "case {case}: mpc {} vs legacy {}",
-            mpc.objective,
-            legacy.objective
-        );
-        assert!(
-            inst.problem.is_feasible(&mpc.x, FEAS_TOL),
-            "case {case}: MPC incumbent infeasible"
-        );
-    }
-}
-
 /// Pinned work envelope on fixed instances: the backends must take the
 /// *same* pivot path (pivoting decisions depend on signs and ratio tests,
 /// which both factorizations compute to well within the decision

@@ -18,9 +18,10 @@
 //! `"trace"` array next to the `"solver"` counter block in the output,
 //! `--no-warm-start`, which disables cross-node solver-state reuse (parent
 //! barrier seeds, simplex basis reuse) for A/B counter comparisons, and
-//! `--dense`, which forces the dense linear-algebra oracle everywhere (the
-//! default `Auto` backend switches to the sparse kernels above the
-//! crossover dimension).
+//! `--dense`, which forces the dense linear-algebra reference everywhere:
+//! the explicit-inverse simplex tableau and the dense barrier KKT (the
+//! default `Auto` backend runs every simplex basis on the sparse LU and
+//! switches the KKT to sparse above the crossover dimension).
 //!
 //! All modes exit 0 on success; bad input exits 1 with an `hslb-cli:`
 //! diagnostic on stderr; an unknown mode exits 2 with usage.

@@ -15,8 +15,9 @@
 //!   fuzzy integer snaps, and intent-named float→int conversions.
 //! * [`sparse`] — the sparse core (CSC/CSR storage, fill-reducing
 //!   ordering, LU and Cholesky with a symbolic/numeric split) plus the
-//!   [`LinalgBackend`] selector; dense stays the differential oracle
-//!   below [`SPARSE_CROSSOVER_DIM`].
+//!   [`LinalgBackend`] selector: the simplex basis is always sparse unless
+//!   `Dense` is forced, the barrier KKT stays dense below
+//!   [`SPARSE_CROSSOVER_DIM`].
 //!
 //! All factorizations report failure through [`LinalgError`] instead of
 //! panicking so callers (iterative solvers) can recover, e.g. by adding

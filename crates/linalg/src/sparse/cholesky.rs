@@ -61,7 +61,7 @@ impl CholSymbolic {
         }
         let n = a.nrows();
         let perm = {
-            let mut order = ordering::min_degree(&ordering::symmetric_adjacency(a));
+            let mut order = ordering::min_degree(ordering::symmetric_adjacency(a));
             if order.len() < n {
                 // Defensive: pad with any unlisted nodes (cannot happen for
                 // well-formed adjacency, but an ordering must be total).

@@ -97,10 +97,10 @@ impl CscMatrix {
     /// Assembles a square-or-rectangular matrix from per-column sparse
     /// vectors `(row, value)`. Rows within a column need not be sorted;
     /// duplicates are summed.
-    pub fn from_columns(nrows: usize, cols: &[Vec<(usize, f64)>]) -> Result<CscMatrix> {
+    pub fn from_columns<C: AsRef<[(usize, f64)]>>(nrows: usize, cols: &[C]) -> Result<CscMatrix> {
         let mut triplets = Vec::new();
         for (j, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
+            for &(r, v) in col.as_ref() {
                 triplets.push((r, j, v));
             }
         }

@@ -34,7 +34,7 @@ impl LuSymbolic {
                 got: (a.nrows(), a.ncols()),
             });
         }
-        let col_order = ordering::min_degree(&ordering::symmetric_adjacency(a));
+        let col_order = ordering::min_degree(ordering::symmetric_adjacency(a));
         Ok(LuSymbolic {
             n: a.nrows(),
             col_order,

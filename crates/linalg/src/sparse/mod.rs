@@ -12,8 +12,9 @@
 //!   factorizations, held by callers (e.g. branch-and-bound scratch
 //!   arenas) so hot loops refactorize without reallocating.
 //! * [`LinalgBackend`] — the dense/sparse selector threaded through the
-//!   LP, NLP and MINLP option structs; dense remains the differential
-//!   oracle below the crossover dimension.
+//!   LP, NLP and MINLP option structs: the simplex basis is sparse unless
+//!   `Dense` is forced, the barrier KKT switches at the crossover
+//!   dimension.
 
 pub mod cholesky;
 pub mod csc;
@@ -27,25 +28,28 @@ pub use lu::{LuSymbolic, SparseLu};
 /// Sentinel for "no index" in permutation / tree arrays.
 pub(crate) const NONE: usize = usize::MAX;
 
-/// System dimension above which `LinalgBackend::Auto` switches from the
-/// dense oracle to the sparse kernels.
+/// KKT dimension at which `LinalgBackend::Auto` switches the barrier's
+/// Newton system from dense to sparse Cholesky. The simplex basis does not
+/// consult it: it is sparse at every row count unless `Dense` is forced.
 ///
-/// Calibration: every pinned paper-scale workload (E7/E8, the testkit
-/// generators, OA masters with their accumulated cuts) stays well under
-/// ~70 basis rows / KKT unknowns, while the dense O(m³) refactorization
-/// and O(m²) pivot updates only start dominating wall-clock in the few-
-/// hundred-row range. 160 keeps every paper instance byte-identical on
-/// the dense path and flips netlib-scale instances (m ≥ a few hundred)
-/// to sparse where the asymptotic win is unambiguous.
+/// Calibration: the paper-scale barrier KKTs (E7/E8, the FMO cluster
+/// NLPs, the testkit generators) stay under 160 unknowns, and there the
+/// dense Cholesky wins — forcing the sparse KKT at every size made the
+/// `fmo_alloc` benchmark's OA solves about 1.3× slower (4.9 → 6.5 ms per
+/// allocation, seed 1, 2-core Xeon) at unchanged Newton counts.
+/// Netlib-scale systems (a few hundred unknowns and up) flip to sparse
+/// where the asymptotic win is unambiguous.
 pub const SPARSE_CROSSOVER_DIM: usize = 160;
 
 /// Which linear-algebra kernels a solver should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinalgBackend {
-    /// Dense below [`SPARSE_CROSSOVER_DIM`], sparse at or above it.
+    /// The production choice: the sparse LU simplex basis at every row
+    /// count; the barrier KKT dense below [`SPARSE_CROSSOVER_DIM`] and
+    /// sparse at or above it.
     #[default]
     Auto,
-    /// Always the dense kernels (the differential oracle; `--dense` in
+    /// Always the dense kernels (the differential reference; `--dense` in
     /// `hslb-cli`).
     Dense,
     /// Always the sparse kernels.
@@ -53,7 +57,8 @@ pub enum LinalgBackend {
 }
 
 impl LinalgBackend {
-    /// Resolves the backend choice for a system of `dim` unknowns.
+    /// Resolves the backend choice for a barrier KKT system of `dim`
+    /// unknowns.
     pub fn use_sparse(self, dim: usize) -> bool {
         match self {
             LinalgBackend::Auto => dim >= SPARSE_CROSSOVER_DIM,

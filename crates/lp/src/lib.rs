@@ -11,15 +11,16 @@
 //!   (`<=`, `>=`, `=`) and per-variable bounds (finite or infinite), with
 //!   incremental row addition for cuts.
 //! * [`solve`] — a bounded-variable two-phase primal simplex (artificial
-//!   Phase 1, Dantzig pricing with a Bland anti-cycling fallback, explicit
-//!   basis inverse — the problems here have few rows and possibly many
-//!   columns, which this layout suits).
+//!   Phase 1, Dantzig pricing with a Bland anti-cycling fallback) over a
+//!   sparse LU basis factorization with product-form eta updates, plus
+//!   [`solve_warm`], the dual-simplex restart OA cut loops use.
 //! * [`LpSolution`] / [`LpStatus`] — primal values, objective, duals, and
 //!   infeasible/unbounded outcomes.
 //!
-//! The solver is deliberately dense and simple: HSLB LPs have at most a few
-//! dozen rows (model constraints plus OA cuts) and — in the binary-encoded
-//! ablation of §III-E — a few thousand columns.
+//! HSLB LPs range from a few dozen rows (E7 masters) to several hundred
+//! (FMO masters after a few hundred OA cuts, whose epigraph column touches
+//! every cut row) and — in the binary-encoded ablation of §III-E — a few
+//! thousand columns.
 
 //! # Example
 //!

@@ -7,13 +7,13 @@
 //! sum of artificials; Phase 2 minimizes the true objective with artificials
 //! frozen at zero.
 //!
-//! The basis lives behind [`BasisFactor`]: at paper scale (row count below
-//! the [`hslb_linalg::SPARSE_CROSSOVER_DIM`] crossover) the inverse is kept
-//! explicitly — the historical dense tableau, bit-identical to every pinned
-//! counter — while above the crossover (or with `LinalgBackend::Sparse`
-//! forced) the basis is held as a sparse LU factorization with
-//! Bartels–Golub-style product-form eta updates per pivot. Both
-//! representations are refactorized periodically for numerical hygiene.
+//! The basis lives behind [`BasisFactor`]: a sparse LU factorization with
+//! Bartels–Golub-style product-form eta updates per pivot, at every row
+//! count. The explicit dense inverse (the historical tableau) is reached
+//! only through an explicit `LinalgBackend::Dense`, where it serves as the
+//! differential reference (`hslb-cli --dense`, the sparse≡dense
+//! batteries, `hslb-perf --speedup`). Both representations are
+//! refactorized periodically for numerical hygiene.
 //!
 //! [`solve_warm`] reuses the basis saved by a previous solve. Neither
 //! appending a `<=` cut row nor tightening variable bounds changes the cost
@@ -63,9 +63,9 @@ pub struct SimplexOptions {
     /// Event trace (off by default; see `hslb-obs`). When enabled, every
     /// solve emits one `LpSolved` event carrying its pivot count.
     pub trace: Trace,
-    /// Basis representation: dense explicit inverse (the oracle) or the
-    /// sparse LU + eta-update factorization. `Auto` resolves on the row
-    /// count against [`hslb_linalg::SPARSE_CROSSOVER_DIM`].
+    /// Basis representation: the sparse LU + eta-update factorization
+    /// (`Auto` and `Sparse`, at every row count) or the dense explicit
+    /// inverse (`Dense` only — the differential reference).
     pub backend: LinalgBackend,
 }
 
@@ -155,12 +155,12 @@ struct Eta {
 
 /// The basis representation behind the simplex.
 ///
-/// `Dense` is the historical explicit inverse — kept byte-identical so
-/// every pinned counter below the sparse crossover is unchanged. `Sparse`
-/// holds the basis as `SparseLu` plus the etas appended since the last
-/// refactorization (Bartels–Golub-style product form): ftran applies the
-/// LU solve then the etas in order, btran applies the transposed etas in
-/// reverse then the transposed LU solve.
+/// `Sparse` (the production kernel) holds the basis as `SparseLu` plus the
+/// etas appended since the last refactorization (Bartels–Golub-style
+/// product form): ftran applies the LU solve then the etas in order, btran
+/// applies the transposed etas in reverse then the transposed LU solve.
+/// `Dense` is the historical explicit inverse, built only when a caller
+/// asks for `LinalgBackend::Dense` as a reference.
 // One BasisFactor exists per solve (never in a collection), so the
 // dense/sparse size gap costs nothing; boxing would add a pointer chase
 // to every ftran/btran instead.
@@ -176,14 +176,14 @@ enum BasisFactor {
 
 impl BasisFactor {
     fn new(backend: LinalgBackend, m: usize) -> BasisFactor {
-        if backend.use_sparse(m) {
+        if backend == LinalgBackend::Dense {
+            BasisFactor::Dense(Matrix::identity(m))
+        } else {
             BasisFactor::Sparse {
                 lu: None,
                 etas: Vec::new(),
                 ws: SparseWorkspace::new(),
             }
-        } else {
-            BasisFactor::Dense(Matrix::identity(m))
         }
     }
 }
@@ -425,10 +425,10 @@ impl Tableau {
                 *binv_slot = binv;
             }
             BasisFactor::Sparse { lu, etas, ws } => {
-                let bcols: Vec<Column> = self
+                let bcols: Vec<&[(usize, f64)]> = self
                     .basis
                     .iter()
-                    .map(|&bvar| self.cols[bvar].clone())
+                    .map(|&bvar| &self.cols[bvar][..])
                     .collect();
                 let b = CscMatrix::from_columns(m, &bcols).map_err(|_| ())?;
                 let sym = LuSymbolic::analyze(&b).map_err(|_| ())?;
@@ -538,10 +538,12 @@ fn build_base(lp: &LinearProgram) -> TableauBase {
     for (r, row) in lp.rows().iter().enumerate() {
         rhs[r] = row.rhs;
         for &(v, c) in &row.coeffs {
-            if let Some(entry) = cols[v.0].iter_mut().find(|(rr, _)| *rr == r) {
-                entry.1 += c;
-            } else if !exactly_zero(c) {
-                cols[v.0].push((r, c));
+            // Rows are visited in order, so a repeat of `v` within this row
+            // can only be the column's last entry.
+            match cols[v.0].last_mut() {
+                Some(entry) if entry.0 == r => entry.1 += c,
+                _ if !exactly_zero(c) => cols[v.0].push((r, c)),
+                _ => {}
             }
         }
     }
@@ -1172,5 +1174,31 @@ fn better_pivot(
                 w[candidate_row].abs() > w[*row].abs()
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn build_base_sums_a_variable_repeated_within_a_row() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(1.0, 0.0, 10.0);
+        let y = lp.add_var(1.0, 0.0, 10.0);
+        lp.add_row(vec![(x, 1.0), (y, 2.0), (x, 3.0)], RowSense::Le, 4.0);
+        lp.add_row(
+            vec![(y, 0.0), (x, -1.0), (y, 5.0), (y, 0.5)],
+            RowSense::Ge,
+            1.0,
+        );
+        // A zero first occurrence is skipped, not stored.
+        lp.add_row(vec![(x, 0.0), (x, 2.0)], RowSense::Eq, 2.0);
+        let base = build_base(&lp);
+        assert_eq!(base.cols[0], vec![(0, 4.0), (1, -1.0), (2, 2.0)]);
+        assert_eq!(base.cols[1], vec![(0, 2.0), (1, 5.5)]);
+        // One slack column per row follows the structurals.
+        assert_eq!(base.cols.len(), 2 + 3);
+        assert_eq!(base.rhs, vec![4.0, 1.0, 2.0]);
     }
 }

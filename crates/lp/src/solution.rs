@@ -35,11 +35,12 @@ pub struct LpSolution {
     pub warm_used: bool,
     /// Basis refactorizations performed (both backends).
     pub factorizations: u64,
-    /// Product-form eta updates appended between refactorizations (sparse
-    /// backend only; the dense path updates its explicit inverse in place).
+    /// Product-form eta updates appended between refactorizations (zero
+    /// under `LinalgBackend::Dense`, which updates its explicit inverse in
+    /// place).
     pub factor_updates: u64,
-    /// Cumulative nonzeros across all sparse basis factors (zero on the
-    /// dense path).
+    /// Cumulative nonzeros across all sparse basis factors (zero under
+    /// `LinalgBackend::Dense`).
     pub fill_nnz: u64,
 }
 

@@ -1,6 +1,11 @@
 //! Title-paper (SC'12) claims on the FMO substrate.
 
+use hslb::{
+    build_flat_model, solve_minmax_waterfill, solve_model_with, AllowedNodes, ComponentSpec,
+    FlatSpec, Objective, SolverBackend,
+};
 use hslb_fmo_sim::{generate_cluster, FmoSimulator};
+use hslb_minlp::{MinlpOptions, MinlpStatus};
 use hslb_rng::seeds;
 
 #[test]
@@ -95,4 +100,53 @@ fn dimer_step_scales_with_machine() {
         (d_small / d_large - 4.0).abs() < 0.01,
         "{d_small} vs {d_large}"
     );
+}
+
+#[test]
+fn oa_matches_waterfill_on_sparse_lu_masters() {
+    // The LP/NLP-based branch-and-bound (OA) must land on the exact min-max
+    // optimum the waterfill computes, across the cluster sizes where the
+    // master grows from a few dozen rows to several hundred. Every master
+    // LP runs on the sparse LU basis, so each solve records eta updates.
+    for fragments in [32usize, 48, 64, 96] {
+        for het in [0.5, 1.0] {
+            let components = generate_cluster(fragments, het, seeds::FMO)
+                .iter()
+                .map(|f| ComponentSpec {
+                    name: format!("frag{}", f.id),
+                    model: f.truth_model(),
+                    allowed: AllowedNodes::Range {
+                        min: 1,
+                        max: f.max_useful_nodes(),
+                    },
+                })
+                .collect();
+            let spec = FlatSpec {
+                components,
+                total_nodes: fragments as i64 * 8,
+                objective: Objective::MinMax,
+            };
+            let model = build_flat_model(&spec);
+            let sol = solve_model_with(
+                &model.problem,
+                SolverBackend::OuterApproximation,
+                &MinlpOptions::default(),
+            );
+            let case = format!("{fragments} fragments, heterogeneity {het}");
+            assert_eq!(sol.status, MinlpStatus::Optimal, "{case}");
+            let got = model.allocation(&spec, &sol).makespan();
+            let exact = solve_minmax_waterfill(&spec)
+                .expect("waterfill feasible")
+                .makespan();
+            assert!(
+                (got - exact).abs() <= 1e-6 * exact.abs(),
+                "{case}: OA makespan {got} vs waterfill {exact}"
+            );
+            assert!(
+                sol.stats.factor_updates > 0,
+                "{case}: master LPs recorded no eta updates ({:?})",
+                sol.stats
+            );
+        }
+    }
 }

@@ -1,33 +1,13 @@
 //! E10 support: FMO allocation cost — exact waterfill vs branch-and-bound.
 
-use hslb::{build_flat_model, solve_minmax_waterfill, ComponentSpec, FlatSpec, Objective};
+use hslb::{build_flat_model, solve_minmax_waterfill};
+use hslb_bench::harness::fmo_cluster_spec;
 use hslb_bench::timing::Runner;
-use hslb_fmo_sim::generate_cluster;
-
-fn spec_for(fragments: usize, nodes: i64) -> FlatSpec {
-    let cluster = generate_cluster(fragments, 0.8, 11);
-    let components: Vec<ComponentSpec> = cluster
-        .iter()
-        .map(|f| ComponentSpec {
-            name: format!("f{}", f.id),
-            model: f.truth_model(),
-            allowed: hslb::AllowedNodes::Range {
-                min: 1,
-                max: f.max_useful_nodes(),
-            },
-        })
-        .collect();
-    FlatSpec {
-        components,
-        total_nodes: nodes,
-        objective: Objective::MinMax,
-    }
-}
 
 fn main() {
     let runner = Runner::from_args("fmo_allocation");
     for fragments in [16usize, 64, 256, 1024] {
-        let spec = spec_for(fragments, (fragments as i64) * 8);
+        let spec = fmo_cluster_spec(fragments, 0.8, 11, (fragments as i64) * 8);
         runner.case(&format!("waterfill_exact/{fragments}"), || {
             solve_minmax_waterfill(&spec).expect("feasible")
         });

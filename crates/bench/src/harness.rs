@@ -3,8 +3,8 @@
 use hslb::pipeline::run_hslb;
 use hslb::{
     build_flat_model, build_layout_model, layout_predicted_times, solve_model_with,
-    AllocationReport, CesmAllocation, CesmModelSpec, ComponentSpec, FlatSpec, Layout, Objective,
-    SolverBackend,
+    AllocationReport, AllowedNodes, CesmAllocation, CesmModelSpec, ComponentSpec, FlatSpec, Layout,
+    Objective, SolverBackend,
 };
 use hslb_cesm_sim::truth::NAMES;
 use hslb_cesm_sim::{manual_allocation, CesmSimulator, Scenario};
@@ -655,6 +655,33 @@ impl FmoPoint {
 
     pub fn speedup_vs_dynamic(&self) -> f64 {
         self.dynamic_monomer / self.hslb_monomer.max(1e-12)
+    }
+}
+
+/// A min–max allocation spec over a seeded FMO fragment cluster on
+/// `total_nodes` nodes: one component per fragment with its true model,
+/// each allowed 1 to its useful node count.
+pub fn fmo_cluster_spec(
+    fragments: usize,
+    heterogeneity: f64,
+    seed: u64,
+    total_nodes: i64,
+) -> FlatSpec {
+    let components = generate_cluster(fragments, heterogeneity, seed)
+        .iter()
+        .map(|f| ComponentSpec {
+            name: format!("frag{}", f.id),
+            model: f.truth_model(),
+            allowed: AllowedNodes::Range {
+                min: 1,
+                max: f.max_useful_nodes(),
+            },
+        })
+        .collect();
+    FlatSpec {
+        components,
+        total_nodes,
+        objective: Objective::MinMax,
     }
 }
 

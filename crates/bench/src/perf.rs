@@ -13,14 +13,15 @@
 //! (the parallel backend is pinned to one thread), so two runs of
 //! `hslb-perf` produce byte-identical JSON.
 
-use crate::harness::{sos_test_problem, true_spec};
-use hslb::{build_layout_model, solve_model_with, Layout, SolverBackend};
+use crate::harness::{fmo_cluster_spec, sos_test_problem, true_spec};
+use hslb::{build_flat_model, build_layout_model, solve_model_with, Layout, SolverBackend};
 use hslb_cesm_sim::Scenario;
 use hslb_json::Json;
 use hslb_linalg::LinalgBackend;
 use hslb_lp::{LinearProgram, RowSense, SimplexOptions};
-use hslb_minlp::{encode_sets_as_binaries, MinlpOptions, SolveStats};
+use hslb_minlp::{encode_sets_as_binaries, MinlpOptions, MinlpStatus, SolveStats};
 use hslb_perfmodel::{fit, PerfModel, ScalingData};
+use hslb_rng::seeds;
 
 /// One pinned workload and the counters it produced.
 #[derive(Debug, Clone)]
@@ -42,6 +43,12 @@ pub const E7_TOTAL_NODES: u64 = 40_960;
 /// SOS-vs-binary ablation sizes (E8) — kept below the sizes in
 /// `tables` so the whole suite stays fast enough for CI.
 const E8_SET_SIZES: [usize; 3] = [8, 32, 128];
+/// Fragment count of the pinned FMO case.
+const FMO_FRAGMENTS: usize = 96;
+/// Fragment-size heterogeneity of the pinned FMO case.
+const FMO_HETEROGENEITY: f64 = 1.0;
+/// Machine size per fragment of the pinned FMO case.
+const FMO_NODES_PER_FRAGMENT: i64 = 8;
 
 /// Runs the full pinned suite. Order is fixed; names are stable identifiers
 /// that `--smoke` uses to match against the committed baseline.
@@ -142,6 +149,29 @@ pub fn perf_suite() -> Vec<PerfCase> {
             lm_steps: report.lm_steps as u64,
             ..Default::default()
         },
+    });
+
+    // FMO (the title paper's domain): OA on the largest min-max cluster of
+    // `tests/fmo_claims.rs`. Its masters run on the sparse-LU dual simplex
+    // and its root barrier NLP has 97 columns (96 fragment counts and the
+    // makespan), so the row pins both the LP path and an MPC solve near
+    // paper scale.
+    let spec = fmo_cluster_spec(
+        FMO_FRAGMENTS,
+        FMO_HETEROGENEITY,
+        seeds::FMO,
+        FMO_FRAGMENTS as i64 * FMO_NODES_PER_FRAGMENT,
+    );
+    let model = build_flat_model(&spec);
+    let sol = solve_model_with(
+        &model.problem,
+        SolverBackend::OuterApproximation,
+        &MinlpOptions::default(),
+    );
+    assert_eq!(sol.status, MinlpStatus::Optimal, "FMO OA case must solve");
+    cases.push(PerfCase {
+        name: format!("fmo_oa_{FMO_FRAGMENTS}frag"),
+        stats: sol.stats,
     });
 
     cases

@@ -35,23 +35,57 @@ impl Cholesky {
             });
         }
         let n = a.rows();
+        let a = a.as_slice();
         let mut l = Matrix::zeros(n, n);
+        let data = l.as_mut_slice();
+        // Left-looking, one column at a time. Every entry is its own
+        // sequential dot product in `k` order; the rows below a pivot are
+        // independent, so four of them run side by side over row slices.
+        // That changes only the interleaving, never an entry's operations.
         for j in 0..n {
-            let mut diag = a[(j, j)];
-            for k in 0..j {
-                diag -= l[(j, k)] * l[(j, k)];
+            let (done, below) = data.split_at_mut((j + 1) * n);
+            let row_j = &mut done[j * n..];
+            let mut diag = a[j * n + j];
+            for &ljk in &row_j[..j] {
+                diag -= ljk * ljk;
             }
             if diag <= 0.0 || !diag.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite { row: j });
             }
             let ljj = diag.sqrt();
-            l[(j, j)] = ljj;
-            for i in (j + 1)..n {
-                let mut v = a[(i, j)];
+            row_j[j] = ljj;
+            let lj = &row_j[..j];
+            let mut i = j + 1;
+            let mut quads = below.chunks_exact_mut(4 * n);
+            for quad in &mut quads {
+                let (r0, rest) = quad.split_at_mut(n);
+                let (r1, rest) = rest.split_at_mut(n);
+                let (r2, r3) = rest.split_at_mut(n);
+                let (p0, p1, p2, p3) = (&r0[..j], &r1[..j], &r2[..j], &r3[..j]);
+                let mut v0 = a[i * n + j];
+                let mut v1 = a[(i + 1) * n + j];
+                let mut v2 = a[(i + 2) * n + j];
+                let mut v3 = a[(i + 3) * n + j];
                 for k in 0..j {
-                    v -= l[(i, k)] * l[(j, k)];
+                    let ljk = lj[k];
+                    v0 -= p0[k] * ljk;
+                    v1 -= p1[k] * ljk;
+                    v2 -= p2[k] * ljk;
+                    v3 -= p3[k] * ljk;
                 }
-                l[(i, j)] = v / ljj;
+                r0[j] = v0 / ljj;
+                r1[j] = v1 / ljj;
+                r2[j] = v2 / ljj;
+                r3[j] = v3 / ljj;
+                i += 4;
+            }
+            for row in quads.into_remainder().chunks_exact_mut(n) {
+                let mut v = a[i * n + j];
+                for (&lik, &ljk) in row[..j].iter().zip(lj) {
+                    v -= lik * ljk;
+                }
+                row[j] = v / ljj;
+                i += 1;
             }
         }
         Ok(Cholesky { l })
@@ -99,20 +133,24 @@ impl Cholesky {
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.l.rows();
         debug_assert_eq!(b.len(), n);
-        // Forward substitution: L y = b.
+        let l = self.l.as_slice();
+        // Forward substitution: L y = b, row slices of L.
         let mut y = b.to_vec();
         for i in 0..n {
-            for k in 0..i {
-                y[i] -= self.l[(i, k)] * y[k];
+            let (solved, rest) = y.split_at_mut(i);
+            let mut yi = rest[0];
+            for (&lik, &yk) in l[i * n..i * n + i].iter().zip(solved.iter()) {
+                yi -= lik * yk;
             }
-            y[i] /= self.l[(i, i)];
+            rest[0] = yi / l[i * n + i];
         }
-        // Back substitution: Lᵀ x = y.
+        // Back substitution: Lᵀ x = y, columns of L.
         for i in (0..n).rev() {
+            let mut yi = y[i];
             for k in (i + 1)..n {
-                y[i] -= self.l[(k, i)] * y[k];
+                yi -= l[k * n + i] * y[k];
             }
-            y[i] /= self.l[(i, i)];
+            y[i] = yi / l[i * n + i];
         }
         y
     }
@@ -203,6 +241,115 @@ mod tests {
         // Non-finite off-diagonals are equally unrescuable.
         let a = Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, -1.0]]);
         assert!(Cholesky::new_regularized(&a, 1e-8).is_err());
+    }
+
+    /// Row-at-a-time left-looking factorization: the reference the
+    /// four-row kernel must match bit for bit.
+    fn reference_factor(a: &Matrix) -> Option<Matrix> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for j in 0..n {
+            let mut diag = a[(j, j)];
+            for k in 0..j {
+                diag -= l[(j, k)] * l[(j, k)];
+            }
+            if diag <= 0.0 || !diag.is_finite() {
+                return None;
+            }
+            let ljj = diag.sqrt();
+            l[(j, j)] = ljj;
+            for i in (j + 1)..n {
+                let mut v = a[(i, j)];
+                for k in 0..j {
+                    v -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = v / ljj;
+            }
+        }
+        Some(l)
+    }
+
+    /// Indexed forward/back substitution: the reference `solve` must
+    /// match bit for bit.
+    fn reference_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+        let n = l.rows();
+        let mut y = b.to_vec();
+        for i in 0..n {
+            for k in 0..i {
+                y[i] -= l[(i, k)] * y[k];
+            }
+            y[i] /= l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            for k in (i + 1)..n {
+                y[i] -= l[(k, i)] * y[k];
+            }
+            y[i] /= l[(i, i)];
+        }
+        y
+    }
+
+    /// Seeded SPD matrix `B·Bᵀ + I` with uniform entries of either sign.
+    fn seeded_spd(n: usize, seed: u64) -> Matrix {
+        let mut b = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                b[(i, j)] =
+                    2.0 * crate::noise::keyed_uniform(seed, n as u64, i as u64, j as u64) - 1.0;
+            }
+        }
+        let mut a = b.matmul(&b.transpose()).unwrap();
+        a.add_diagonal(1.0);
+        a
+    }
+
+    fn assert_bitwise_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: entry {idx}: {g} vs {w}");
+        }
+    }
+
+    fn assert_matches_reference(ch: &Cholesky, a: &Matrix, seed: u64, what: &str) {
+        let want = reference_factor(a).expect("reference factors the same input");
+        assert_bitwise_eq(ch.factor().as_slice(), want.as_slice(), what);
+        let n = a.rows();
+        let rhs: Vec<f64> = (0..n)
+            .map(|i| crate::noise::keyed_uniform(seed ^ 0x5EED, n as u64, i as u64, 0) - 0.5)
+            .collect();
+        assert_bitwise_eq(&ch.solve(&rhs), &reference_solve(&want, &rhs), what);
+    }
+
+    #[test]
+    fn four_row_kernel_is_bitwise_the_row_at_a_time_reference() {
+        // 1..=13 covers every remainder mod 4 several times over; 64, 97
+        // and 130 reach the barrier's dense-KKT sizes.
+        for n in (1..=13).chain([64, 97, 130]) {
+            for seed in [3_u64, 0xC401] {
+                let a = seeded_spd(n, seed);
+                let ch = Cholesky::new(&a).expect("seeded matrix is SPD");
+                assert_matches_reference(&ch, &a, seed, &format!("n = {n}, seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn regularized_semidefinite_factor_is_bitwise_the_reference() {
+        // Rank one, so only the shifted matrix factors.
+        let n = 9;
+        let v: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.25).collect();
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] = v[i] * v[j];
+            }
+        }
+        assert!(reference_factor(&a).is_none() && Cholesky::new(&a).is_err());
+        let (ch, shift) = Cholesky::new_regularized(&a, 1e-8).unwrap();
+        assert!(shift > 0.0);
+        let mut shifted = a.clone();
+        shifted.add_diagonal(shift);
+        assert_matches_reference(&ch, &shifted, 17, "rank-one input");
     }
 
     #[test]

@@ -1384,7 +1384,7 @@ fn refine_multipliers(p: &NlpProblem, x: &[f64], raw: &[f64]) -> Vec<f64> {
     out
 }
 
-pub(crate) fn strictly_inside(p: &NlpProblem, x: &[f64], free: &[usize]) -> bool {
+fn strictly_inside(p: &NlpProblem, x: &[f64], free: &[usize]) -> bool {
     for &j in free {
         let (lo, hi) = (p.lowers()[j], p.uppers()[j]);
         if (lo.is_finite() && x[j] <= lo) || (hi.is_finite() && x[j] >= hi) {
@@ -1395,7 +1395,7 @@ pub(crate) fn strictly_inside(p: &NlpProblem, x: &[f64], free: &[usize]) -> bool
 }
 
 /// Barrier objective value (assumes strict feasibility).
-pub(crate) fn barrier_value(p: &NlpProblem, x: &[f64], mu: f64, free: &[usize]) -> f64 {
+fn barrier_value(p: &NlpProblem, x: &[f64], mu: f64, free: &[usize]) -> f64 {
     let mut v = p.objective_value(x);
     for c in p.constraints() {
         v -= mu * (-c.eval(x)).ln();

@@ -77,12 +77,8 @@ impl<'a> AugmentedSystem<'a> {
         a_eq: &Matrix,
         tally: &mut FactorTally,
     ) -> Result<KktFactor, SystemError> {
-        for i in 0..self.k {
-            for j in 0..self.k {
-                if !m[(i, j)].is_finite() {
-                    return Err(SystemError::NonFinite("condensed KKT matrix"));
-                }
-            }
+        if !m.as_slice().iter().all(|v| v.is_finite()) {
+            return Err(SystemError::NonFinite("condensed KKT matrix"));
         }
         if let Some(sk) = self.sparse.as_mut() {
             sk.fill(m, a_eq);

@@ -33,6 +33,34 @@
 //! Warm starts compose unchanged: the repaired parent point and its
 //! Mehrotra-seeded μ₀ enter here as the initial primal and the
 //! perfectly-centered initial dual scale — not through a side path.
+//!
+//! # Cost of a Newton step
+//!
+//! One step costs what the constraints' nonzeros need:
+//!
+//! - **Sparse rows.** Constraint gradients live in one CSR block
+//!   (`Rows`, `Eval::grad`) over each constraint's free support,
+//!   laid out once per solve with columns in increasing order. The dual
+//!   residual, the right-hand side, the dual recovery, the merit slope
+//!   and the condensed matrix walk those entries in the order a dense
+//!   k-column loop would visit them; outside the support such a loop
+//!   would only add exact zeros.
+//! - **One evaluation per trial point.** A line-search trial checks the
+//!   box, then builds its `Eval` once — slacks, gradient entries,
+//!   equality residuals and bound distances — and reads both its
+//!   centrality floor and its barrier merit from it. The accepted trial's
+//!   `Eval` becomes the next iteration's, so an accepted point is never
+//!   evaluated twice.
+//! - **Pinned terms once per solve.** A nonlinear term on a pinned column
+//!   is evaluated at its pin when the solve starts; the cached value
+//!   enters its constraint's value in the original term order, and never
+//!   a gradient or the Hessian diagonal (only free columns are read).
+//!
+//! The rule behind all three is bit-identity: every floating-point
+//! operation that reaches an iterate is the one the dense formulation
+//! (n-length gradients, every term evaluated at every point) performs,
+//! on the same values in the same order. Iterates, answers and work
+//! counters match it bit for bit; only the time differs.
 
 pub(crate) mod augmented_system;
 pub(crate) mod line_search;
@@ -41,8 +69,8 @@ pub(crate) mod mu_update;
 use std::collections::HashMap;
 
 use crate::barrier::{
-    barrier_value, finish_with_duals, strictly_inside, BarrierOptions, FactorTally, NlpSolution,
-    NlpStatus, DIVERGENCE_LIMIT, GAP_TOL, MAX_NEWTON,
+    finish_with_duals, BarrierOptions, FactorTally, NlpSolution, NlpStatus, DIVERGENCE_LIMIT,
+    GAP_TOL, MAX_NEWTON,
 };
 use crate::problem::NlpProblem;
 use augmented_system::{AugmentedSystem, KktFactor, SystemError};
@@ -97,20 +125,115 @@ pub(crate) struct Direction {
     pub(crate) ds: Vec<f64>,
 }
 
-/// Problem evaluation at one primal point.
+/// One nonlinear constraint term as a solve sees it.
+#[derive(Debug, Clone, Copy)]
+enum NlTerm {
+    /// On a pinned column: the term's value at the pin, evaluated once
+    /// when the solve starts.
+    Pinned(f64),
+    /// On a free column: the [`Rows`] entry its derivative lands in.
+    Free(usize),
+}
+
+/// Constraint-gradient layout over the free columns, fixed for a solve:
+/// one CSR block whose row `i` lists constraint `i`'s free support in
+/// increasing column order, plus the recipe that fills its entries.
+struct Rows {
+    /// Row starts into `col` (`m + 1` of them).
+    start: Vec<usize>,
+    /// Free column of each entry.
+    col: Vec<usize>,
+    /// Linear terms on free columns as `(entry, coefficient)`, in term
+    /// order; constraint `i` owns `lin[lin_start[i]..lin_start[i + 1]]`.
+    lin: Vec<(usize, f64)>,
+    lin_start: Vec<usize>,
+    /// Every nonlinear term, parallel to each constraint's `nonlinear`
+    /// list; constraint `i` owns `nln[nln_start[i]..nln_start[i + 1]]`.
+    nln: Vec<NlTerm>,
+    nln_start: Vec<usize>,
+}
+
+impl Rows {
+    /// Lays out the free support of every constraint and caches each
+    /// pinned nonlinear term at `x` (pinned coordinates never move).
+    fn new(p: &NlpProblem, col_of: &HashMap<usize, usize>, x: &[f64]) -> Rows {
+        let mut rows = Rows {
+            start: vec![0],
+            col: Vec::new(),
+            lin: Vec::new(),
+            lin_start: vec![0],
+            nln: Vec::new(),
+            nln_start: vec![0],
+        };
+        // Entry of each free column within the row being laid out.
+        let mut entry_of = vec![0; col_of.len()];
+        for c in p.constraints() {
+            let base = rows.col.len();
+            let mut support: Vec<usize> = c
+                .linear
+                .iter()
+                .map(|&(v, _)| v)
+                .chain(c.nonlinear.iter().map(|(v, _)| *v))
+                .filter_map(|v| col_of.get(&v).copied())
+                .collect();
+            support.sort_unstable();
+            support.dedup();
+            for (offset, &col) in support.iter().enumerate() {
+                entry_of[col] = base + offset;
+            }
+            for &(v, co) in &c.linear {
+                if let Some(&col) = col_of.get(&v) {
+                    rows.lin.push((entry_of[col], co));
+                }
+            }
+            for (v, f) in &c.nonlinear {
+                rows.nln.push(match col_of.get(v) {
+                    Some(&col) => NlTerm::Free(entry_of[col]),
+                    None => NlTerm::Pinned(f.eval(x[*v])),
+                });
+            }
+            rows.col.extend_from_slice(&support);
+            rows.start.push(rows.col.len());
+            rows.lin_start.push(rows.lin.len());
+            rows.nln_start.push(rows.nln.len());
+        }
+        rows
+    }
+
+    /// Entry range of constraint `i`'s row.
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.start[i]..self.start[i + 1]
+    }
+
+    /// Constraint `i`'s nonlinear terms, parallel to its `nonlinear` list.
+    fn terms(&self, i: usize) -> &[NlTerm] {
+        &self.nln[self.nln_start[i]..self.nln_start[i + 1]]
+    }
+}
+
+/// Problem evaluation at one primal point — built once per point (the
+/// start, then each line-search trial) and carried with the iterate.
 struct Eval {
     /// Slacks `s_i = −g_i(x)`, strictly positive.
     slack: Vec<f64>,
-    /// Constraint gradients restricted to the free columns.
-    grads: Vec<Vec<f64>>,
+    /// Constraint-gradient entries, laid out by [`Rows`].
+    grad: Vec<f64>,
     /// Equality residuals `A·x − b`.
     r_eq: Vec<f64>,
+    /// Distances to the finite bounds per free column. Entries for
+    /// infinite bounds hold a `1.0` placeholder — always paired with a
+    /// zero dual and guarded by `is_finite` checks, so they contribute
+    /// nothing anywhere.
+    dlo: Vec<f64>,
+    dhi: Vec<f64>,
 }
 
 /// Problem-shape data fixed across the loop.
 struct Ctx<'p> {
     p: &'p NlpProblem,
     free: &'p [usize],
+    /// Sparse constraint-gradient layout and the pinned-term cache.
+    rows: Rows,
     /// Objective coefficients over the free columns.
     c_free: Vec<f64>,
     /// Bounds per free column (±inf where absent).
@@ -125,14 +248,29 @@ struct Ctx<'p> {
 }
 
 impl<'p> Ctx<'p> {
-    /// Evaluates slacks, restricted gradients and equality residuals,
-    /// failing fast on anything non-finite or boundary-violating.
+    /// Evaluates slacks, gradient entries, equality residuals and bound
+    /// distances, failing fast on anything non-finite or
+    /// boundary-violating. Each constraint value is summed exactly as
+    /// `ConstraintFn::eval` sums it, with pinned terms read from the
+    /// cache; each gradient entry accumulates its linear coefficients,
+    /// then its nonlinear derivatives, in term order.
     fn eval(&self, x: &[f64]) -> Result<Eval, SystemError> {
-        let k = self.free.len();
+        let rows = &self.rows;
         let mut slack = Vec::with_capacity(self.p.num_constraints());
-        let mut grads = Vec::with_capacity(self.p.num_constraints());
-        for c in self.p.constraints() {
-            let g = c.eval(x);
+        let mut grad = vec![0.0; rows.col.len()];
+        for (i, c) in self.p.constraints().iter().enumerate() {
+            let terms = rows.terms(i);
+            let lin: f64 = c.linear.iter().map(|&(v, co)| co * x[v]).sum();
+            let nln: f64 = c
+                .nonlinear
+                .iter()
+                .zip(terms)
+                .map(|((v, f), term)| match *term {
+                    NlTerm::Pinned(value) => value,
+                    NlTerm::Free(_) => f.eval(x[*v]),
+                })
+                .sum();
+            let g = lin + nln + c.constant;
             if !g.is_finite() {
                 return Err(SystemError::NonFinite("constraint residual"));
             }
@@ -141,29 +279,23 @@ impl<'p> Ctx<'p> {
                 // a boundary hit here means the invariant broke numerically.
                 return Err(SystemError::NonFinite("nonpositive slack"));
             }
-            let full = c.gradient(x);
-            let mut row = vec![0.0; k];
-            for (col, &j) in self.free.iter().enumerate() {
-                if !full[j].is_finite() {
-                    return Err(SystemError::NonFinite("constraint gradient"));
+            for &(e, co) in &rows.lin[rows.lin_start[i]..rows.lin_start[i + 1]] {
+                grad[e] += co;
+            }
+            for ((v, f), term) in c.nonlinear.iter().zip(terms) {
+                if let NlTerm::Free(e) = *term {
+                    grad[e] += f.d1(x[*v]);
                 }
-                row[col] = full[j];
             }
             slack.push(-g);
-            grads.push(row);
+        }
+        if !grad.iter().all(|v| v.is_finite()) {
+            return Err(SystemError::NonFinite("constraint gradient"));
         }
         let r_eq: Vec<f64> = self.p.equalities().iter().map(|e| e.residual(x)).collect();
         if !r_eq.iter().all(|v| v.is_finite()) {
             return Err(SystemError::NonFinite("equality residual"));
         }
-        Ok(Eval { slack, grads, r_eq })
-    }
-
-    /// Distances to the finite bounds per free column. Entries for
-    /// infinite bounds hold a `1.0` placeholder — always paired with a
-    /// zero dual and guarded by `is_finite` checks, so they contribute
-    /// nothing anywhere.
-    fn dists(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let k = self.free.len();
         let mut dlo = vec![1.0; k];
         let mut dhi = vec![1.0; k];
@@ -175,22 +307,58 @@ impl<'p> Ctx<'p> {
                 dhi[c] = self.hi[c] - x[j];
             }
         }
-        (dlo, dhi)
+        Ok(Eval {
+            slack,
+            grad,
+            r_eq,
+            dlo,
+            dhi,
+        })
+    }
+
+    /// A line-search trial's evaluation: `None` unless `x` lies strictly
+    /// inside every finite bound and [`Ctx::eval`] succeeds.
+    fn trial_eval(&self, x: &[f64]) -> Option<Eval> {
+        for (c, &j) in self.free.iter().enumerate() {
+            let (lo, hi) = (self.lo[c], self.hi[c]);
+            if (lo.is_finite() && x[j] <= lo) || (hi.is_finite() && x[j] >= hi) {
+                return None;
+            }
+        }
+        self.eval(x).ok()
+    }
+
+    /// Barrier merit `Φ_μ̂ = cᵀx − μ̂·(Σ ln sᵢ + Σ ln d)` at the point `ev`
+    /// evaluates, summed in the order objective, constraints, then each
+    /// free column's lower and upper bound.
+    fn merit(&self, x: &[f64], ev: &Eval, mu_hat: f64) -> f64 {
+        let mut v = self.p.objective_value(x);
+        for s in &ev.slack {
+            v -= mu_hat * s.ln();
+        }
+        for c in 0..self.free.len() {
+            if self.lo[c].is_finite() {
+                v -= mu_hat * ev.dlo[c].ln();
+            }
+            if self.hi[c].is_finite() {
+                v -= mu_hat * ev.dhi[c].ln();
+            }
+        }
+        v
     }
 
     /// Average complementarity μ over all pairs.
     fn mu_of(&self, st: &State, ev: &Eval) -> f64 {
-        let (dlo, dhi) = self.dists(&st.x);
         let mut sum = 0.0;
         for (lam, s) in st.lam.iter().zip(&ev.slack) {
             sum += lam * s;
         }
         for c in 0..self.free.len() {
             if self.lo[c].is_finite() {
-                sum += st.zlo[c] * dlo[c];
+                sum += st.zlo[c] * ev.dlo[c];
             }
             if self.hi[c].is_finite() {
-                sum += st.zhi[c] * dhi[c];
+                sum += st.zhi[c] * ev.dhi[c];
             }
         }
         sum / self.count as f64
@@ -206,7 +374,6 @@ impl<'p> Ctx<'p> {
     /// damped-Newton barrier direction — the fixed-μ loop's recovery — and
     /// the untouched in-band duals resume Mehrotra stepping immediately.
     fn recenter_duals(&self, st: &mut State, ev: &Eval, mu_hat: f64) -> bool {
-        let (dlo, dhi) = self.dists(&st.x);
         let mut changed = false;
         let mut recenter = |dual: &mut f64, dist: f64| {
             let product = *dual * dist;
@@ -220,10 +387,10 @@ impl<'p> Ctx<'p> {
         }
         for c in 0..self.free.len() {
             if self.lo[c].is_finite() {
-                recenter(&mut st.zlo[c], dlo[c]);
+                recenter(&mut st.zlo[c], ev.dlo[c]);
             }
             if self.hi[c].is_finite() {
-                recenter(&mut st.zhi[c], dhi[c]);
+                recenter(&mut st.zhi[c], ev.dhi[c]);
             }
         }
         changed
@@ -232,7 +399,6 @@ impl<'p> Ctx<'p> {
     /// Smallest and largest complementarity product across all pairs —
     /// the centrality measure gating μ decreases.
     fn prod_range(&self, st: &State, ev: &Eval) -> (f64, f64) {
-        let (dlo, dhi) = self.dists(&st.x);
         let mut min = f64::INFINITY;
         let mut max = 0.0_f64;
         let mut see = |p: f64| {
@@ -244,10 +410,10 @@ impl<'p> Ctx<'p> {
         }
         for c in 0..self.free.len() {
             if self.lo[c].is_finite() {
-                see(st.zlo[c] * dlo[c]);
+                see(st.zlo[c] * ev.dlo[c]);
             }
             if self.hi[c].is_finite() {
-                see(st.zhi[c] * dhi[c]);
+                see(st.zhi[c] * ev.dhi[c]);
             }
         }
         (min, max)
@@ -257,11 +423,12 @@ impl<'p> Ctx<'p> {
     /// `r_d = c + Σ λᵢ∇gᵢ + Âᵀν − zlo + zhi`.
     fn r_dual(&self, st: &State, ev: &Eval) -> Vec<f64> {
         let k = self.free.len();
+        let rows = &self.rows;
         let mut r = self.c_free.clone();
-        for (i, gi) in ev.grads.iter().enumerate() {
-            let lam = st.lam[i];
-            for c in 0..k {
-                r[c] += lam * gi[c];
+        for (i, &lam) in st.lam.iter().enumerate() {
+            let span = rows.range(i);
+            for (&c, &g) in rows.col[span.clone()].iter().zip(&ev.grad[span]) {
+                r[c] += lam * g;
             }
         }
         if !st.nu.is_empty() {
@@ -282,60 +449,75 @@ impl<'p> Ctx<'p> {
 
     /// Directional derivative `∇Φ_μ̂ᵀ·dx` of the barrier merit along the
     /// primal direction, for the Armijo test.
-    fn barrier_slope(&self, st: &State, ev: &Eval, mu_hat: f64, dx: &[f64]) -> f64 {
-        let (dlo, dhi) = self.dists(&st.x);
+    fn barrier_slope(&self, ev: &Eval, mu_hat: f64, dx: &[f64]) -> f64 {
         let mut slope = 0.0;
         for (c, &dxc) in dx.iter().enumerate() {
             let mut g = self.c_free[c];
             if self.lo[c].is_finite() {
-                g -= mu_hat / dlo[c];
+                g -= mu_hat / ev.dlo[c];
             }
             if self.hi[c].is_finite() {
-                g += mu_hat / dhi[c];
+                g += mu_hat / ev.dhi[c];
             }
             slope += g * dxc;
         }
-        for (gi, s) in ev.grads.iter().zip(&ev.slack) {
-            let gdx: f64 = gi.iter().zip(dx).map(|(a, b)| a * b).sum();
+        for (i, s) in ev.slack.iter().enumerate() {
+            let gdx = self.row_dot(ev, i, dx);
             slope += (mu_hat / s) * gdx;
         }
         slope
     }
 
+    /// `∇gᵢᵀ·v` over row `i`'s entries, summed in column order.
+    fn row_dot(&self, ev: &Eval, i: usize, v: &[f64]) -> f64 {
+        let span = self.rows.range(i);
+        ev.grad[span.clone()]
+            .iter()
+            .zip(&self.rows.col[span])
+            .map(|(g, &c)| g * v[c])
+            .sum()
+    }
+
     /// Condensed primal system matrix M (see module docs).
     fn condensed_matrix(&self, st: &State, ev: &Eval) -> Matrix {
         let k = self.free.len();
+        let rows = &self.rows;
         let mut m = Matrix::zeros(k, k);
-        let mut curv_full = vec![0.0; self.p.num_vars()];
+        let cells = m.as_mut_slice();
+        let mut curv = vec![0.0; k];
         for (i, c) in self.p.constraints().iter().enumerate() {
             let w = st.lam[i] / ev.slack[i];
-            let gi = &ev.grads[i];
-            for a in 0..k {
-                if exactly_zero(gi[a]) {
+            let span = rows.range(i);
+            let (cols, grad) = (&rows.col[span.clone()], &ev.grad[span]);
+            for (at, (&a, &ga)) in cols.iter().zip(grad).enumerate() {
+                if exactly_zero(ga) {
                     continue;
                 }
-                for b in a..k {
-                    if !exactly_zero(gi[b]) {
-                        let v = w * gi[a] * gi[b];
-                        m[(a, b)] += v;
+                for (&b, &gb) in cols[at..].iter().zip(&grad[at..]) {
+                    if !exactly_zero(gb) {
+                        let v = w * ga * gb;
+                        cells[a * k + b] += v;
                         if a != b {
-                            m[(b, a)] += v;
+                            cells[b * k + a] += v;
                         }
                     }
                 }
             }
-            c.add_hessian_diag(&st.x, &mut curv_full, st.lam[i]);
+            for ((v, f), term) in c.nonlinear.iter().zip(rows.terms(i)) {
+                if let NlTerm::Free(e) = *term {
+                    curv[rows.col[e]] += st.lam[i] * f.d2(st.x[*v]);
+                }
+            }
         }
-        let (dlo, dhi) = self.dists(&st.x);
-        for (c, &j) in self.free.iter().enumerate() {
-            let mut d = curv_full[j];
+        for c in 0..k {
+            let mut d = curv[c];
             if self.lo[c].is_finite() {
-                d += st.zlo[c] / dlo[c];
+                d += st.zlo[c] / ev.dlo[c];
             }
             if self.hi[c].is_finite() {
-                d += st.zhi[c] / dhi[c];
+                d += st.zhi[c] / ev.dhi[c];
             }
-            m[(c, c)] += d;
+            cells[c * k + c] += d;
         }
         m
     }
@@ -350,24 +532,24 @@ impl<'p> Ctx<'p> {
         mu_hat: f64,
         corr: Option<&Corrector>,
     ) -> (Vec<f64>, Vec<f64>) {
-        let k = self.free.len();
-        let (dlo, dhi) = self.dists(&st.x);
+        let rows = &self.rows;
         let mut rx: Vec<f64> = r_d.iter().map(|v| -v).collect();
-        for (i, gi) in ev.grads.iter().enumerate() {
+        for (i, &s) in ev.slack.iter().enumerate() {
             let cc = corr.map_or(0.0, |co| co.cc[i]);
-            let t = (mu_hat - st.lam[i] * ev.slack[i] - cc) / ev.slack[i];
-            for c in 0..k {
-                rx[c] -= gi[c] * t;
+            let t = (mu_hat - st.lam[i] * s - cc) / s;
+            let span = rows.range(i);
+            for (&c, &g) in rows.col[span.clone()].iter().zip(&ev.grad[span]) {
+                rx[c] -= g * t;
             }
         }
-        for c in 0..k {
+        for (c, rxc) in rx.iter_mut().enumerate() {
             if self.lo[c].is_finite() {
                 let cclo = corr.map_or(0.0, |co| co.cclo[c]);
-                rx[c] += (mu_hat - st.zlo[c] * dlo[c] - cclo) / dlo[c];
+                *rxc += (mu_hat - st.zlo[c] * ev.dlo[c] - cclo) / ev.dlo[c];
             }
             if self.hi[c].is_finite() {
                 let cchi = corr.map_or(0.0, |co| co.cchi[c]);
-                rx[c] -= (mu_hat - st.zhi[c] * dhi[c] - cchi) / dhi[c];
+                *rxc -= (mu_hat - st.zhi[c] * ev.dhi[c] - cchi) / ev.dhi[c];
             }
         }
         let re: Vec<f64> = ev.r_eq.iter().map(|v| -v).collect();
@@ -387,12 +569,10 @@ impl<'p> Ctx<'p> {
     ) -> Direction {
         let k = self.free.len();
         let m_in = ev.slack.len();
-        let (dlo, dhi) = self.dists(&st.x);
         let mut ds = vec![0.0; m_in];
         let mut dlam = vec![0.0; m_in];
         for i in 0..m_in {
-            let gi = &ev.grads[i];
-            let gdx: f64 = gi.iter().zip(&dx).map(|(a, b)| a * b).sum();
+            let gdx = self.row_dot(ev, i, &dx);
             ds[i] = -gdx;
             let cc = corr.map_or(0.0, |co| co.cc[i]);
             dlam[i] = (mu_hat - st.lam[i] * ev.slack[i] - cc + st.lam[i] * gdx) / ev.slack[i];
@@ -402,11 +582,11 @@ impl<'p> Ctx<'p> {
         for c in 0..k {
             if self.lo[c].is_finite() {
                 let cclo = corr.map_or(0.0, |co| co.cclo[c]);
-                dzlo[c] = (mu_hat - st.zlo[c] * dlo[c] - cclo - st.zlo[c] * dx[c]) / dlo[c];
+                dzlo[c] = (mu_hat - st.zlo[c] * ev.dlo[c] - cclo - st.zlo[c] * dx[c]) / ev.dlo[c];
             }
             if self.hi[c].is_finite() {
                 let cchi = corr.map_or(0.0, |co| co.cchi[c]);
-                dzhi[c] = (mu_hat - st.zhi[c] * dhi[c] - cchi + st.zhi[c] * dx[c]) / dhi[c];
+                dzhi[c] = (mu_hat - st.zhi[c] * ev.dhi[c] - cchi + st.zhi[c] * dx[c]) / ev.dhi[c];
             }
         }
         Direction {
@@ -422,7 +602,6 @@ impl<'p> Ctx<'p> {
     /// Fraction-to-boundary step caps: primal (slacks + box distances)
     /// and dual (λ, z) blocks separately, Mehrotra-style.
     fn step_lengths(&self, st: &State, ev: &Eval, dir: &Direction) -> (f64, f64) {
-        let (dlo, dhi) = self.dists(&st.x);
         let mut primal: Vec<(f64, f64)> = ev
             .slack
             .iter()
@@ -437,11 +616,11 @@ impl<'p> Ctx<'p> {
             .collect();
         for c in 0..self.free.len() {
             if self.lo[c].is_finite() {
-                primal.push((dlo[c], dir.dx[c]));
+                primal.push((ev.dlo[c], dir.dx[c]));
                 dual.push((st.zlo[c], dir.dzlo[c]));
             }
             if self.hi[c].is_finite() {
-                primal.push((dhi[c], -dir.dx[c]));
+                primal.push((ev.dhi[c], -dir.dx[c]));
                 dual.push((st.zhi[c], dir.dzhi[c]));
             }
         }
@@ -454,17 +633,16 @@ impl<'p> Ctx<'p> {
     /// Duality measure after the hypothetical affine step `(ap, ad)`,
     /// using the linearized slacks.
     fn predicted_mu(&self, st: &State, ev: &Eval, dir: &Direction, ap: f64, ad: f64) -> f64 {
-        let (dlo, dhi) = self.dists(&st.x);
         let mut sum = 0.0;
         for i in 0..ev.slack.len() {
             sum += (st.lam[i] + ad * dir.dlam[i]) * (ev.slack[i] + ap * dir.ds[i]);
         }
         for c in 0..self.free.len() {
             if self.lo[c].is_finite() {
-                sum += (st.zlo[c] + ad * dir.dzlo[c]) * (dlo[c] + ap * dir.dx[c]);
+                sum += (st.zlo[c] + ad * dir.dzlo[c]) * (ev.dlo[c] + ap * dir.dx[c]);
             }
             if self.hi[c].is_finite() {
-                sum += (st.zhi[c] + ad * dir.dzhi[c]) * (dhi[c] - ap * dir.dx[c]);
+                sum += (st.zhi[c] + ad * dir.dzhi[c]) * (ev.dhi[c] - ap * dir.dx[c]);
             }
         }
         (sum / self.count as f64).max(0.0)
@@ -534,7 +712,8 @@ fn solve_direction(
 }
 
 /// One barrier-merit line search along `dir`; returns the accepted next
-/// state, or `None` when the backtracking budget runs out.
+/// state with its evaluation, or `None` when the backtracking budget runs
+/// out.
 ///
 /// Both blocks scale with the accepted θ (primal by `θ·ap_max`, duals by
 /// `θ·ad_max`): the linear dual update lands the complementarity products
@@ -543,7 +722,8 @@ fn solve_direction(
 /// with a point θ⁻¹ times further along and crush the products.
 ///
 /// A trial step must satisfy three admissibility tests before the Armijo
-/// merit comparison: strict primal feasibility, a finite barrier merit,
+/// merit comparison: strict primal feasibility (the box, then one
+/// [`Ctx::eval`] that also feeds the other two tests), a finite barrier merit,
 /// and the wide central-path neighborhood — every *true* (nonlinear)
 /// complementarity product of the candidate stays above
 /// `μ̂/CENTRALITY_RATIO`. The last is the load-bearing one on curved
@@ -558,35 +738,39 @@ fn attempt(
     dir: &Direction,
     mu_hat: f64,
     tally: &mut FactorTally,
-) -> Option<State> {
+) -> Option<(State, Eval)> {
     let (ap_max, ad_max) = ctx.step_lengths(st, ev, dir);
-    let phi0 = barrier_value(ctx.p, &st.x, mu_hat, ctx.free);
-    let slope = ctx.barrier_slope(st, ev, mu_hat, &dir.dx);
+    let phi0 = ctx.merit(&st.x, ev, mu_hat);
+    let slope = ctx.barrier_slope(ev, mu_hat, &dir.dx);
     // Products may sit on the band edge (the loop-top recentering leaves
     // in-band products untouched); halving headroom keeps a θ → 0 trial
     // admissible so an edge state can never dead-lock the search.
     let (cur_min, _) = ctx.prod_range(st, ev);
     let floor = (mu_hat / CENTRALITY_RATIO).min(0.5 * cur_min);
-    let theta = line_search::backtrack(
+    // The last admissible trial: `backtrack` accepts right after the trial
+    // that produced it, so on success this is the accepted point.
+    let mut last = None;
+    line_search::backtrack(
         phi0,
         slope,
         ap_max,
         |theta| {
             let cand = ctx.stepped(st, dir, theta * ap_max, theta * ad_max);
-            if !strictly_inside(ctx.p, &cand.x, ctx.free) {
-                return None;
-            }
-            let cand_ev = ctx.eval(&cand.x).ok()?;
+            let cand_ev = ctx.trial_eval(&cand.x)?;
             let (cand_min, _) = ctx.prod_range(&cand, &cand_ev);
             if cand_min < floor {
                 return None;
             }
-            let phi = barrier_value(ctx.p, &cand.x, mu_hat, ctx.free);
-            phi.is_finite().then_some(phi)
+            let phi = ctx.merit(&cand.x, &cand_ev, mu_hat);
+            if !phi.is_finite() {
+                return None;
+            }
+            last = Some((cand, cand_ev));
+            Some(phi)
         },
         &mut tally.line_search_backtracks,
     )?;
-    Some(ctx.stepped(st, dir, theta * ap_max, theta * ad_max))
+    last
 }
 
 /// Wraps up at the current iterate: `λ` is the converged dual estimate.
@@ -643,6 +827,7 @@ pub(crate) fn run(
     let ctx = Ctx {
         p,
         free,
+        rows: Rows::new(p, &col_of, &x),
         c_free: free.iter().map(|&j| p.costs()[j]).collect(),
         lo,
         hi,
@@ -662,22 +847,20 @@ pub(crate) fn run(
         zhi: vec![0.0; k],
         nu: vec![0.0; m_eq],
     };
-    match ctx.eval(&st.x) {
-        Ok(ev) => {
-            for (lam, s) in st.lam.iter_mut().zip(&ev.slack) {
-                *lam = (mu0 / s).min(DUAL_INIT_CAP);
-            }
-            let (dlo, dhi) = ctx.dists(&st.x);
-            for c in 0..k {
-                if ctx.lo[c].is_finite() {
-                    st.zlo[c] = (mu0 / dlo[c]).min(DUAL_INIT_CAP);
-                }
-                if ctx.hi[c].is_finite() {
-                    st.zhi[c] = (mu0 / dhi[c]).min(DUAL_INIT_CAP);
-                }
-            }
-        }
+    let mut ev = match ctx.eval(&st.x) {
+        Ok(ev) => ev,
         Err(err) => return bail(&ctx, st, *newton_total, err),
+    };
+    for (lam, s) in st.lam.iter_mut().zip(&ev.slack) {
+        *lam = (mu0 / s).min(DUAL_INIT_CAP);
+    }
+    for c in 0..k {
+        if ctx.lo[c].is_finite() {
+            st.zlo[c] = (mu0 / ev.dlo[c]).min(DUAL_INIT_CAP);
+        }
+        if ctx.hi[c].is_finite() {
+            st.zhi[c] = (mu0 / ev.dhi[c]).min(DUAL_INIT_CAP);
+        }
     }
 
     // The centering target: monotone non-increasing. Newton iterations
@@ -694,10 +877,7 @@ pub(crate) fn run(
     let target_floor = GAP_TOL / (CENTRALITY_RATIO * ctx.count as f64);
 
     for _iter in 0..MAX_NEWTON {
-        let ev = match ctx.eval(&st.x) {
-            Ok(ev) => ev,
-            Err(err) => return bail(&ctx, st, *newton_total, err),
-        };
+        // `ev` evaluates `st.x`: the start's, then the accepted trial's.
         // Convergence is judged on the raw iterate, before any dual
         // safeguard: near the end the target can sit a band below the
         // converged μ, and recentering first would wreck the (already
@@ -784,11 +964,12 @@ pub(crate) fn run(
             tally.corrector_steps += 1;
             next = attempt(&ctx, &st, &ev, &rescue, mu_hat, tally);
         }
-        let Some(accepted) = next else {
+        let Some((accepted, accepted_ev)) = next else {
             // Stalled: both directions exhausted the backtracking budget.
             break;
         };
         st = accepted;
+        ev = accepted_ev;
 
         if st.x.iter().any(|v| v.abs() > DIVERGENCE_LIMIT) {
             return NlpSolution::unbounded(p, st.x, *newton_total);
@@ -803,10 +984,7 @@ pub(crate) fn run(
     // Stall or iteration cap: report Optimal only when the gap actually
     // closed (the per-step merit noise at tiny μ can block the final dual
     // cleanup; the least-squares refinement recovers the duals from x).
-    let gap_closed = match ctx.eval(&st.x) {
-        Ok(ev) => ctx.mu_of(&st, &ev) * ctx.count as f64 <= GAP_TOL,
-        Err(_) => false,
-    };
+    let gap_closed = ctx.mu_of(&st, &ev) * ctx.count as f64 <= GAP_TOL;
     let mut out = converged(&ctx, st, *newton_total);
     if !gap_closed {
         out.status = NlpStatus::IterationLimit;

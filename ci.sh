@@ -82,6 +82,15 @@ echo "== differential fuzz (capped) =="
 # corpus do not.
 ./target/release/testkit fuzz --seeds 40 --start 0xC1C1C1C1
 
+echo "== fit fuzz =="
+# The fit layer and its scaling metamorphic check get a deeper sweep. Both
+# layers run on every tenth round (their testkit cost weight), so each
+# command below is 200 cases; a fit costs tens of microseconds since the
+# profile search replaced the LM multistart, so the pair takes well under
+# a second.
+./target/release/testkit fuzz --layer fit --seeds 2000
+./target/release/testkit fuzz --layer meta-fit-scaling --seeds 2000
+
 echo "== wire fuzz =="
 # The serving wire front gets its own deeper sweep: 1500 generated
 # envelopes plus corrupted-frame probes per case (truncation, byte flips,

@@ -135,7 +135,8 @@ pub fn perf_suite() -> Vec<PerfCase> {
         stats: dense,
     });
 
-    // LM microkernel: the paper-model fit on pinned synthetic data.
+    // Fit microkernel: the paper-model fit on pinned synthetic data; its
+    // `lm_steps` counts profile evaluations.
     let truth = PerfModel::new(27_180.0, 5e-4, 1.0, 44.0);
     let data = ScalingData::from_pairs(
         [104u64, 208, 416, 832, 1664, 3328]

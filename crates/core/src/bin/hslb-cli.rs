@@ -130,10 +130,6 @@ fn event_json(event: &Event) -> Json {
             fields.push(("mu", Json::from(*mu)));
             fields.push(("sigma", Json::from(*sigma)));
         }
-        Event::LmStep { iter, cost } => {
-            fields.push(("iter", Json::from(*iter)));
-            fields.push(("cost", Json::from(*cost)));
-        }
         Event::TimeBudgetExhausted { elapsed } => {
             fields.push(("elapsed", Json::from(*elapsed)));
         }

@@ -97,8 +97,8 @@ pub struct HslbOutcome {
 
 impl HslbOutcome {
     /// Deterministic work counters for the whole pipeline: the solver's
-    /// [`hslb_minlp::SolveStats`] plus the Levenberg–Marquardt iterations
-    /// spent fitting the four component models in step 2.
+    /// [`hslb_minlp::SolveStats`] plus the profile evaluations spent
+    /// fitting the four component models in step 2 (in `lm_steps`).
     pub fn stats(&self) -> hslb_minlp::SolveStats {
         let mut stats = self.solution.stats;
         stats.lm_steps += self.fits.iter().map(|f| f.lm_steps as u64).sum::<u64>();
@@ -286,7 +286,7 @@ mod tests {
         // Work counters cover both the fit step and the tree search.
         let stats = out.stats();
         assert!(stats.nodes_opened > 0);
-        assert!(stats.lm_steps > 0, "fit iterations must be counted");
+        assert!(stats.lm_steps > 0, "fit work must be counted");
         assert!(stats.lm_steps > out.solution.stats.lm_steps);
     }
 

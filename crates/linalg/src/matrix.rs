@@ -183,30 +183,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Gram matrix `AᵀA` (symmetric positive semidefinite).
-    pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let mut g = Matrix::zeros(n, n);
-        for k in 0..self.rows {
-            let row = self.row(k);
-            for i in 0..n {
-                let rki = row[i];
-                if crate::approx::exactly_zero(rki) {
-                    continue;
-                }
-                for j in i..n {
-                    g[(i, j)] += rki * row[j];
-                }
-            }
-        }
-        for i in 0..n {
-            for j in 0..i {
-                g[(i, j)] = g[(j, i)];
-            }
-        }
-        g
-    }
-
     /// Adds `lambda` to every diagonal entry in place (ridge shift).
     pub fn add_diagonal(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
@@ -308,18 +284,6 @@ mod tests {
     fn transpose_roundtrip() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn gram_matches_explicit_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let g = a.gram();
-        let expected = a.transpose().matmul(&a).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((g[(i, j)] - expected[(i, j)]).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -7,21 +7,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Euclidean norm.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
 /// Infinity norm.
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
@@ -36,27 +21,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Euclidean distance between two points.
-#[inline]
-pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// Elementwise clamp of `x` into `[lo, hi]` (per-component bounds).
-#[inline]
-pub fn clamp_into_bounds(x: &mut [f64], lo: &[f64], hi: &[f64]) {
-    debug_assert_eq!(x.len(), lo.len());
-    debug_assert_eq!(x.len(), hi.len());
-    for ((xi, &l), &h) in x.iter_mut().zip(lo).zip(hi) {
-        *xi = xi.clamp(l, h);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,16 +29,7 @@ mod tests {
     fn dot_and_norms() {
         let a = [1.0, 2.0, 2.0];
         assert!((dot(&a, &a) - 9.0).abs() < 1e-15);
-        assert!((norm2(&a) - 3.0).abs() < 1e-15);
         assert!((norm_inf(&[-5.0, 2.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let x = [1.0, 2.0];
-        let mut y = [10.0, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
     }
 
     #[test]
@@ -82,20 +37,5 @@ mod tests {
         let mut x = [1.0, -2.0];
         scale(-3.0, &mut x);
         assert_eq!(x, [-3.0, 6.0]);
-    }
-
-    #[test]
-    fn dist2_symmetric() {
-        let a = [0.0, 3.0];
-        let b = [4.0, 0.0];
-        assert!((dist2(&a, &b) - 5.0).abs() < 1e-15);
-        assert!((dist2(&b, &a) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn clamp_respects_bounds() {
-        let mut x = [-1.0, 0.5, 9.0];
-        clamp_into_bounds(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
-        assert_eq!(x, [0.0, 0.5, 1.0]);
     }
 }

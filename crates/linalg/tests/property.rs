@@ -20,7 +20,7 @@ fn square(rng: &mut Rng, n: usize) -> Matrix {
 fn spd(rng: &mut Rng, n: usize) -> Matrix {
     let data = rng.vec_f64(n * n, -1.0, 1.0);
     let a = Matrix::from_vec(n, n, data).expect("sized correctly");
-    let mut g = a.gram();
+    let mut g = a.transpose().matmul(&a).expect("square times square");
     g.add_diagonal(1.0);
     g
 }

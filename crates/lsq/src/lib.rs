@@ -1,4 +1,4 @@
-//! Bound-constrained nonlinear least squares for the HSLB fitting step.
+//! Least-squares kernels for the HSLB fitting step.
 //!
 //! The HSLB papers (SC'12 §Fit, IPDPSW'14 Table II line 10) fit the
 //! performance function `T(n) = a/n^c + b·n + d` to observed component wall
@@ -8,28 +8,29 @@
 //! min_{a,b,c,d >= 0}  Σ_i ( y_i - T(n_i; a,b,c,d) )²
 //! ```
 //!
-//! This is a small non-convex least-squares problem; the papers note that
-//! different starting points reach different local optima of similar quality.
-//! This crate provides:
+//! The problem is non-convex only in `c`: for a fixed exponent it is a
+//! nonnegative linear least-squares problem in the other coefficients. The
+//! fit is therefore solved by variable projection (Golub & Pereyra, SIAM J.
+//! Numer. Anal. 1973; O'Leary & Rust, Comput. Optim. Appl. 2013): the inner
+//! problem exactly, the one-dimensional profile over `c` by a bracketed
+//! search. `hslb-perfmodel` builds the model columns; this crate provides
+//! the generic parts:
 //!
-//! * [`Residuals`] — the problem trait (residual vector + optional analytic
-//!   Jacobian, with a finite-difference default).
-//! * [`levenberg_marquardt`] — a projected Levenberg–Marquardt solver with
-//!   box constraints.
-//! * [`multistart()`](multistart()) — parallel multistart (scoped threads) over a set of starting
-//!   points, mirroring the papers' "we experimented with different starting
-//!   solutions" methodology.
+//! * [`nnls()`](nnls()) — nonnegative least squares in at most three columns, solved
+//!   exactly by trying supports.
+//! * [`minimize`] — a grid over `(0, hi]` plus Brent's method in the best
+//!   cell, global over the grid's range up to its spacing.
+//! * [`huber_weights`] — the weights of Huber-robust fitting by
+//!   iteratively reweighted least squares.
 //! * [`stats`] — goodness-of-fit statistics (R², RMSE) used to judge fits the
 //!   way the paper does ("R² was very close to 1 for each component").
 
-pub mod lm;
-pub mod multistart;
-pub mod problem;
-pub mod robust;
+pub mod huber;
+pub mod nnls;
+pub mod search;
 pub mod stats;
 
-pub use lm::{levenberg_marquardt, LmOptions, LmOutcome, LmReport, LsqError};
-pub use multistart::{multistart, MultistartReport};
-pub use problem::{Bounds, CurveFit, Residuals};
-pub use robust::{huber_fit, RobustOptions};
+pub use huber::{huber_weights, HUBER_K, IRLS_ROUNDS};
+pub use nnls::{nnls, NnlsSolution, NormalEquations, MAX_COLS};
+pub use search::{minimize, Grid};
 pub use stats::{r_squared, rmse, sse, FitQuality};

@@ -47,7 +47,9 @@ pub struct SolveStats {
     /// Barrier solves in which the fixed-μ loop ran: the predictor-corrector
     /// loop exhausted its budget, or the problem had no barrier terms.
     pub barrier_fallbacks: u64,
-    /// Total accepted Levenberg-Marquardt steps across all fits.
+    /// Fit work: profile evaluations (one nonnegative least-squares solve
+    /// at one decay exponent each) summed over all fits. The name dates
+    /// from the Levenberg–Marquardt fit the profile search replaced.
     pub lm_steps: u64,
     /// Variable-bound tightenings performed by presolve/propagation.
     pub presolve_tightenings: u64,

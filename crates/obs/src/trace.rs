@@ -79,13 +79,6 @@ pub enum Event {
         /// Centering parameter σ chosen by the affine-scaling predictor.
         sigma: f64,
     },
-    /// A Levenberg-Marquardt step was accepted.
-    LmStep {
-        /// 1-based accepted-step index within the fit.
-        iter: u64,
-        /// Cost after the step.
-        cost: f64,
-    },
     /// The solve's time budget expired; the best incumbent is returned.
     TimeBudgetExhausted {
         /// Seconds elapsed on the injected clock when the budget fired.
@@ -104,7 +97,6 @@ impl Event {
             Event::LpSolved { .. } => "lp_solved",
             Event::NlpSolved { .. } => "nlp_solved",
             Event::BarrierMu { .. } => "barrier_mu",
-            Event::LmStep { .. } => "lm_step",
             Event::TimeBudgetExhausted { .. } => "time_budget_exhausted",
         }
     }

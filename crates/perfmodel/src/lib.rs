@@ -14,8 +14,10 @@
 //!
 //! * [`PerfModel`] — the fitted function; evaluates, differentiates, and
 //!   exports itself as a structured [`hslb_nlp::ScalarFn`] for the MINLP.
-//! * [`fit()`](fit()) — the least-squares fitting step (Table II line 10) with
-//!   heuristic multistart, returning the model plus [`FitReport`] quality
+//! * [`fit()`](fit()) — the least-squares fitting step (Table II line 10) by
+//!   variable projection: an exact nonnegative least squares per decay
+//!   exponent and a grid-plus-Brent search over the exponent, global over
+//!   the grid's range up to its spacing. Returns the model plus [`FitReport`] quality
 //!   statistics (the paper's R² check).
 //! * [`ScalingData`] — observation container plus the paper's §III-C advice
 //!   on choosing benchmark node counts ([`ScalingData::suggest_node_counts`]).
@@ -43,9 +45,7 @@ pub mod data;
 pub mod fit;
 pub mod jsonio;
 pub mod model;
-pub mod residuals;
 
 pub use data::ScalingData;
 pub use fit::{fit, fit_kind, FitError, FitOptions, FitReport};
 pub use model::{ModelKind, PerfModel};
-pub use residuals::PerfResiduals;

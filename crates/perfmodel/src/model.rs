@@ -119,25 +119,6 @@ impl PerfModel {
     pub fn params(&self) -> [f64; 4] {
         [self.a, self.b, self.c, self.d]
     }
-
-    /// Builds from the fitting parameter vector of the given kind.
-    pub(crate) fn from_params(kind: ModelKind, p: &[f64]) -> Self {
-        match kind {
-            ModelKind::Paper => PerfModel::new(p[0], p[1], p[2], p[3]),
-            ModelKind::Amdahl => PerfModel::new(p[0], 0.0, 1.0, p[1]),
-            ModelKind::PowerLaw => PerfModel::new(p[0], 0.0, p[1], p[2]),
-        }
-    }
-
-    /// Evaluates the given kind's parameter vector at `n` (used during
-    /// fitting before a `PerfModel` exists).
-    pub(crate) fn eval_params(kind: ModelKind, p: &[f64], n: f64) -> f64 {
-        match kind {
-            ModelKind::Paper => p[0] / n.powf(p[2]) + p[1] * n + p[3],
-            ModelKind::Amdahl => p[0] / n + p[1],
-            ModelKind::PowerLaw => p[0] / n.powf(p[1]) + p[2],
-        }
-    }
 }
 
 impl std::fmt::Display for PerfModel {

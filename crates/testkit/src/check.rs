@@ -362,7 +362,7 @@ pub fn check_flat(spec: &FlatSpec) -> Result<(), String> {
 /// range. Calibration over 2.4·10^4 seeded datasets puts the worst
 /// `|pred−truth| / (sigma·max(data))` at 3.5; the factor 8 keeps a >2x
 /// margin without masking real fitter regressions. The 2% relative floor
-/// covers discretization of the multistart at `sigma → 0`.
+/// is slack at `sigma → 0`, where the fit recovers the truth to rounding.
 pub fn check_fit(ds: &FitDataset) -> Result<(), String> {
     let report = fit(&ds.data).map_err(|e| format!("fit failed on well-posed data: {e}"))?;
     let ymax = ds.data.points().iter().map(|p| p.1).fold(0.0f64, f64::max);

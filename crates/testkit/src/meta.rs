@@ -55,6 +55,10 @@ pub fn budget_monotonicity(rng: &mut Rng, size: u32) -> Result<(), String> {
     Ok(())
 }
 
+/// Largest relative prediction drift [`fit_scaling_invariance`] allows
+/// between the fit of scaled data and the scaled fit.
+const FIT_SCALING_REL_TOL: f64 = 1e-5;
+
 /// Scaling invariance of the fit: multiplying every observed time by `k`
 /// must scale the fitted curve's predictions by `k` (the model family is
 /// closed under scaling: `k·(a/n^c + b·n + d)` re-parameterizes exactly).
@@ -67,9 +71,11 @@ pub fn fit_scaling_invariance(rng: &mut Rng, size: u32) -> Result<(), String> {
     for &n in &[4u64, 32, 256, 2048] {
         let a = base.model.eval(n as f64) * k;
         let b = scaled_fit.model.eval(n as f64);
-        // Both fits run the same multistart from noisy data; allow a small
-        // relative drift between the two local optima.
-        if (a - b).abs() > 0.02 * a.abs().max(1.0) {
+        // The profile search is scale-equivariant: scaling the times by `k`
+        // scales every NNLS solution by `k` and the profile by `k²`, so both
+        // fits reach the same exponent up to rounding in the search's
+        // comparisons (worst drift seen over 6,000 datasets: 1.7e-7).
+        if (a - b).abs() > FIT_SCALING_REL_TOL * a.abs().max(1.0) {
             return Err(format!(
                 "scaling broke fit at n={n}: base*k = {a} vs scaled fit {b} (k = {k})"
             ));

@@ -21,6 +21,17 @@ cargo run --release -q -p hslb-lint -- --workspace
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== benchmark build + determinism (perfbench --quick) =="
+# perfbench is a package of its own that builds the workspace crates from
+# source. --locked fails when a workspace change would rewrite
+# perfbench/Cargo.lock; each --quick run replays one fixed slice of its
+# workload twice and exits 1 unless the work counters agree.
+cargo build --offline --locked --release --manifest-path perfbench/Cargo.toml
+for workload in cesm_pipeline fmo_alloc serve_mixed; do
+  cargo run --offline --locked --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --quick
+done
+
 echo "== tests =="
 cargo test --workspace -q
 

@@ -142,18 +142,6 @@ pub fn table3_block(scenario: &Scenario, seed: u64) -> Table3Block {
     }
 }
 
-/// The six blocks of Table III, in paper order.
-pub fn table3_scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario::one_degree(128),
-        Scenario::one_degree(2048),
-        Scenario::eighth_degree(8192),
-        Scenario::eighth_degree(32_768),
-        Scenario::eighth_degree_unconstrained(8192),
-        Scenario::eighth_degree_unconstrained(32_768),
-    ]
-}
-
 // ---------------------------------------------------------------------------
 // E5 / Figure 3 — 1/8° manual vs predicted vs actual
 // ---------------------------------------------------------------------------

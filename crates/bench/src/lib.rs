@@ -7,6 +7,7 @@
 //! free [`timing`] runner.
 
 pub mod harness;
+pub mod netgen;
 pub mod perf;
 pub mod serve_perf;
 pub mod timing;

@@ -112,7 +112,7 @@ pub fn perf_suite() -> Vec<PerfCase> {
         });
     }
 
-    // Sparse-LP suite: seeded netlib-style instances (`hslb-loaders`) at
+    // Sparse-LP suite: seeded netlib-style instances (`netgen`) at
     // and beyond paper scale, solved on the sparse basis factorization.
     // The counters pin the pivot path *and* the factorization behavior
     // (refactorization count, eta updates, factor fill).
@@ -223,7 +223,7 @@ pub const SPARSE_LP_SEED: u64 = 0xB0A7_F00D;
 /// returns its counters. Asserts optimality: the generator constructs
 /// feasible bounded instances by design.
 pub fn solve_netlib_like(n: usize, m: usize, backend: LinalgBackend) -> SolveStats {
-    let (lp, _) = hslb_loaders::netlib_like(SPARSE_LP_SEED, n, m).to_linear_program();
+    let lp = crate::netgen::netlib_like(SPARSE_LP_SEED, n, m);
     let opts = SimplexOptions {
         backend,
         ..Default::default()

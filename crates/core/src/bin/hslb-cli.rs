@@ -16,12 +16,8 @@
 //! `solve` and `flat` accept `--trace`, which records the solver's event
 //! stream (node opens, prunes, incumbents, cuts; see `hslb-obs`) and adds a
 //! `"trace"` array next to the `"solver"` counter block in the output,
-//! `--no-warm-start`, which disables cross-node solver-state reuse (parent
-//! barrier seeds, simplex basis reuse) for A/B counter comparisons, and
-//! `--dense`, which forces the dense linear-algebra reference everywhere:
-//! the explicit-inverse simplex tableau and the dense barrier KKT (the
-//! default `Auto` backend runs every simplex basis on the sparse LU and
-//! switches the KKT to sparse above the crossover dimension).
+//! and `--no-warm-start`, which disables cross-node solver-state reuse
+//! (parent barrier seeds, simplex basis reuse) for A/B counter comparisons.
 //!
 //! All modes exit 0 on success; bad input exits 1 with an `hslb-cli:`
 //! diagnostic on stderr; an unknown mode exits 2 with usage.
@@ -40,14 +36,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let trace = args.iter().any(|a| a == "--trace");
     let warm_start = !args.iter().any(|a| a == "--no-warm-start");
-    let backend = if args.iter().any(|a| a == "--dense") {
-        hslb_minlp::LinalgBackend::Dense
-    } else {
-        hslb_minlp::LinalgBackend::Auto
-    };
-    if let Some(bad) = args.iter().find(|a| {
-        a.starts_with("--") && *a != "--trace" && *a != "--no-warm-start" && *a != "--dense"
-    }) {
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && *a != "--trace" && *a != "--no-warm-start")
+    {
         eprintln!("hslb-cli: unknown flag {bad}");
         usage();
     }
@@ -58,8 +50,8 @@ fn main() {
         .unwrap_or_else(|| usage());
     match mode.as_str() {
         "fit" => cmd_fit(),
-        "solve" => cmd_solve(trace, warm_start, backend),
-        "flat" => cmd_flat(trace, warm_start, backend),
+        "solve" => cmd_solve(trace, warm_start),
+        "flat" => cmd_flat(trace, warm_start),
         "ampl" => cmd_ampl(),
         "example-spec" => cmd_example_spec(),
         _ => {
@@ -70,7 +62,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: hslb-cli <fit|solve|flat|ampl|example-spec> [--trace] [--no-warm-start] [--dense]  (JSON on stdin, JSON/AMPL on stdout)"
+        "usage: hslb-cli <fit|solve|flat|ampl|example-spec> [--trace] [--no-warm-start]  (JSON on stdin, JSON/AMPL on stdout)"
     );
     std::process::exit(2);
 }
@@ -84,11 +76,9 @@ fn solve_traced(
     problem: &MinlpProblem,
     trace: bool,
     warm_start: bool,
-    backend: hslb_minlp::LinalgBackend,
 ) -> (MinlpSolution, Option<Vec<Event>>) {
     let mut opts = MinlpOptions {
         warm_start,
-        backend,
         ..MinlpOptions::default()
     };
     let ring = trace.then(|| Arc::new(RingBuffer::new(TRACE_CAPACITY)));
@@ -228,11 +218,11 @@ fn layout_from_index(layout: usize) -> Layout {
     }
 }
 
-fn cmd_solve(trace: bool, warm_start: bool, backend: hslb_minlp::LinalgBackend) {
+fn cmd_solve(trace: bool, warm_start: bool) {
     let input: SolveInput = parse_input("solve input");
     let layout = layout_from_index(input.layout);
     let model = build_layout_model(&input.spec, layout);
-    let (sol, events) = solve_traced(&model.problem, trace, warm_start, backend);
+    let (sol, events) = solve_traced(&model.problem, trace, warm_start);
     if sol.x.is_empty() {
         fail("no feasible allocation exists for this spec");
     }
@@ -250,10 +240,10 @@ fn cmd_solve(trace: bool, warm_start: bool, backend: hslb_minlp::LinalgBackend) 
     println!("{}", Json::obj(fields).to_pretty());
 }
 
-fn cmd_flat(trace: bool, warm_start: bool, backend: hslb_minlp::LinalgBackend) {
+fn cmd_flat(trace: bool, warm_start: bool) {
     let spec: FlatSpec = parse_input("flat spec");
     let model = build_flat_model(&spec);
-    let (sol, events) = solve_traced(&model.problem, trace, warm_start, backend);
+    let (sol, events) = solve_traced(&model.problem, trace, warm_start);
     if sol.x.is_empty() {
         fail("no feasible allocation exists for this spec");
     }

@@ -217,20 +217,6 @@ impl Matrix {
         let (head, tail) = self.data.split_at_mut(b * self.cols);
         head[a * self.cols..(a + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
     }
-
-    /// Elementwise `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) -> Result<()> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (self.rows, self.cols),
-                got: (other.rows, other.cols),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {

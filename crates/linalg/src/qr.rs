@@ -125,14 +125,6 @@ impl Qr {
         }
         Ok(x)
     }
-
-    /// Absolute values of the diagonal of `R` (singular-value proxies used
-    /// for rank diagnostics in the fitting code).
-    pub fn r_diag_abs(&self) -> Vec<f64> {
-        (0..self.packed.cols())
-            .map(|i| self.packed[(i, i)].abs())
-            .collect()
-    }
 }
 
 #[cfg(test)]

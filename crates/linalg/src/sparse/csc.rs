@@ -142,11 +142,6 @@ impl CscMatrix {
         &self.col_ptr
     }
 
-    /// Row index array, column-major.
-    pub fn row_indices(&self) -> &[usize] {
-        &self.row_idx
-    }
-
     /// Value array, column-major.
     pub fn values(&self) -> &[f64] {
         &self.values

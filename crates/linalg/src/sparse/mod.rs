@@ -49,8 +49,8 @@ pub enum LinalgBackend {
     /// sparse at or above it.
     #[default]
     Auto,
-    /// Always the dense kernels (the differential reference; `--dense` in
-    /// `hslb-cli`).
+    /// Always the dense kernels (the differential reference for the
+    /// sparse≡dense batteries and `hslb-perf --speedup`).
     Dense,
     /// Always the sparse kernels.
     Sparse,

@@ -38,7 +38,7 @@ usage: hslb-lint [--workspace] [--root DIR] [--baseline FILE] [--update-baseline
                    current findings
 
 lexical rules:   float-eq panic-in-lib lossy-cast magic-epsilon dep-policy
-                 slice-index (default in lp/linalg/loaders, opt-in elsewhere)
+                 slice-index (default in lp/linalg, opt-in elsewhere)
                  suppression (always on)
 semantic rules:  nondet-iteration nondet-reduction ambient-entropy
                  panic-path numeric-provenance

@@ -70,10 +70,8 @@ pub fn default_rules() -> BTreeSet<String> {
 /// opted in: the dense and sparse kernels in `linalg` and the simplex in
 /// `lp` are the workspace's hottest indexing code, where an out-of-bounds
 /// index is a solver-state corruption bug rather than a recoverable input
-/// error; `loaders` is promoted from day one because its parser indexes
-/// into untrusted input.
-pub const SLICE_INDEX_DEFAULT_CRATES: &[&str] =
-    &["crates/lp/", "crates/linalg/", "crates/loaders/"];
+/// error.
+pub const SLICE_INDEX_DEFAULT_CRATES: &[&str] = &["crates/lp/", "crates/linalg/"];
 
 /// Whether `slice-index` applies to `rel_path` under `cfg`: enabled
 /// globally by opt-in, or by the per-crate promotion.

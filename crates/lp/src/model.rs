@@ -115,13 +115,6 @@ impl LinearProgram {
         *u = hi;
     }
 
-    /// Overwrites the objective coefficient of a variable.
-    pub fn set_cost(&mut self, var: VarId, cost: f64) {
-        assert!(var.0 < self.costs.len());
-        // lint:allow(slice-index): in-bounds by the assert above.
-        self.costs[var.0] = cost;
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.costs.len()

@@ -11,8 +11,8 @@
 //! Bartels–Golub-style product-form eta updates per pivot, at every row
 //! count. The explicit dense inverse (the historical tableau) is reached
 //! only through an explicit `LinalgBackend::Dense`, where it serves as the
-//! differential reference (`hslb-cli --dense`, the sparse≡dense
-//! batteries, `hslb-perf --speedup`). Both representations are
+//! differential reference (the sparse≡dense batteries, `hslb-perf
+//! --speedup`). Both representations are
 //! refactorized periodically for numerical hygiene.
 //!
 //! [`solve_warm`] reuses the basis saved by a previous solve. Neither

@@ -269,24 +269,38 @@ mod property {
         (lp, xstar)
     }
 
+    /// The property: the solve is optimal, its point feasible, and its
+    /// objective no worse than that of the known feasible point `xstar`.
+    fn assert_feasible_optimum(lp: &LinearProgram, xstar: &[f64], case: &str) {
+        let sol = solve(lp);
+        assert_eq!(sol.status, LpStatus::Optimal, "case {case}");
+        assert!(lp.is_feasible(&sol.x, 1e-6), "case {case}");
+        let known = lp.objective_value(xstar);
+        assert!(
+            sol.objective <= known + 1e-6,
+            "case {case}: objective {} worse than known feasible {}",
+            sol.objective,
+            known
+        );
+    }
+
     #[test]
     fn random_feasible_lps_solve_to_feasible_optima() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x1b);
         for case in 0..200 {
             let (lp, xstar) = feasible_lp(&mut rng);
-            let sol = solve(&lp);
-            assert_eq!(sol.status, LpStatus::Optimal, "case {case}");
-            // Solver's point must be feasible.
-            assert!(lp.is_feasible(&sol.x, 1e-6), "case {case}");
-            // And at least as good as the known feasible point.
-            let known = lp.objective_value(&xstar);
-            assert!(
-                sol.objective <= known + 1e-6,
-                "case {case}: objective {} worse than known feasible {}",
-                sol.objective,
-                known
-            );
+            assert_feasible_optimum(&lp, &xstar, &case.to_string());
         }
+    }
+
+    /// A shrunk failure once recorded for this property: zero cost,
+    /// `x0 ∈ [−6, 6]` and a single `<=` row with a negative coefficient.
+    #[test]
+    fn random_feasible_lps_recorded_failure_replays() {
+        let mut lp = LinearProgram::new();
+        let x0 = lp.add_var(0.0, -6.0, 6.0);
+        lp.add_row(vec![(x0, -0.9002450971803663)], RowSense::Le, 1.0);
+        assert_feasible_optimum(&lp, &[0.0], "recorded");
     }
 
     #[test]

@@ -20,17 +20,13 @@
 //!   exactly by trying supports.
 //! * [`minimize`] — a grid over `(0, hi]` plus Brent's method in the best
 //!   cell, global over the grid's range up to its spacing.
-//! * [`huber_weights`] — the weights of Huber-robust fitting by
-//!   iteratively reweighted least squares.
 //! * [`stats`] — goodness-of-fit statistics (R², RMSE) used to judge fits the
 //!   way the paper does ("R² was very close to 1 for each component").
 
-pub mod huber;
 pub mod nnls;
 pub mod search;
 pub mod stats;
 
-pub use huber::{huber_weights, HUBER_K, IRLS_ROUNDS};
 pub use nnls::{nnls, NnlsSolution, NormalEquations, MAX_COLS};
 pub use search::{minimize, Grid};
 pub use stats::{r_squared, rmse, sse, FitQuality};

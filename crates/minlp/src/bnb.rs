@@ -1,7 +1,7 @@
 //! NLP-based branch and bound: solve the continuous (convex) relaxation at
 //! every node, branch on domain-violating variables.
 
-use crate::branching::{make_branch, select_branch_var_with_stats, PseudocostTracker};
+use crate::branching::{make_branch, select_branch_var};
 use crate::model::MinlpProblem;
 use crate::scratch::ScratchArena;
 use crate::types::{
@@ -39,9 +39,6 @@ pub(crate) struct Node {
     /// Valid lower bound on any solution inside this box.
     pub bound: f64,
     pub depth: usize,
-    /// The branching that created this node: `(var, distance, is_up)` —
-    /// feeds the pseudocost tracker once the node's relaxation is solved.
-    pub branch_info: Option<(usize, f64, bool)>,
     /// Barrier warm start inherited from the parent's relaxation; both
     /// children share one `Arc` of the parent's point and multipliers.
     /// `None` at the root and whenever `MinlpOptions::warm_start` is off.
@@ -241,12 +238,10 @@ pub fn solve_nlp_bnb_seeded(
         hi: problem.relaxation().uppers().to_vec(),
         bound: f64::NEG_INFINITY,
         depth: 0,
-        branch_info: None,
         seed: root_seed
             .filter(|seed| opts.warm_start && seed.x.len() == problem.relaxation().num_vars())
             .map(Arc::new),
     };
-    let mut pseudocosts = PseudocostTracker::new(problem.num_vars());
 
     let mut stats = SolveStats::default();
     let mut incumbent: Option<Vec<f64>> = None;
@@ -338,13 +333,6 @@ pub fn solve_nlp_bnb_seeded(
         } else {
             node.bound
         };
-        // Feed the pseudocost tracker with the bound movement this
-        // branching produced.
-        if let (Some((var, dist, is_up)), true) = (node.branch_info, relax.bound_valid) {
-            if node.bound.is_finite() {
-                pseudocosts.record(var, is_up, dist, relax.objective - node.bound);
-            }
-        }
         if node_bound >= prune_cutoff(incumbent_obj) {
             stats.pruned_by_bound += 1;
             opts.trace.emit(|| Event::NodePruned {
@@ -378,14 +366,13 @@ pub fn solve_nlp_bnb_seeded(
         }
 
         // Branch.
-        let Some(j) = select_branch_var_with_stats(
+        let Some(j) = select_branch_var(
             problem,
             &relax.x,
             &node.lo,
             &node.hi,
             INT_TOL,
             opts.branch_rule,
-            Some(&pseudocosts),
         ) else {
             recycle_node(&mut arena, node);
             continue; // nothing to branch on (degenerate)
@@ -394,13 +381,12 @@ pub fn solve_nlp_bnb_seeded(
             recycle_node(&mut arena, node);
             continue;
         };
-        let xj = relax.x[j];
         // Both children seed their barrier solve from this node's
         // relaxation; the Arc shares one copy of point and duals.
         let child_seed = opts
             .warm_start
             .then(|| Arc::new(WarmStart::new(relax.x, relax.multipliers)));
-        for (is_up, (blo, bhi)) in [(false, branch.down), (true, branch.up)] {
+        for (blo, bhi) in [branch.down, branch.up] {
             if blo > bhi {
                 continue;
             }
@@ -408,19 +394,12 @@ pub fn solve_nlp_bnb_seeded(
             let mut hi = arena.take_copy(&node.hi);
             lo[j] = blo;
             hi[j] = bhi;
-            // Distance the branching moves x_j into this child's box.
-            let dist = if is_up {
-                (blo - xj).max(0.0)
-            } else {
-                (xj - bhi).max(0.0)
-            };
             push(
                 Node {
                     lo,
                     hi,
                     bound: node_bound,
                     depth: node.depth + 1,
-                    branch_info: Some((j, dist, is_up)),
                     seed: child_seed.clone(),
                 },
                 &mut heap,
@@ -605,42 +584,6 @@ mod tests {
         assert_eq!(a.status, MinlpStatus::Optimal);
         assert_eq!(b.status, MinlpStatus::Optimal);
         assert!((a.objective - b.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pseudocost_rule_reaches_same_optimum() {
-        use crate::branching::BranchRule;
-        let mut p = MinlpProblem::new();
-        let vars: Vec<usize> = (0..4).map(|_| p.add_int_var(0.0, 1, 40)).collect();
-        let t = p.add_var(1.0, 0.0, 1e9);
-        for (k, &v) in vars.iter().enumerate() {
-            p.add_constraint(
-                ConstraintFn::new(format!("t{k}"))
-                    .nonlinear_term(v, ScalarFn::perf_model(90.0 + 53.0 * k as f64, 0.0, 1.0))
-                    .linear_term(t, -1.0),
-            );
-        }
-        let mut c = ConstraintFn::new("cap").with_constant(-41.0);
-        for &v in &vars {
-            c = c.linear_term(v, 1.0);
-        }
-        p.add_constraint(c);
-        let base = solve_nlp_bnb(&p, &MinlpOptions::default());
-        let pc = solve_nlp_bnb(
-            &p,
-            &MinlpOptions {
-                branch_rule: BranchRule::Pseudocost,
-                ..Default::default()
-            },
-        );
-        assert_eq!(base.status, MinlpStatus::Optimal);
-        assert_eq!(pc.status, MinlpStatus::Optimal);
-        assert!(
-            (base.objective - pc.objective).abs() < 1e-4,
-            "{} vs {}",
-            base.objective,
-            pc.objective
-        );
     }
 
     #[test]

@@ -2,15 +2,6 @@
 
 use crate::model::{set_members_in, MinlpProblem, VarDomain};
 
-/// Pseudocost bookkeeping ignores moves smaller than this: the gain per
-/// unit distance would be noise-dominated.
-const PSEUDOCOST_MIN_DIST: f64 = 1e-12;
-/// Floor applied to per-direction pseudocost scores and fractionalities so
-/// the product rule never zeroes out a candidate entirely.
-const SCORE_FLOOR: f64 = 1e-6;
-/// Scale that demotes violation-based fallback scores below any
-/// history-backed pseudocost score.
-const VIOL_FALLBACK_SCALE: f64 = 1e-12;
 /// Distance from the integer lattice below which a relaxation value counts
 /// as integral when constructing a branch.
 const INT_SNAP_TOL: f64 = 1e-9;
@@ -23,62 +14,6 @@ pub enum BranchRule {
     MostFractional,
     /// Branch on the lowest-index violating coordinate.
     FirstFractional,
-    /// Pseudocost branching: estimate each variable's objective degradation
-    /// per unit of fractionality from past branchings and pick the variable
-    /// expected to tighten the bound most (product rule). Falls back to
-    /// most-fractional until a variable has history. Supported by the
-    /// serial NLP-based tree; other solvers treat it as most-fractional.
-    Pseudocost,
-}
-
-/// Per-variable pseudocost statistics: average objective degradation per
-/// unit distance when branching down/up.
-#[derive(Debug, Clone, Default)]
-pub struct PseudocostTracker {
-    /// `(sum of unit gains, observations)` for the down child per variable.
-    down: Vec<(f64, u32)>,
-    /// Same for the up child.
-    up: Vec<(f64, u32)>,
-}
-
-impl PseudocostTracker {
-    /// Tracker for `n` variables.
-    pub fn new(n: usize) -> Self {
-        PseudocostTracker {
-            down: vec![(0.0, 0); n],
-            up: vec![(0.0, 0); n],
-        }
-    }
-
-    /// Records the outcome of one branching: the child relaxation's bound
-    /// improved over the parent's by `gain >= 0`, after moving variable
-    /// `var` a distance `dist > 0` (the fractionality at the parent).
-    pub fn record(&mut self, var: usize, is_up: bool, dist: f64, gain: f64) {
-        if dist <= PSEUDOCOST_MIN_DIST || !gain.is_finite() {
-            return;
-        }
-        let slot = if is_up {
-            &mut self.up[var]
-        } else {
-            &mut self.down[var]
-        };
-        slot.0 += (gain / dist).max(0.0);
-        slot.1 += 1;
-    }
-
-    fn avg(&self, var: usize, is_up: bool) -> Option<f64> {
-        let (sum, cnt) = if is_up { self.up[var] } else { self.down[var] };
-        (cnt > 0).then(|| sum / cnt as f64)
-    }
-
-    /// Product-rule score of branching `var` whose value sits `frac` above
-    /// the down child (and `1 - frac`-ish below the up child). `None` when
-    /// no history exists yet for either direction.
-    pub fn score(&self, var: usize, frac_down: f64, frac_up: f64) -> Option<f64> {
-        let d = self.avg(var, false)?;
-        let u = self.avg(var, true)?;
-        Some((d * frac_down).max(SCORE_FLOOR) * (u * frac_up).max(SCORE_FLOOR))
-    }
 }
 
 /// A branching decision: two child intervals `[lo, hi]` for one variable.
@@ -101,20 +36,6 @@ pub fn select_branch_var(
     int_tol: f64,
     rule: BranchRule,
 ) -> Option<usize> {
-    select_branch_var_with_stats(problem, x, lo, hi, int_tol, rule, None)
-}
-
-/// [`select_branch_var`] with optional pseudocost history (used when the
-/// rule is [`BranchRule::Pseudocost`]).
-pub fn select_branch_var_with_stats(
-    problem: &MinlpProblem,
-    x: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    int_tol: f64,
-    rule: BranchRule,
-    stats: Option<&PseudocostTracker>,
-) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for j in problem.discrete_vars() {
         // A variable already pinned by the node cannot branch further.
@@ -130,18 +51,6 @@ pub fn select_branch_var_with_stats(
             BranchRule::MostFractional => {
                 if best.is_none_or(|(_, bv)| viol > bv) {
                     best = Some((j, viol));
-                }
-            }
-            BranchRule::Pseudocost => {
-                // Score by history when present, otherwise by violation
-                // (scaled down so any history-backed variable dominates).
-                let frac_down = x[j] - x[j].floor();
-                let frac_up = 1.0 - frac_down;
-                let score = stats
-                    .and_then(|s| s.score(j, frac_down.max(SCORE_FLOOR), frac_up.max(SCORE_FLOOR)))
-                    .unwrap_or(viol * VIOL_FALLBACK_SCALE);
-                if best.is_none_or(|(_, bv)| score > bv) {
-                    best = Some((j, score));
                 }
             }
         }

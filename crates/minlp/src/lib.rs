@@ -74,7 +74,3 @@ pub use types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection};
 // Observability vocabulary, re-exported so downstream crates can configure
 // traces/clocks and read counters without a direct `hslb-obs` dependency.
 pub use hslb_obs::{ClockHandle, Event, FakeClock, RingBuffer, SolveStats, Trace};
-
-// Backend selector, re-exported so CLIs can force the dense oracle
-// (`--dense`) without a direct `hslb-linalg` dependency.
-pub use hslb_linalg::LinalgBackend;

@@ -168,7 +168,6 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
         hi: relax.uppers().to_vec(),
         bound: f64::NEG_INFINITY,
         depth: 0,
-        branch_info: None,
         seed: None,
     };
     let mut heap: BinaryHeap<(Reverse<OrdF64>, usize)> = BinaryHeap::new();
@@ -376,7 +375,6 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
                     hi,
                     bound: node_bound,
                     depth: node.depth + 1,
-                    branch_info: None,
                     seed: None,
                 },
                 0,

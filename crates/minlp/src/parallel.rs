@@ -45,12 +45,6 @@
 //! incumbent is the best recorded candidate (ties broken by earliest
 //! label). Trace events always narrate the *live* execution, speculation
 //! included.
-//!
-//! Scope: the serial solver's pseudocost tracker only influences branching
-//! under [`BranchRule::Pseudocost`](crate::types::BranchRule); the parallel
-//! tree does not maintain one (its history would be order-dependent), so
-//! the replay contract holds for the history-free branch rules — the
-//! default `MostFractional` and `FirstFractional`.
 
 use crate::bnb::{polish_candidate, prune_cutoff, solve_relaxation};
 use crate::branching::{make_branch, select_branch_var};

@@ -54,10 +54,11 @@ pub struct MinlpOptions {
     /// unchanged; only the work counters shrink. `hslb-cli` exposes
     /// `--no-warm-start` for A/B runs.
     pub warm_start: bool,
-    /// Linear-algebra backend for the LP and NLP subsolvers. `Auto` keeps
-    /// paper-scale systems on the dense oracle and switches netlib-scale
-    /// ones to the sparse kernels; `hslb-cli` exposes `--dense` to force
-    /// the oracle everywhere.
+    /// Linear-algebra backend for the LP and NLP subsolvers. `Auto` runs
+    /// every simplex basis on the sparse LU and the barrier KKT dense below
+    /// the crossover dimension; `Dense` forces the dense reference
+    /// everywhere, for the sparse≡dense batteries and `hslb-perf
+    /// --speedup`.
     pub backend: hslb_linalg::LinalgBackend,
     /// Multiplier on the barrier's initial centering target μ₀, forwarded
     /// to every NLP subsolve (`BarrierOptions::mu0_scale`). Problem

@@ -302,14 +302,6 @@ impl WarmStart {
     pub fn new(x: Vec<f64>, multipliers: Vec<f64>) -> Self {
         WarmStart { x, multipliers }
     }
-
-    /// Seed from a primal point only (no dual information).
-    pub fn from_point(x: Vec<f64>) -> Self {
-        WarmStart {
-            x,
-            multipliers: Vec::new(),
-        }
-    }
 }
 
 /// Divergence guard: iterates beyond this are treated as unbounded.

@@ -234,9 +234,53 @@ mod property {
     use super::*;
     use hslb_rng::Rng;
 
-    /// Two-component min-max allocation: barrier optimum must (a) be
-    /// feasible and (b) beat or match every point on a coarse feasible
-    /// grid (global optimality of the convex solve).
+    /// Two-component min-max allocation `min t` s.t. `t >= a_k/n_k + d_k`
+    /// and `n_1 + n_2 <= cap`: the barrier optimum must (a) be feasible and
+    /// (b) beat or match every point on a coarse feasible grid (global
+    /// optimality of the convex solve).
+    fn assert_beats_grid(a1: f64, a2: f64, d1: f64, d2: f64, cap: f64, case: &str) {
+        let mut p = NlpProblem::new();
+        let n1 = p.add_var(0.0, 1.0, cap);
+        let n2 = p.add_var(0.0, 1.0, cap);
+        let t = p.add_var(1.0, 0.0, 1e9);
+        p.add_constraint(
+            ConstraintFn::new("t1")
+                .nonlinear_term(n1, ScalarFn::perf_model(a1, 0.0, 1.0))
+                .linear_term(t, -1.0)
+                .with_constant(d1),
+        );
+        p.add_constraint(
+            ConstraintFn::new("t2")
+                .nonlinear_term(n2, ScalarFn::perf_model(a2, 0.0, 1.0))
+                .linear_term(t, -1.0)
+                .with_constant(d2),
+        );
+        p.add_constraint(
+            ConstraintFn::new("cap")
+                .linear_term(n1, 1.0)
+                .linear_term(n2, 1.0)
+                .with_constant(-cap),
+        );
+        let sol = solve(&p).unwrap();
+        assert_eq!(sol.status, NlpStatus::Optimal, "case {case}");
+        assert!(p.is_feasible(&sol.x, 1e-5), "case {case}");
+        // Coarse grid of continuous splits.
+        for k in 1..32 {
+            let x1 = 1.0f64.max(cap * k as f64 / 32.0 - 1.0);
+            let x2 = cap - x1;
+            if x2 < 1.0 {
+                continue;
+            }
+            let tt = (a1 / x1 + d1).max(a2 / x2 + d2);
+            assert!(
+                sol.objective <= tt + 1e-4 * (1.0 + tt),
+                "case {case}: barrier {} worse than grid point {}",
+                sol.objective,
+                tt
+            );
+        }
+    }
+
     #[test]
     fn beats_grid_search() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x5b);
@@ -246,47 +290,22 @@ mod property {
             let d1 = rng.f64_range(0.0, 20.0);
             let d2 = rng.f64_range(0.0, 20.0);
             let cap = rng.f64_range(8.0, 64.0);
-            let mut p = NlpProblem::new();
-            let n1 = p.add_var(0.0, 1.0, cap);
-            let n2 = p.add_var(0.0, 1.0, cap);
-            let t = p.add_var(1.0, 0.0, 1e9);
-            p.add_constraint(
-                ConstraintFn::new("t1")
-                    .nonlinear_term(n1, ScalarFn::perf_model(a1, 0.0, 1.0))
-                    .linear_term(t, -1.0)
-                    .with_constant(d1),
-            );
-            p.add_constraint(
-                ConstraintFn::new("t2")
-                    .nonlinear_term(n2, ScalarFn::perf_model(a2, 0.0, 1.0))
-                    .linear_term(t, -1.0)
-                    .with_constant(d2),
-            );
-            p.add_constraint(
-                ConstraintFn::new("cap")
-                    .linear_term(n1, 1.0)
-                    .linear_term(n2, 1.0)
-                    .with_constant(-cap),
-            );
-            let sol = solve(&p).unwrap();
-            assert_eq!(sol.status, NlpStatus::Optimal, "case {case}");
-            assert!(p.is_feasible(&sol.x, 1e-5), "case {case}");
-            // Coarse grid of continuous splits.
-            for k in 1..32 {
-                let x1 = 1.0f64.max(cap * k as f64 / 32.0 - 1.0);
-                let x2 = cap - x1;
-                if x2 < 1.0 {
-                    continue;
-                }
-                let tt = (a1 / x1 + d1).max(a2 / x2 + d2);
-                assert!(
-                    sol.objective <= tt + 1e-4 * (1.0 + tt),
-                    "case {case}: barrier {} worse than grid point {}",
-                    sol.objective,
-                    tt
-                );
-            }
+            assert_beats_grid(a1, a2, d1, d2, cap, &case.to_string());
         }
+    }
+
+    /// A shrunk failure once recorded for this property: two nearly equal
+    /// loads with no serial floor.
+    #[test]
+    fn beats_grid_search_recorded_failure_replays() {
+        assert_beats_grid(
+            3963.2251521165085,
+            3801.6785362989835,
+            0.0,
+            0.0,
+            38.811659065410055,
+            "recorded",
+        );
     }
 }
 

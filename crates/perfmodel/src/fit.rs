@@ -15,15 +15,11 @@
 //! threads.
 //!
 //! `PowerLaw` drops the `b·n` column. `Amdahl` fixes `c = 1`, so its fit is
-//! one NNLS with no search. The Huber-robust fit runs IRLS over the same
-//! profile with weighted sums.
+//! one NNLS with no search.
 
 use crate::data::ScalingData;
 use crate::model::{ModelKind, PerfModel};
-use hslb_lsq::{
-    huber_weights, minimize, nnls, FitQuality, Grid, NnlsSolution, NormalEquations, IRLS_ROUNDS,
-    MAX_COLS,
-};
+use hslb_lsq::{minimize, nnls, FitQuality, Grid, NnlsSolution, NormalEquations, MAX_COLS};
 
 /// Grid over the decay exponent: 40 cells over `(0, 4]`, extended while the
 /// best point is the top end, up to 32. The multistart this search replaced
@@ -34,25 +30,6 @@ const C_GRID: Grid = Grid {
     cap: 32.0,
 };
 
-/// Fitting options.
-#[derive(Debug, Clone)]
-pub struct FitOptions {
-    /// Which functional form to fit.
-    pub kind: ModelKind,
-    /// Use the Huber-robust loss (IRLS) instead of plain least squares —
-    /// resists one-sided outliers like CICE's bad default decompositions.
-    pub robust: bool,
-}
-
-impl Default for FitOptions {
-    fn default() -> Self {
-        FitOptions {
-            kind: ModelKind::Paper,
-            robust: false,
-        }
-    }
-}
-
 /// Result of a fit: the model plus diagnostics.
 #[derive(Debug, Clone)]
 pub struct FitReport {
@@ -60,10 +37,9 @@ pub struct FitReport {
     pub quality: FitQuality,
     /// Number of observations used (`D_j`).
     pub observations: usize,
-    /// Profile evaluations: one NNLS at one exponent each, over the search
-    /// and every IRLS round of a robust fit. A deterministic work counter,
-    /// folded into `SolveStats::lm_steps` by the pipeline; the name dates
-    /// from the Levenberg–Marquardt fit this search replaced.
+    /// Profile evaluations: one NNLS at one exponent each. A deterministic
+    /// work counter, folded into `SolveStats::lm_steps` by the pipeline; the
+    /// name dates from the Levenberg–Marquardt fit this search replaced.
     pub lm_steps: usize,
 }
 
@@ -95,23 +71,12 @@ impl std::error::Error for FitError {}
 
 /// Fits the paper's 4-parameter model.
 pub fn fit(data: &ScalingData) -> Result<FitReport, FitError> {
-    fit_with(data, &FitOptions::default())
+    fit_kind(data, ModelKind::Paper)
 }
 
 /// Fits a specific functional form.
 pub fn fit_kind(data: &ScalingData, kind: ModelKind) -> Result<FitReport, FitError> {
-    fit_with(
-        data,
-        &FitOptions {
-            kind,
-            ..FitOptions::default()
-        },
-    )
-}
-
-/// Fits with full options.
-pub fn fit_with(data: &ScalingData, opts: &FitOptions) -> Result<FitReport, FitError> {
-    let dim = opts.kind.dim();
+    let dim = kind.dim();
     if data.len() < dim {
         return Err(FitError::TooFewPoints {
             have: data.len(),
@@ -124,22 +89,8 @@ pub fn fit_with(data: &ScalingData, opts: &FitOptions) -> Result<FitReport, FitE
         return Err(FitError::BadData);
     }
 
-    let mut profile = Profile::new(opts.kind, &xs, &ys);
-    let mut model = profile.solve().ok_or(FitError::OptimizationFailed)?;
-    if opts.robust {
-        for _ in 0..IRLS_ROUNDS {
-            let residuals: Vec<f64> = xs
-                .iter()
-                .zip(&ys)
-                .map(|(&n, y)| y - model.eval(n))
-                .collect();
-            if !huber_weights(&residuals, &mut profile.weights) {
-                break;
-            }
-            profile.reweight();
-            model = profile.solve().ok_or(FitError::OptimizationFailed)?;
-        }
-    }
+    let mut profile = Profile::new(kind, &xs, &ys);
+    let model = profile.solve().ok_or(FitError::OptimizationFailed)?;
 
     let preds: Vec<f64> = xs.iter().map(|&n| model.eval(n)).collect();
     Ok(FitReport {
@@ -150,19 +101,18 @@ pub fn fit_with(data: &ScalingData, opts: &FitOptions) -> Result<FitReport, FitE
     })
 }
 
-/// One component's data and weights, with the sums the profile reuses at
-/// every exponent. Column 0 is `n^-c`; for `Paper` column 1 is `n`; the last
+/// One component's data, with the sums the profile reuses at every
+/// exponent. Column 0 is `n^-c`; for `Paper` column 1 is `n`; the last
 /// column is the constant.
 struct Profile<'a> {
     kind: ModelKind,
     ns: &'a [f64],
     ys: &'a [f64],
     ln_n: Vec<f64>,
-    weights: Vec<f64>,
     /// `n^-c` at the exponent evaluated last.
     pow: Vec<f64>,
-    /// Weighted normal equations, except the entries of column 0, which
-    /// depend on `c`.
+    /// Normal equations, except the entries of column 0, which depend on
+    /// `c`.
     fixed: NormalEquations,
     /// Profile evaluations so far.
     evals: usize,
@@ -170,64 +120,53 @@ struct Profile<'a> {
 
 impl<'a> Profile<'a> {
     fn new(kind: ModelKind, ns: &'a [f64], ys: &'a [f64]) -> Self {
-        let mut profile = Profile {
+        let mut fixed = NormalEquations {
+            k: if kind == ModelKind::Paper { 3 } else { 2 },
+            gram: [[0.0; MAX_COLS]; MAX_COLS],
+            rhs: [0.0; MAX_COLS],
+        };
+        let one = fixed.k - 1;
+        for (&n, &y) in ns.iter().zip(ys) {
+            fixed.gram[one][one] += 1.0;
+            fixed.rhs[one] += y;
+            if kind == ModelKind::Paper {
+                fixed.gram[1][1] += n * n;
+                fixed.gram[1][2] += n;
+                fixed.rhs[1] += n * y;
+            }
+        }
+        if kind == ModelKind::Paper {
+            fixed.gram[2][1] = fixed.gram[1][2];
+        }
+        Profile {
             kind,
             ns,
             ys,
             ln_n: ns.iter().map(|n| n.ln()).collect(),
-            weights: vec![1.0; ns.len()],
             pow: vec![0.0; ns.len()],
-            fixed: NormalEquations {
-                k: if kind == ModelKind::Paper { 3 } else { 2 },
-                gram: [[0.0; MAX_COLS]; MAX_COLS],
-                rhs: [0.0; MAX_COLS],
-            },
+            fixed,
             evals: 0,
-        };
-        profile.reweight();
-        profile
-    }
-
-    /// Recomputes the sums that do not depend on `c`, after the weights
-    /// change.
-    fn reweight(&mut self) {
-        let eq = &mut self.fixed;
-        let one = eq.k - 1;
-        eq.gram = [[0.0; MAX_COLS]; MAX_COLS];
-        eq.rhs = [0.0; MAX_COLS];
-        for ((&w, &n), &y) in self.weights.iter().zip(self.ns).zip(self.ys) {
-            eq.gram[one][one] += w;
-            eq.rhs[one] += w * y;
-            if self.kind == ModelKind::Paper {
-                eq.gram[1][1] += w * n * n;
-                eq.gram[1][2] += w * n;
-                eq.rhs[1] += w * n * y;
-            }
-        }
-        if self.kind == ModelKind::Paper {
-            eq.gram[2][1] = eq.gram[1][2];
         }
     }
 
-    /// The weighted NNLS at exponent `c`: one profile evaluation.
+    /// The NNLS at exponent `c`: one profile evaluation.
     fn eval(&mut self, c: f64) -> Option<NnlsSolution> {
         self.evals += 1;
         let mut eq = self.fixed;
         let one = eq.k - 1;
         let paper = self.kind == ModelKind::Paper;
         let (mut uu, mut un, mut u1, mut uy) = (0.0, 0.0, 0.0, 0.0);
-        let data = self.ns.iter().zip(self.ys).zip(&self.weights);
-        for ((u, &ln_n), ((&n, &y), &w)) in self.pow.iter_mut().zip(&self.ln_n).zip(data) {
+        let data = self.ns.iter().zip(self.ys);
+        for ((u, &ln_n), (&n, &y)) in self.pow.iter_mut().zip(&self.ln_n).zip(data) {
             *u = if self.kind == ModelKind::Amdahl {
                 1.0 / n
             } else {
                 (-c * ln_n).exp()
             };
-            let wu = w * *u;
-            uu += wu * *u;
-            un += wu * n;
-            u1 += wu;
-            uy += wu * y;
+            uu += *u * *u;
+            un += *u * n;
+            u1 += *u;
+            uy += *u * y;
         }
         eq.gram[0][0] = uu;
         eq.rhs[0] = uy;
@@ -235,14 +174,13 @@ impl<'a> Profile<'a> {
         if paper {
             (eq.gram[0][1], eq.gram[1][0]) = (un, un);
         }
-        let data = self.ns.iter().zip(self.ys).zip(&self.weights);
-        let data = self.pow.iter().zip(data);
+        let data = self.pow.iter().zip(self.ns.iter().zip(self.ys));
         nnls(&eq, |coef| {
             let b = if paper { coef[1] } else { 0.0 };
             data.clone()
-                .map(|(&u, ((&n, &y), &w))| {
+                .map(|(&u, (&n, &y))| {
                     let r = y - (coef[0] * u + b * n + coef[one]);
-                    w * r * r
+                    r * r
                 })
                 .sum()
         })
@@ -360,66 +298,6 @@ mod tests {
         let rep = fit(&data).unwrap();
         let [a, b, c, d] = rep.model.params();
         assert!(a >= 0.0 && b >= 0.0 && c >= 0.0 && d >= 0.0);
-    }
-
-    fn robust(data: &ScalingData, kind: ModelKind) -> FitReport {
-        fit_with(data, &FitOptions { kind, robust: true }).unwrap()
-    }
-
-    /// A line with one gross outlier: the robust fit must ignore it.
-    #[test]
-    fn robust_fit_resists_a_gross_outlier() {
-        let mut pairs: Vec<(u64, f64)> = (1u64..=10).map(|n| (n, 2.0 * n as f64 + 1.0)).collect();
-        pairs[4].1 += 40.0;
-        let data = ScalingData::from_pairs(pairs);
-        let plain = fit(&data).unwrap();
-        let rob = robust(&data, ModelKind::Paper);
-        // Compared by prediction: at c = 0 the a-term is a second constant.
-        let err = |m: &PerfModel| {
-            (1..=10)
-                .map(|n| (m.eval(f64::from(n)) - (2.0 * f64::from(n) + 1.0)).abs())
-                .fold(0.0, f64::max)
-        };
-        assert!(
-            err(&rob.model) < 0.25 * err(&plain.model),
-            "robust {} should beat plain {}",
-            rob.model,
-            plain.model
-        );
-        assert!((rob.model.b - 2.0).abs() < 0.05, "{}", rob.model);
-    }
-
-    /// One-sided outliers, like CICE's bad decompositions (always slower).
-    #[test]
-    fn robust_fit_resists_one_sided_decomposition_noise() {
-        let truth = PerfModel::amdahl(7774.0, 11.8);
-        let mut pairs: Vec<(u64, f64)> = [8u64, 16, 32, 64, 128, 256, 512]
-            .iter()
-            .map(|&n| (n, truth.eval(n as f64)))
-            .collect();
-        pairs[1].1 *= 1.15; // two samples hit a bad decomposition: +15%
-        pairs[4].1 *= 1.15;
-        let data = ScalingData::from_pairs(pairs);
-        let plain = fit_kind(&data, ModelKind::Amdahl).unwrap();
-        let rob = robust(&data, ModelKind::Amdahl);
-        let plain_err = (plain.model.a - 7774.0).abs() / 7774.0;
-        let rob_err = (rob.model.a - 7774.0).abs() / 7774.0;
-        assert!(rob_err < plain_err, "robust {rob_err} vs plain {plain_err}");
-        assert!(rob_err < 0.02, "{}", rob.model);
-    }
-
-    /// Clean data leaves nothing to down-weight: the robust fit is the
-    /// plain one.
-    #[test]
-    fn robust_fit_of_clean_data_matches_plain() {
-        let truth = PerfModel::amdahl(3000.0, 4.0);
-        let data = synthetic(&truth, &[2, 4, 8, 16, 32, 64, 128]);
-        for kind in [ModelKind::Amdahl, ModelKind::PowerLaw, ModelKind::Paper] {
-            let plain = fit_kind(&data, kind).unwrap();
-            let rob = robust(&data, kind);
-            assert_eq!(rob.model, plain.model, "{kind:?}");
-            assert!(rob.quality.sse < 1e-18, "{kind:?}: {:?}", rob.quality);
-        }
     }
 
     #[test]

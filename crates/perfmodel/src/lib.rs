@@ -47,5 +47,5 @@ pub mod jsonio;
 pub mod model;
 
 pub use data::ScalingData;
-pub use fit::{fit, fit_kind, FitError, FitOptions, FitReport};
+pub use fit::{fit, fit_kind, FitError, FitReport};
 pub use model::{ModelKind, PerfModel};

@@ -413,99 +413,6 @@ pub fn check_cesm(spec: &CesmModelSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// MPS writer/parser differential check, three ways:
-///
-/// 1. **Fixed point** — `write_mps(parse_mps(write_mps(model)))` must equal
-///    `write_mps(model)` byte for byte (the writer is canonical, so one
-///    round trip must be a fixed point of parse∘write).
-/// 2. **Solve agreement** — the LPs built from the original and re-parsed
-///    models must agree on status and objective within
-///    [`backend_diff_tol`].
-/// 3. **Robustness probe** — a deterministically corrupted copy of the
-///    text must produce a clean `Err` or a valid parse, never a panic
-///    (corrupted inputs reach the parser from user files, not from the
-///    trusted writer).
-pub fn check_mps(rng: &mut Rng, size: u32) -> Result<(), String> {
-    let n = 4 * size as usize + rng.usize_range(2, 6);
-    let m = 2 * size as usize + rng.usize_range(1, 4);
-    let model = hslb_loaders::netlib_like(rng.next_u64(), n, m);
-    let text = hslb_loaders::write_mps(&model);
-    let back =
-        hslb_loaders::parse_mps(&text).map_err(|e| format!("round-trip parse failed: {e}"))?;
-    let text2 = hslb_loaders::write_mps(&back);
-    if text != text2 {
-        return Err("write->parse->write is not a fixed point".to_string());
-    }
-
-    let (lp_a, _) = model.to_linear_program();
-    let (lp_b, _) = back.to_linear_program();
-    let sol_a = hslb_lp::solve(&lp_a);
-    let sol_b = hslb_lp::solve(&lp_b);
-    if sol_a.status != sol_b.status {
-        return Err(format!(
-            "status diverged across round trip: {:?} vs {:?}",
-            sol_a.status, sol_b.status
-        ));
-    }
-    if sol_a.status == LpStatus::Optimal {
-        let tol = backend_diff_tol(lp_a.num_vars() + lp_a.num_rows(), lp_cond_scale(&lp_a));
-        if !agree(sol_a.objective, sol_b.objective, tol) {
-            return Err(format!(
-                "objective diverged across round trip: {} vs {}",
-                sol_a.objective, sol_b.objective
-            ));
-        }
-    }
-
-    // Robustness probe on a corrupted copy. The writer emits ASCII only,
-    // so byte offsets are char boundaries.
-    let cut = rng.usize_range(0, text.len().saturating_sub(1));
-    let mutated = match rng.usize_range(0, 2) {
-        0 => text[..cut].to_string(),
-        1 => format!("{}Q{}", &text[..cut], &text[cut..]),
-        _ => {
-            let mut lines: Vec<&str> = text.lines().collect();
-            let drop = rng.usize_range(0, lines.len() - 1);
-            lines.remove(drop);
-            lines.join("\n")
-        }
-    };
-    match std::panic::catch_unwind(|| hslb_loaders::parse_mps(&mutated)) {
-        Ok(_) => {}
-        Err(_) => {
-            return Err(format!(
-                "parser panicked on corrupted input (cut {cut}, len {})",
-                text.len()
-            ))
-        }
-    }
-
-    // Non-finite value probe: `str::parse::<f64>` accepts "nan"/"inf"
-    // spellings, and a NaN coefficient silently poisons every downstream
-    // comparison (`lo == hi` fixed-variable classification, prune tests).
-    // The reader must reject them with a diagnostic, not ingest them.
-    for poison in ["nan", "NaN", "inf", "-inf"] {
-        let poisoned = format!(
-            "NAME POISON\nROWS\n N  COST\n L  R1\nCOLUMNS\n X1 COST 1.0 R1 {poison}\nRHS\n B R1 4.0\nBOUNDS\nENDATA\n"
-        );
-        match hslb_loaders::parse_mps(&poisoned) {
-            Ok(_) => {
-                return Err(format!(
-                    "parse_mps ingested a non-finite coefficient '{poison}'"
-                ))
-            }
-            Err(e) if e.to_string().contains("non-finite") => {}
-            Err(e) => {
-                return Err(format!(
-                    "non-finite coefficient '{poison}' rejected with the wrong \
-                     diagnostic: {e}"
-                ))
-            }
-        }
-    }
-    Ok(())
-}
-
 /// End-to-end pipeline: HSLB's *predicted* coupled time vs the simulator's
 /// *actual* time on a CESM scenario with the given noise seed.
 ///

@@ -27,26 +27,28 @@ pub mod meta;
 use hslb_rng::Rng;
 
 /// One verification layer. Each pairs a generator with its checker.
+///
+/// The discriminant seeds every case of the layer ([`run_case`]), so it is
+/// fixed: a retired layer leaves a gap rather than renumbering the layers
+/// after it, which would make corpus entries replay different cases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layer {
-    Lp,
-    Mps,
-    Nlp,
-    Minlp,
-    Flat,
-    Fit,
-    Cesm,
-    Pipeline,
-    Wire,
-    MetaPermutation,
-    MetaMonotonicity,
-    MetaFitScaling,
+    Lp = 0,
+    Nlp = 2,
+    Minlp = 3,
+    Flat = 4,
+    Fit = 5,
+    Cesm = 6,
+    Pipeline = 7,
+    Wire = 8,
+    MetaPermutation = 9,
+    MetaMonotonicity = 10,
+    MetaFitScaling = 11,
 }
 
 impl Layer {
-    pub const ALL: [Layer; 12] = [
+    pub const ALL: [Layer; 11] = [
         Layer::Lp,
-        Layer::Mps,
         Layer::Nlp,
         Layer::Minlp,
         Layer::Flat,
@@ -62,7 +64,6 @@ impl Layer {
     pub fn name(self) -> &'static str {
         match self {
             Layer::Lp => "lp",
-            Layer::Mps => "mps",
             Layer::Nlp => "nlp",
             Layer::Minlp => "minlp",
             Layer::Flat => "flat",
@@ -88,7 +89,7 @@ impl Layer {
             // Wire cases stay cost-1 (they only solve at small sizes), so
             // `fuzz --layer wire --seeds N` runs exactly N cases.
             Layer::Lp | Layer::Wire => 1,
-            Layer::Mps | Layer::Nlp | Layer::MetaPermutation | Layer::MetaMonotonicity => 2,
+            Layer::Nlp | Layer::MetaPermutation | Layer::MetaMonotonicity => 2,
             Layer::Flat => 4,
             Layer::Fit | Layer::MetaFitScaling => 10,
             Layer::Minlp | Layer::Cesm => 40,
@@ -135,7 +136,6 @@ pub fn run_case(layer: Layer, seed: u64, size: u32) -> Result<(), String> {
     let mut rng = Rng::new(hslb_rng::hash_mix(&[seed, layer as u64]));
     match layer {
         Layer::Lp => check::check_lp(&gen::lp_instance(&mut rng, size)),
-        Layer::Mps => check::check_mps(&mut rng, size),
         Layer::Nlp => {
             let inst = gen::nlp_instance(&mut rng, size);
             check::check_nlp(&inst, &mut rng, 8)
@@ -236,7 +236,6 @@ pub fn run_suite(base_seed: u64) -> SuiteReport {
     for layer in Layer::ALL {
         let cases = match layer {
             Layer::Lp => 160,
-            Layer::Mps => 80,
             Layer::Nlp => 80,
             Layer::Flat => 80,
             Layer::Fit => 40,
@@ -299,6 +298,29 @@ mod tests {
             let b = run_case(layer, 42, 3);
             assert_eq!(a, b, "{layer:?} not deterministic");
         }
+    }
+
+    #[test]
+    fn layer_discriminants_are_pinned() {
+        // `run_case` seeds from `layer as u64`; changing any of these
+        // re-seeds the layer and breaks its corpus entries.
+        let pinned: Vec<(Layer, u64)> = Layer::ALL.iter().map(|&l| (l, l as u64)).collect();
+        assert_eq!(
+            pinned,
+            [
+                (Layer::Lp, 0),
+                (Layer::Nlp, 2),
+                (Layer::Minlp, 3),
+                (Layer::Flat, 4),
+                (Layer::Fit, 5),
+                (Layer::Cesm, 6),
+                (Layer::Pipeline, 7),
+                (Layer::Wire, 8),
+                (Layer::MetaPermutation, 9),
+                (Layer::MetaMonotonicity, 10),
+                (Layer::MetaFitScaling, 11),
+            ]
+        );
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn lp_backends_agree_on_60_netlib_scale_instances() {
     for case in 0..60u64 {
         let n = 20 + (case as usize % 9) * 10; // 20..100 columns
         let m = n / 2;
-        let (lp, _) = hslb_loaders::netlib_like(0xD1FF_0000 + case, n, m).to_linear_program();
+        let lp = hslb_bench::netgen::netlib_like(0xD1FF_0000 + case, n, m);
         let dense = hslb_lp::solve_with(&lp, &dense_opts());
         let sparse = hslb_lp::solve_with(&lp, &sparse_opts());
         assert_eq!(
@@ -208,7 +208,7 @@ fn minlp_backends_agree_across_150_generated_instances() {
 fn pinned_pivot_and_newton_envelope() {
     // LP: the n=100 netlib-style instance from the perf suite's seed
     // family. Identical pivot counts, pinned range.
-    let (lp, _) = hslb_loaders::netlib_like(0xB0A7_F00D, 100, 60).to_linear_program();
+    let lp = hslb_bench::netgen::netlib_like(0xB0A7_F00D, 100, 60);
     let dense = hslb_lp::solve_with(&lp, &dense_opts());
     let sparse = hslb_lp::solve_with(&lp, &sparse_opts());
     assert!(dense.is_optimal() && sparse.is_optimal());

@@ -63,8 +63,9 @@ cargo test --release -q --test serve_soak
 echo "== sparse speedup (hslb-perf --speedup) =="
 # Wall-clock gate: the n=1000 netlib-style LP must solve at least 5x
 # faster on the sparse basis factorization (the production simplex kernel)
-# than on the dense explicit-inverse reference. The observed ratio is 27-30x
-# (1.6-1.9 s vs 48-51 s on a 2-core Xeon); 5x leaves room for machine noise.
+# than on the dense explicit-inverse reference. The observed ratio is 53-72x
+# (1.1-1.5 s vs 79-81 s on a 2-core Xeon) since every basis LU is ordered by
+# column count; 5x leaves room for machine noise.
 ./target/release/hslb-perf --speedup
 
 echo "== perf counters (hslb-perf --smoke) =="
@@ -92,6 +93,16 @@ echo "== differential fuzz (capped) =="
 # seed keeps this gate deterministic while covering seeds the suite and
 # corpus do not.
 ./target/release/testkit fuzz --seeds 40 --start 0xC1C1C1C1
+
+echo "== lp and flat fuzz =="
+# The simplex warm path gets a deeper sweep. Every lp case also re-solves
+# through solve_warm from an empty basis, with a variable pinned and with
+# the pin released, against the cold solve; every flat case is a min-max OA
+# solve (its masters on the dual simplex) checked against the exact
+# waterfill. The flat layer runs on every fourth round, so the second
+# command is 1,000 OA solves; the pair takes about a second.
+./target/release/testkit fuzz --layer lp --seeds 2000
+./target/release/testkit fuzz --layer flat --seeds 4000
 
 echo "== fit fuzz =="
 # The fit layer and its scaling metamorphic check get a deeper sweep. Both

@@ -152,28 +152,7 @@ pub fn perf_suite() -> Vec<PerfCase> {
         },
     });
 
-    // FMO (the title paper's domain): OA on the largest min-max cluster of
-    // `tests/fmo_claims.rs`. Its masters run on the sparse-LU dual simplex
-    // and its root barrier NLP has 97 columns (96 fragment counts and the
-    // makespan), so the row pins both the LP path and an MPC solve near
-    // paper scale.
-    let spec = fmo_cluster_spec(
-        FMO_FRAGMENTS,
-        FMO_HETEROGENEITY,
-        seeds::FMO,
-        FMO_FRAGMENTS as i64 * FMO_NODES_PER_FRAGMENT,
-    );
-    let model = build_flat_model(&spec);
-    let sol = solve_model_with(
-        &model.problem,
-        SolverBackend::OuterApproximation,
-        &MinlpOptions::default(),
-    );
-    assert_eq!(sol.status, MinlpStatus::Optimal, "FMO OA case must solve");
-    cases.push(PerfCase {
-        name: format!("fmo_oa_{FMO_FRAGMENTS}frag"),
-        stats: sol.stats,
-    });
+    cases.push(fmo_oa_case());
 
     cases
 }
@@ -383,6 +362,32 @@ pub fn diff_suites(baseline: &[PerfCase], current: &[PerfCase]) -> Vec<String> {
 /// pin): 60% of the 25,848 the fixed-μ barrier spent on this case before
 /// the predictor-corrector loop replaced it. A hard perf gate, not a trend.
 pub const MPC_NEWTON_CEILING: u64 = 15_508;
+
+/// FMO (the title paper's domain): OA on the largest min-max cluster of
+/// `tests/fmo_claims.rs`. Every master LP, the first of each tree
+/// included, runs on the sparse-LU dual simplex (`simplex_pivots ==
+/// dual_pivots`), and its root barrier NLP has 97 columns (96 fragment
+/// counts and the makespan), so the row pins both the LP path and an MPC
+/// solve near paper scale.
+pub fn fmo_oa_case() -> PerfCase {
+    let spec = fmo_cluster_spec(
+        FMO_FRAGMENTS,
+        FMO_HETEROGENEITY,
+        seeds::FMO,
+        FMO_FRAGMENTS as i64 * FMO_NODES_PER_FRAGMENT,
+    );
+    let model = build_flat_model(&spec);
+    let sol = solve_model_with(
+        &model.problem,
+        SolverBackend::OuterApproximation,
+        &MinlpOptions::default(),
+    );
+    assert_eq!(sol.status, MinlpStatus::Optimal, "FMO OA case must solve");
+    PerfCase {
+        name: format!("fmo_oa_{FMO_FRAGMENTS}frag"),
+        stats: sol.stats,
+    }
+}
 
 /// Solves just the pinned E7 nlp-bnb case — the `--mpc-gate` workload —
 /// without paying for the rest of the suite.

@@ -26,24 +26,42 @@ pub struct LuSymbolic {
 
 impl LuSymbolic {
     /// Orders the columns of a square pattern by minimum degree on the
-    /// symmetrized pattern of `A`.
+    /// symmetrized pattern of `A` (for structurally symmetric systems such
+    /// as a barrier KKT matrix).
     pub fn analyze(a: &CscMatrix) -> Result<LuSymbolic> {
-        if a.nrows() != a.ncols() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (a.nrows(), a.nrows()),
-                got: (a.nrows(), a.ncols()),
-            });
-        }
+        let n = square_dim(a)?;
         let col_order = ordering::min_degree(ordering::symmetric_adjacency(a));
-        Ok(LuSymbolic {
-            n: a.nrows(),
-            col_order,
-        })
+        Ok(LuSymbolic { n, col_order })
+    }
+
+    /// Orders the columns of a square matrix by ascending nonzero count,
+    /// ties by position: the singletons-first order of Suhl & Suhl (ORSA
+    /// J. Computing, 1990) in its simplest form. A simplex basis is mostly
+    /// unit slack columns; they pivot first with no fill, and a hub column
+    /// (an OA master's epigraph column touches every cut row) goes last.
+    /// It costs one sort, so a basis can afford it at every refactorization.
+    pub fn by_column_count(a: &CscMatrix) -> Result<LuSymbolic> {
+        let n = square_dim(a)?;
+        let mut col_order: Vec<usize> = (0..n).collect();
+        // Stable: equal counts keep their column order.
+        col_order.sort_by_key(|&j| a.col(j).0.len());
+        Ok(LuSymbolic { n, col_order })
     }
 
     pub fn n(&self) -> usize {
         self.n
     }
+}
+
+/// The dimension of a square `a`, or the mismatch error.
+fn square_dim(a: &CscMatrix) -> Result<usize> {
+    if a.nrows() != a.ncols() {
+        return Err(LinalgError::DimensionMismatch {
+            expected: (a.nrows(), a.nrows()),
+            got: (a.nrows(), a.ncols()),
+        });
+    }
+    Ok(a.nrows())
 }
 
 /// Sparse partial-pivoting factorization `P A Q = L U`.
@@ -336,6 +354,30 @@ mod tests {
             SparseLu::new(&s),
             Err(LinalgError::Singular { .. })
         ));
+    }
+
+    #[test]
+    fn column_count_order_puts_singletons_first_and_breaks_ties_by_position() {
+        // Column counts 3, 1, 5, 1, 2: the two unit columns lead in
+        // position order, the 5-entry hub goes last.
+        let d = Matrix::from_rows(&[
+            &[1.0, 0.0, 4.0, 0.0, 0.0],
+            &[0.0, 1.0, 1.0, 0.0, 0.0],
+            &[1.0, 0.0, 1.0, 0.0, 2.0],
+            &[0.0, 0.0, 1.0, 1.0, 0.0],
+            &[3.0, 0.0, 1.0, 0.0, 1.0],
+        ]);
+        let s = CscMatrix::from_dense(&d);
+        let sym = LuSymbolic::by_column_count(&s).unwrap();
+        assert_eq!(sym.col_order, vec![1, 3, 4, 0, 2]);
+        let lu = SparseLu::factorize(&s, &sym, &mut SparseWorkspace::new()).unwrap();
+        let x_true = vec![1.0, -2.0, 0.5, 3.0, -1.0];
+        let x = lu.solve(&d.matvec(&x_true));
+        for (xi, ti) in x.iter().zip(&x_true) {
+            assert!((xi - ti).abs() < 1e-12, "{x:?} vs {x_true:?}");
+        }
+        let rect = CscMatrix::from_dense(&Matrix::zeros(2, 3));
+        assert!(LuSymbolic::by_column_count(&rect).is_err());
     }
 
     #[test]

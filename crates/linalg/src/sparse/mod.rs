@@ -4,7 +4,9 @@
 //!
 //! * [`CscMatrix`] / [`CsrMatrix`] — compressed column/row storage.
 //! * [`LuSymbolic`] / [`SparseLu`] — left-looking LU with partial
-//!   pivoting; the symbolic column order is computed once per pattern.
+//!   pivoting; the symbolic column order is minimum degree, computed once
+//!   per pattern, or ascending column count, one sort (the simplex basis
+//!   order).
 //! * [`CholSymbolic`] / [`SparseCholesky`] — up-looking Cholesky over an
 //!   elimination tree; the symbolic analysis (ordering, etree, column
 //!   counts, value map) is reused across every numeric refactorization.

@@ -22,7 +22,7 @@ fn dense_cutoff(n: usize) -> usize {
 /// order on.
 pub fn symmetric_adjacency(a: &CscMatrix) -> Vec<Vec<usize>> {
     let n = a.nrows().max(a.ncols());
-    // Size every list up front: this runs on every basis refactorization.
+    // Size every list up front so no list reallocates while it fills.
     let mut len = vec![0usize; n];
     for j in 0..a.ncols() {
         for &r in a.col(j).0 {
@@ -60,8 +60,8 @@ pub fn symmetric_adjacency(a: &CscMatrix) -> Vec<Vec<usize>> {
 /// * Nodes whose *initial* degree exceeds the cutoff leave the graph before
 ///   elimination and are appended last in index order (the standard AMD
 ///   treatment). Merging a hub's neighborhood into every clique is the
-///   quadratic blow-up mode of minimum degree — an OA master's epigraph
-///   column touches every cut row.
+///   quadratic blow-up mode of minimum degree — a min–max KKT system's
+///   makespan column touches every `t ≥ T_j` row.
 /// * The minimum is popped from a lazy heap keyed on `(degree, index)`, so
 ///   ties break toward the lowest index exactly as a linear scan would.
 ///   Every degree change pushes a fresh key; a popped key is stale (and

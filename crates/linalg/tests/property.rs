@@ -146,7 +146,7 @@ fn transpose_matvec_duality() {
 // factorization is differentially pinned against reconstruction identities
 // (`L·U = P·A·Q`, `L·Lᵀ = P·A·Pᵀ`) and against the dense oracle's verdicts.
 
-use hslb_linalg::{CholSymbolic, CscMatrix, SparseCholesky, SparseLu, SparseWorkspace};
+use hslb_linalg::{CholSymbolic, CscMatrix, LuSymbolic, SparseCholesky, SparseLu, SparseWorkspace};
 
 /// Random sparse square matrix with a dominant diagonal (nonsingular by
 /// construction) and ~`density` off-diagonal fill.
@@ -214,35 +214,83 @@ fn csc_dense_round_trip() {
     }
 }
 
+/// A simplex-basis-shaped matrix: unit slack columns on a shuffled set of
+/// rows, a few random structural columns, and one hub column with an entry
+/// in every row (an OA master's epigraph column). Every non-unit column
+/// dominates on its own row, so the matrix is nonsingular.
+fn basis_shaped(rng: &mut Rng, n: usize) -> Matrix {
+    let mut own: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut own);
+    let hub = rng.usize_range(0, n);
+    let mut m = Matrix::zeros(n, n);
+    for (j, &r) in own.iter().enumerate() {
+        let density = if j == hub {
+            1.0
+        } else if rng.bool(0.15) {
+            0.3
+        } else {
+            m[(r, j)] = 1.0;
+            continue;
+        };
+        let mut off = 0.0_f64;
+        for i in (0..n).filter(|&i| i != r) {
+            if rng.bool(density) {
+                let v = rng.f64_range(-2.0, 2.0);
+                m[(i, j)] = v;
+                off += v.abs();
+            }
+        }
+        m[(r, j)] = (1.0 + off) * rng.f64_range(1.0, 2.0);
+    }
+    m
+}
+
+/// Checks `lu` against the dense oracle: `A x = e_k` for every unit
+/// right-hand side (equivalent to L·U = P·A·Q) and `Aᵀ x = Aᵀ y`.
+fn assert_lu_matches_dense(lu: &SparseLu, d: &Matrix, y: &[f64], case: &str) {
+    let n = d.rows();
+    let scale = d.max_abs().max(1.0);
+    for unit in 0..n {
+        let mut b = vec![0.0; n];
+        b[unit] = 1.0;
+        let xs = lu.solve(&b);
+        let xd = hslb_linalg::lu::solve(d, &b).expect("nonsingular");
+        for (i, (a_, b_)) in xs.iter().zip(&xd).enumerate() {
+            assert!(
+                (a_ - b_).abs() < 1e-9 * scale,
+                "{case} col {unit} row {i}: sparse {a_} dense {b_}"
+            );
+        }
+    }
+    let yt = lu.solve_transposed(&d.matvec_transposed(y));
+    for (a_, b_) in yt.iter().zip(y) {
+        assert!((a_ - b_).abs() < 1e-8 * scale, "{case}: transposed");
+    }
+}
+
+/// Every matrix is factored under both column orders: minimum degree
+/// (`LuSymbolic::analyze`) and ascending column count
+/// (`LuSymbolic::by_column_count`, the simplex basis order).
 #[test]
 fn sparse_lu_reconstructs_pa() {
     let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x22);
+    let mut basis_rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x27);
+    let mut ws = SparseWorkspace::new();
     for case in 0..CASES {
         let n = 2 + (case % 12);
-        let d = sparse_square(&mut rng, n, 0.25);
-        let s = CscMatrix::from_dense(&d);
-        let lu = SparseLu::new(&s).expect("diagonally dominant is nonsingular");
-        // Verify A x = b solves against the dense oracle's answer, which
-        // is equivalent to L·U = P·A·Q on a basis of right-hand sides.
-        let scale = d.max_abs().max(1.0);
-        for unit in 0..n {
-            let mut b = vec![0.0; n];
-            b[unit] = 1.0;
-            let xs = lu.solve(&b);
-            let xd = hslb_linalg::lu::solve(&d, &b).expect("nonsingular");
-            for (i, (a_, b_)) in xs.iter().zip(&xd).enumerate() {
-                assert!(
-                    (a_ - b_).abs() < 1e-9 * scale,
-                    "case {case} col {unit} row {i}: sparse {a_} dense {b_}"
-                );
-            }
-        }
-        // Transposed solves too.
+        let random = sparse_square(&mut rng, n, 0.25);
         let y = rng.vec_f64(n, -3.0, 3.0);
-        let bt = d.matvec_transposed(&y);
-        let yt = lu.solve_transposed(&bt);
-        for (a_, b_) in yt.iter().zip(&y) {
-            assert!((a_ - b_).abs() < 1e-8 * scale, "case {case}: transposed");
+        let m = 2 + (case % 40);
+        let basis = basis_shaped(&mut basis_rng, m);
+        let basis_y = basis_rng.vec_f64(m, -3.0, 3.0);
+        for (kind, d, y) in [("random", &random, &y), ("basis", &basis, &basis_y)] {
+            let s = CscMatrix::from_dense(d);
+            let min_degree = LuSymbolic::analyze(&s).expect("square");
+            let count = LuSymbolic::by_column_count(&s).expect("square");
+            for (order, sym) in [("min-degree", &min_degree), ("count", &count)] {
+                let lu = SparseLu::factorize(&s, sym, &mut ws).expect("nonsingular");
+                assert_lu_matches_dense(&lu, d, y, &format!("case {case} {kind} {order}"));
+            }
         }
     }
 }

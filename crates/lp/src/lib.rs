@@ -12,8 +12,15 @@
 //!   incremental row addition for cuts.
 //! * [`solve`] — a bounded-variable two-phase primal simplex (artificial
 //!   Phase 1, Dantzig pricing with a Bland anti-cycling fallback) over a
-//!   sparse LU basis factorization with product-form eta updates, plus
-//!   [`solve_warm`], the dual-simplex restart OA cut loops use.
+//!   sparse LU basis factorization with product-form eta updates; each
+//!   refactorization orders the basis columns by nonzero count, slack
+//!   singletons first.
+//! * [`solve_warm`] — the dual simplex OA cut loops re-solve with. It
+//!   starts from the basis a [`WarmBasis`] saved at the previous optimum,
+//!   or from the slack basis when there is none, moves boxed nonbasic
+//!   variables to the bound their reduced costs ask for, and falls back to
+//!   the two-phase solve only when the start stays dual infeasible, on
+//!   numerical trouble, or to certify `Infeasible`.
 //! * [`LpSolution`] / [`LpStatus`] — primal values, objective, duals, and
 //!   infeasible/unbounded outcomes.
 //!

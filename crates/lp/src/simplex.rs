@@ -1,5 +1,5 @@
-//! Bounded-variable two-phase primal simplex, plus a dual-simplex warm
-//! start for cut loops.
+//! Bounded-variable two-phase primal simplex, plus the dual simplex that
+//! cut loops re-solve with.
 //!
 //! Layout: one slack column per row turns every constraint into an equality
 //! with bounds on the slack; artificial columns are added only for rows whose
@@ -9,18 +9,26 @@
 //!
 //! The basis lives behind [`BasisFactor`]: a sparse LU factorization with
 //! Bartels–Golub-style product-form eta updates per pivot, at every row
-//! count. The explicit dense inverse (the historical tableau) is reached
-//! only through an explicit `LinalgBackend::Dense`, where it serves as the
-//! differential reference (the sparse≡dense batteries, `hslb-perf
-//! --speedup`). Both representations are
-//! refactorized periodically for numerical hygiene.
+//! count. Each refactorization orders the basis columns by nonzero count
+//! ([`LuSymbolic::by_column_count`]): one sort, slack singletons first, the
+//! epigraph hub of an OA master last. The explicit dense inverse (the
+//! historical tableau) is reached only through an explicit
+//! `LinalgBackend::Dense`, where it serves as the differential reference
+//! (the sparse≡dense batteries, `hslb-perf --speedup`). Both
+//! representations are refactorized periodically for numerical hygiene.
 //!
-//! [`solve_warm`] reuses the basis saved by a previous solve. Neither
-//! appending a `<=` cut row nor tightening variable bounds changes the cost
-//! vector, so the saved basis stays *dual*-feasible: the new cut's slack
-//! enters the basis, out-of-bound nonbasic variables snap to their moved
-//! bounds, and a handful of dual pivots restore primal feasibility — no
-//! Phase 1 artificials, no cold Phase 2.
+//! [`solve_warm`] runs the dual simplex from the basis saved by a previous
+//! solve, or from the slack basis when there is none. Neither appending a
+//! `<=` cut row nor moving variable bounds changes the cost vector, so the
+//! reduced costs of the saved basis keep their values. Their signs can
+//! still be wrong for a boxed nonbasic variable whose box widened (a pin
+//! `lo == hi` released); such a variable moves to its other bound, which
+//! restores dual feasibility. The new cut's slack enters the basis,
+//! out-of-bound nonbasic variables snap to their moved bounds, and a
+//! handful of dual pivots restore primal feasibility — no Phase 1
+//! artificials, no cold Phase 2. Only a start that stays dual infeasible,
+//! numerical trouble or an infeasibility verdict falls back to the cold
+//! two-phase solve, which is the one source of `Infeasible`.
 // lint:allow-file(slice-index): the tableau kernel indexes basis/column
 // arrays end to end; every index is derived from tableau dimensions fixed
 // at construction, and iterator forms would obscure the pivot algebra.
@@ -50,8 +58,9 @@ const RATIO_TIE_TOL: f64 = 1e-12;
 /// A step shorter than this counts as a degenerate pivot for the
 /// Bland's-rule switch.
 const DEGENERATE_STEP_TOL: f64 = 1e-10;
-/// Reduced-cost sign tolerance when validating a reloaded basis. Looser
-/// than `OPT_TOL` because the saved optimum was itself only
+/// Reduced-cost sign tolerance when validating a dual-simplex start (and
+/// the margin past which a boxed nonbasic variable moves to its other
+/// bound). Looser than `OPT_TOL` because the saved optimum was itself only
 /// tolerance-optimal and the basis is refactorized on reload; any residual
 /// drift is repaired by the primal clean-up phase after the dual pivots.
 const WARM_DUAL_TOL: f64 = 1e-7;
@@ -95,7 +104,9 @@ type Column = Vec<(usize, f64)>;
 /// Opaque to callers; keep one per cut loop (the OA master keeps one per
 /// tree) and pass it to every `solve_warm` call. The reuse contract is that
 /// successive LPs only *append* rows and *move* variable bounds — existing
-/// rows and the cost vector must not change between solves. Both paths
+/// rows and the cost vector must not change between solves. Bound moves
+/// may widen a box as well as narrow it: a nonbasic variable released from
+/// a pin moves to whichever bound keeps the basis dual feasible. Both paths
 /// through `solve_warm` (dual pivots or cold fallback) refresh the saved
 /// basis, so staleness is self-healing.
 #[derive(Debug, Clone, Default)]
@@ -110,8 +121,8 @@ pub struct WarmBasis {
 }
 
 impl WarmBasis {
-    /// An empty basis; the first `solve_warm` call falls through to a cold
-    /// solve and fills it in.
+    /// An empty basis; the first `solve_warm` call starts from the slack
+    /// basis and fills it in.
     pub fn new() -> Self {
         WarmBasis::default()
     }
@@ -120,6 +131,20 @@ impl WarmBasis {
     /// set grown by appending only).
     fn usable_for(&self, lp: &LinearProgram) -> bool {
         self.saved && self.num_vars == lp.num_vars() && self.num_rows <= lp.num_rows()
+    }
+
+    /// The saved statuses and basis, extended to `lp`'s rows: each appended
+    /// cut row's slack starts basic in its own row (an OA cut is violated
+    /// by the incumbent vertex, so that slack is out of bounds and the dual
+    /// pivots drive it out again).
+    fn reload(&self, lp: &LinearProgram) -> (Vec<VarStatus>, Vec<usize>) {
+        let mut status = self.status.clone();
+        let mut basis = self.basis.clone();
+        for r in self.num_rows..lp.num_rows() {
+            status.push(VarStatus::Basic(r));
+            basis.push(self.num_vars + r);
+        }
+        (status, basis)
     }
 
     /// Records the basis of an optimal tableau. A degenerate optimum can
@@ -431,7 +456,7 @@ impl Tableau {
                     .map(|&bvar| &self.cols[bvar][..])
                     .collect();
                 let b = CscMatrix::from_columns(m, &bcols).map_err(|_| ())?;
-                let sym = LuSymbolic::analyze(&b).map_err(|_| ())?;
+                let sym = LuSymbolic::by_column_count(&b).map_err(|_| ())?;
                 let f = SparseLu::factorize(&b, &sym, ws).map_err(|_| ())?;
                 self.fill_nnz += f.fill_nnz() as u64;
                 etas.clear();
@@ -471,6 +496,35 @@ impl Tableau {
         };
         self.xb = xb;
     }
+
+    /// An outcome without a point (`Infeasible`, `Unbounded` or
+    /// `IterationLimit`), carrying this tableau's factorization work.
+    fn stopped(&self, status: LpStatus, iterations: usize, dual_pivots: usize) -> LpSolution {
+        LpSolution {
+            dual_pivots,
+            factorizations: self.factorizations,
+            factor_updates: self.factor_updates,
+            fill_nnz: self.fill_nnz,
+            ..LpSolution::without_point(status, iterations)
+        }
+    }
+
+    /// The optimal outcome at the current basis under the phase-2 `costs`.
+    fn optimal(
+        &self,
+        lp: &LinearProgram,
+        costs: &[f64],
+        iterations: usize,
+        dual_pivots: usize,
+    ) -> LpSolution {
+        let x: Vec<f64> = (0..lp.num_vars()).map(|j| self.value(j)).collect();
+        LpSolution {
+            objective: lp.objective_value(&x),
+            x,
+            duals: self.duals(costs),
+            ..self.stopped(LpStatus::Optimal, iterations, dual_pivots)
+        }
+    }
 }
 
 /// Outcome of one phase.
@@ -496,28 +550,59 @@ pub fn solve_with(lp: &LinearProgram, opts: &SimplexOptions) -> LpSolution {
 
 /// Solves the LP, reusing (and refreshing) the basis in `warm`.
 ///
-/// When `warm` holds a basis compatible with `lp` (see [`WarmBasis`]), the
-/// solve restarts from it with dual-simplex pivots; otherwise — and on any
-/// numerical trouble or infeasibility verdict along the warm path — it
-/// falls back to the cold two-phase solve, so results never depend on the
-/// saved basis being good. `dual_pivots`/`warm_used` in the solution report
-/// what happened.
+/// The solve runs dual-simplex pivots from the basis `warm` holds when it
+/// is compatible with `lp` (see [`WarmBasis`]), and otherwise from the
+/// slack basis: structurals at a finite bound, every slack basic in its own
+/// row. Either start first moves each boxed nonbasic variable to the bound
+/// its reduced cost asks for. A start that is still dual infeasible, any
+/// numerical trouble and any infeasibility verdict fall back to the cold
+/// two-phase solve, so results never depend on the start being good and
+/// `Infeasible` always comes from the cold path. `dual_pivots`/`warm_used`
+/// in the solution report what happened; the counters include the work of
+/// an abandoned dual attempt.
 pub fn solve_warm(lp: &LinearProgram, opts: &SimplexOptions, warm: &mut WarmBasis) -> LpSolution {
-    let sol = if warm.usable_for(lp) {
-        // An infeasibility verdict from the dual path is re-derived cold so
-        // that Infeasible results always come from the same code path as
-        // cold solves.
-        match try_dual_warm(lp, opts, warm) {
-            Some(sol) => sol,
-            None => solve_inner(lp, opts, Some(warm)),
-        }
+    let reuse = warm.usable_for(lp);
+    let (status, basis) = if reuse {
+        warm.reload(lp)
     } else {
-        solve_inner(lp, opts, Some(warm))
+        slack_basis(lp)
+    };
+    let sol = match try_dual(lp, opts, status, basis, warm) {
+        Ok(sol) => LpSolution {
+            warm_used: reuse,
+            ..sol
+        },
+        Err(attempt) => {
+            let cold = solve_inner(lp, opts, Some(warm));
+            LpSolution {
+                iterations: cold.iterations + attempt.iterations,
+                dual_pivots: cold.dual_pivots + attempt.dual_pivots,
+                factorizations: cold.factorizations + attempt.factorizations,
+                factor_updates: cold.factor_updates + attempt.factor_updates,
+                fill_nnz: cold.fill_nnz + attempt.fill_nnz,
+                ..cold
+            }
+        }
     };
     opts.trace.emit(|| Event::LpSolved {
         pivots: sol.iterations as u64,
     });
     sol
+}
+
+/// The slack basis of `lp`: structurals nonbasic at [`initial_status`],
+/// every slack basic in its own row.
+fn slack_basis(lp: &LinearProgram) -> (Vec<VarStatus>, Vec<usize>) {
+    let n = lp.num_vars();
+    let m = lp.num_rows();
+    let status = lp
+        .lowers()
+        .iter()
+        .zip(lp.uppers())
+        .map(|(&lo, &hi)| initial_status(lo, hi))
+        .chain((0..m).map(VarStatus::Basic))
+        .collect();
+    (status, (n..n + m).collect())
 }
 
 /// Structural + slack columns, bounds, and row right-hand sides — the part
@@ -664,18 +749,7 @@ fn solve_inner(
     // The slack part of the initial basis is the identity but artificial
     // columns may carry a -1 coefficient; build the true inverse up front.
     if tab.refactorize().is_err() {
-        return LpSolution {
-            status: LpStatus::IterationLimit,
-            x: Vec::new(),
-            objective: f64::NAN,
-            duals: Vec::new(),
-            iterations: 0,
-            dual_pivots: 0,
-            warm_used: false,
-            factorizations: tab.factorizations,
-            factor_updates: tab.factor_updates,
-            fill_nnz: tab.fill_nnz,
-        };
+        return tab.stopped(LpStatus::IterationLimit, 0, 0);
     }
 
     let mut iterations = 0;
@@ -691,27 +765,12 @@ fn solve_inner(
             // Phase 1 objective is bounded below by 0, so Unbounded cannot
             // legitimately happen; treat as numerical failure.
             PhaseEnd::Unbounded | PhaseEnd::IterationLimit => {
-                return LpSolution {
-                    status: LpStatus::IterationLimit,
-                    x: Vec::new(),
-                    objective: f64::NAN,
-                    duals: Vec::new(),
-                    iterations,
-                    dual_pivots: 0,
-                    warm_used: false,
-                    factorizations: tab.factorizations,
-                    factor_updates: tab.factor_updates,
-                    fill_nnz: tab.fill_nnz,
-                };
+                return tab.stopped(LpStatus::IterationLimit, iterations, 0);
             }
         }
         let infeasibility: f64 = artificials.iter().map(|&a| tab.value(a).max(0.0)).sum();
         if infeasibility > FEAS_TOL * 10.0 {
-            let mut sol = LpSolution::infeasible(iterations);
-            sol.factorizations = tab.factorizations;
-            sol.factor_updates = tab.factor_updates;
-            sol.fill_nnz = tab.fill_nnz;
-            return sol;
+            return tab.stopped(LpStatus::Infeasible, iterations, 0);
         }
         // Freeze artificials at zero for Phase 2.
         for &a in &artificials {
@@ -728,74 +787,36 @@ fn solve_inner(
     // ---- Phase 2 -------------------------------------------------------
     let mut costs2 = vec![0.0; tab.cols.len()];
     costs2[..n].copy_from_slice(lp.costs());
-    let end = run_phase(&mut tab, &costs2, &mut iterations);
-    match end {
+    match run_phase(&mut tab, &costs2, &mut iterations) {
         PhaseEnd::Optimal => {
-            let x: Vec<f64> = (0..n).map(|j| tab.value(j)).collect();
-            let duals = tab.duals(&costs2);
-            let objective = lp.objective_value(&x);
             if let Some(warm) = save {
                 warm.save_from(&tab, n);
             }
-            LpSolution {
-                status: LpStatus::Optimal,
-                x,
-                objective,
-                duals,
-                iterations,
-                dual_pivots: 0,
-                warm_used: false,
-                factorizations: tab.factorizations,
-                factor_updates: tab.factor_updates,
-                fill_nnz: tab.fill_nnz,
-            }
+            tab.optimal(lp, &costs2, iterations, 0)
         }
-        PhaseEnd::Unbounded => {
-            let mut sol = LpSolution::unbounded(iterations);
-            sol.factorizations = tab.factorizations;
-            sol.factor_updates = tab.factor_updates;
-            sol.fill_nnz = tab.fill_nnz;
-            sol
-        }
-        PhaseEnd::IterationLimit => LpSolution {
-            status: LpStatus::IterationLimit,
-            x: Vec::new(),
-            objective: f64::NAN,
-            duals: Vec::new(),
-            iterations,
-            dual_pivots: 0,
-            warm_used: false,
-            factorizations: tab.factorizations,
-            factor_updates: tab.factor_updates,
-            fill_nnz: tab.fill_nnz,
-        },
+        PhaseEnd::Unbounded => tab.stopped(LpStatus::Unbounded, iterations, 0),
+        PhaseEnd::IterationLimit => tab.stopped(LpStatus::IterationLimit, iterations, 0),
     }
 }
 
-/// Attempts the dual-simplex restart from `warm`. Returns `None` whenever
-/// the caller should fall back to a cold solve: singular reload, stale dual
-/// feasibility, pivot breakdown, iteration cap, or a primal-infeasibility
-/// verdict (re-derived cold so infeasibility always comes from one path).
-fn try_dual_warm(
+/// Runs the dual simplex from the start `status`/`basis` and saves the
+/// optimal basis into `warm`. `Err` means the caller should fall back to a
+/// cold solve — singular start, dual infeasibility no bound flip repairs,
+/// pivot breakdown, iteration cap, or a primal-infeasibility verdict
+/// (re-derived cold so infeasibility always comes from one path) — and
+/// carries the abandoned attempt's work.
+fn try_dual(
     lp: &LinearProgram,
     opts: &SimplexOptions,
+    mut status: Vec<VarStatus>,
+    basis: Vec<usize>,
     warm: &mut WarmBasis,
-) -> Option<LpSolution> {
+) -> Result<LpSolution, LpSolution> {
     let m = lp.num_rows();
     let n = lp.num_vars();
     let nm = n + m;
     let TableauBase { cols, lo, hi, rhs } = build_base(lp);
 
-    // Saved statuses cover structurals and the old rows' slacks; each
-    // appended cut row's slack starts basic in its own row (an OA cut is
-    // violated by the incumbent vertex, so that slack is out of bounds and
-    // the dual pivots drive it out again).
-    let mut status = warm.status.clone();
-    let mut basis = warm.basis.clone();
-    for r in warm.num_rows..m {
-        status.push(VarStatus::Basic(r));
-        basis.push(n + r);
-    }
     // Bound moves can change which bounds exist; re-park nonbasic variables
     // whose saved bound went infinite.
     for j in 0..nm {
@@ -808,7 +829,7 @@ fn try_dual_warm(
     }
     for (r, &b) in basis.iter().enumerate() {
         if status[b] != VarStatus::Basic(r) {
-            return None;
+            return Err(LpSolution::without_point(LpStatus::IterationLimit, 0));
         }
     }
 
@@ -827,35 +848,66 @@ fn try_dual_warm(
         can_enter: vec![true; nm],
         m,
     };
-    tab.refactorize().ok()?;
-
     let mut costs = vec![0.0; nm];
     costs[..n].copy_from_slice(lp.costs());
-
-    // The warm path is only sound from a dual-feasible basis; verify the
-    // reduced-cost signs survived the bound moves and the reload.
-    let y = tab.duals(&costs);
-    for j in 0..nm {
-        if tab.lo[j] == tab.hi[j] {
-            continue; // fixed: never enters, any sign is fine
-        }
-        let ok = match tab.status[j] {
-            VarStatus::Basic(_) => true,
-            VarStatus::AtLower => tab.reduced_cost(j, &costs, &y) >= -WARM_DUAL_TOL,
-            VarStatus::AtUpper => tab.reduced_cost(j, &costs, &y) <= WARM_DUAL_TOL,
-            VarStatus::FreeZero => tab.reduced_cost(j, &costs, &y).abs() <= WARM_DUAL_TOL,
-        };
-        if !ok {
-            return None;
-        }
-    }
-
     let mut iterations = 0usize;
     let mut dual_pivots = 0usize;
-    let mut since_refactor = 0usize;
+    match run_dual(&mut tab, &costs, &mut iterations, &mut dual_pivots) {
+        Some(PhaseEnd::Optimal) => {
+            warm.save_from(&tab, n);
+            Ok(tab.optimal(lp, &costs, iterations, dual_pivots))
+        }
+        Some(PhaseEnd::Unbounded) => Ok(tab.stopped(LpStatus::Unbounded, iterations, dual_pivots)),
+        Some(PhaseEnd::IterationLimit) | None => {
+            Err(tab.stopped(LpStatus::IterationLimit, iterations, dual_pivots))
+        }
+    }
+}
 
+/// Factorizes the start basis of `tab`, makes it dual feasible by bound
+/// flips, runs dual pivots until the basis is primal feasible, then a
+/// primal clean-up phase. `None` is a failure the cold solve must redo.
+fn run_dual(
+    tab: &mut Tableau,
+    costs: &[f64],
+    iterations: &mut usize,
+    dual_pivots: &mut usize,
+) -> Option<PhaseEnd> {
+    let nm = costs.len();
+    tab.refactorize().ok()?;
+
+    // The dual simplex needs a dual-feasible start. A boxed nonbasic
+    // variable whose reduced cost has the wrong sign for its bound moves to
+    // the other bound: a pin released since the basis was saved leaves
+    // exactly that, because a fixed column is never checked (it never
+    // enters, so any sign is fine). Any other wrong sign hands over to the
+    // cold solve.
+    let y = tab.duals(costs);
+    let mut moved = false;
+    for j in 0..nm {
+        if tab.lo[j] == tab.hi[j] || matches!(tab.status[j], VarStatus::Basic(_)) {
+            continue;
+        }
+        let d = tab.reduced_cost(j, costs, &y);
+        let flipped = match tab.status[j] {
+            VarStatus::AtLower if d < -WARM_DUAL_TOL => VarStatus::AtUpper,
+            VarStatus::AtUpper if d > WARM_DUAL_TOL => VarStatus::AtLower,
+            VarStatus::FreeZero if d.abs() > WARM_DUAL_TOL => return None,
+            _ => continue,
+        };
+        if !(tab.lo[j].is_finite() && tab.hi[j].is_finite()) {
+            return None;
+        }
+        tab.status[j] = flipped;
+        moved = true;
+    }
+    if moved {
+        tab.recompute_xb();
+    }
+
+    let mut since_refactor = 0usize;
     loop {
-        if iterations >= MAX_ITERS {
+        if *iterations >= MAX_ITERS {
             return None;
         }
         if since_refactor >= REFACTOR_EVERY {
@@ -885,7 +937,7 @@ fn try_dual_warm(
         // in direction dir_j; it must move toward the violated bound, and
         // among the eligible columns the smallest |d_j|/|alpha_rj| keeps
         // every reduced cost on its dual-feasible side.
-        let y = tab.duals(&costs);
+        let y = tab.duals(costs);
         let rho = tab.row_of_inverse(r);
         let mut enter: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
         for j in 0..nm {
@@ -912,7 +964,7 @@ fn try_dual_warm(
             if !eligible {
                 continue;
             }
-            let ratio = tab.reduced_cost(j, &costs, &y).abs() / alpha.abs();
+            let ratio = tab.reduced_cost(j, costs, &y).abs() / alpha.abs();
             let better = match &enter {
                 None => true,
                 Some((_, best, best_alpha)) => {
@@ -952,43 +1004,14 @@ fn try_dual_warm(
         // Elementary update of the factorization: pivot on w[r].
         tab.pivot_update(r, &w);
 
-        iterations += 1;
-        dual_pivots += 1;
+        *iterations += 1;
+        *dual_pivots += 1;
         since_refactor += 1;
     }
 
     // Primal feasible. A primal clean-up phase mops up any reduced-cost
     // drift the dual tolerances let through (usually zero pivots).
-    match run_phase(&mut tab, &costs, &mut iterations) {
-        PhaseEnd::Optimal => {
-            let x: Vec<f64> = (0..n).map(|j| tab.value(j)).collect();
-            let duals = tab.duals(&costs);
-            let objective = lp.objective_value(&x);
-            warm.save_from(&tab, n);
-            Some(LpSolution {
-                status: LpStatus::Optimal,
-                x,
-                objective,
-                duals,
-                iterations,
-                dual_pivots,
-                warm_used: true,
-                factorizations: tab.factorizations,
-                factor_updates: tab.factor_updates,
-                fill_nnz: tab.fill_nnz,
-            })
-        }
-        PhaseEnd::Unbounded => {
-            let mut sol = LpSolution::unbounded(iterations);
-            sol.dual_pivots = dual_pivots;
-            sol.warm_used = true;
-            sol.factorizations = tab.factorizations;
-            sol.factor_updates = tab.factor_updates;
-            sol.fill_nnz = tab.fill_nnz;
-            Some(sol)
-        }
-        PhaseEnd::IterationLimit => None,
-    }
+    Some(run_phase(tab, costs, iterations))
 }
 
 fn initial_status(lo: f64, hi: f64) -> VarStatus {

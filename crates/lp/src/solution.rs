@@ -25,13 +25,19 @@ pub struct LpSolution {
     /// Dual values (simplex multipliers), one per row (empty unless
     /// `Optimal`).
     pub duals: Vec<f64>,
-    /// Simplex iterations across both phases (includes `dual_pivots`).
+    /// Simplex pivots of every kind (includes `dual_pivots`).
     pub iterations: usize,
-    /// Dual-simplex pivots spent restoring primal feasibility from a warm
-    /// basis (zero on cold solves).
+    /// Dual-simplex pivots `solve_warm` spent restoring primal feasibility,
+    /// from a saved basis or from the slack basis (zero for `solve` and
+    /// `solve_with`). `iterations - dual_pivots` are primal pivots: the
+    /// two-phase solve's and any clean-up after the dual pivots. A dual
+    /// attempt that was abandoned for the cold solve still counts here, as
+    /// all of its work counts in `iterations` and the factorization
+    /// counters below.
     pub dual_pivots: usize,
-    /// Whether a saved basis was actually reused (`solve_warm` fell back to
-    /// a cold solve when this is `false`).
+    /// Whether `solve_warm` reused a basis saved by an earlier solve and
+    /// finished from it. `false` when it started from the slack basis, when
+    /// it fell back to the cold two-phase solve, and for `solve`/`solve_with`.
     pub warm_used: bool,
     /// Basis refactorizations performed (both backends).
     pub factorizations: u64,
@@ -50,26 +56,19 @@ impl LpSolution {
         self.status == LpStatus::Optimal
     }
 
-    pub(crate) fn infeasible(iterations: usize) -> Self {
+    /// An outcome without a point, reporting no factorization work:
+    /// `objective` is `+∞` when infeasible, `−∞` when unbounded and NaN
+    /// otherwise.
+    pub(crate) fn without_point(status: LpStatus, iterations: usize) -> Self {
+        let objective = match status {
+            LpStatus::Infeasible => f64::INFINITY,
+            LpStatus::Unbounded => f64::NEG_INFINITY,
+            LpStatus::Optimal | LpStatus::IterationLimit => f64::NAN,
+        };
         LpSolution {
-            status: LpStatus::Infeasible,
+            status,
             x: Vec::new(),
-            objective: f64::INFINITY,
-            duals: Vec::new(),
-            iterations,
-            dual_pivots: 0,
-            warm_used: false,
-            factorizations: 0,
-            factor_updates: 0,
-            fill_nnz: 0,
-        }
-    }
-
-    pub(crate) fn unbounded(iterations: usize) -> Self {
-        LpSolution {
-            status: LpStatus::Unbounded,
-            x: Vec::new(),
-            objective: f64::NEG_INFINITY,
+            objective,
             duals: Vec::new(),
             iterations,
             dual_pivots: 0,

@@ -446,3 +446,85 @@ mod sparse_backend {
         }
     }
 }
+
+mod warm_path {
+    use super::*;
+    use hslb_lp::{solve_warm, SimplexOptions, WarmBasis};
+
+    /// A pinned variable is fixed, so the dual-feasibility check at the
+    /// node that saves the basis never looks at its reduced cost. Released,
+    /// it sits at the wrong bound for its sign; the reload moves it to the
+    /// other bound and stays on the dual simplex.
+    #[test]
+    fn a_released_pin_stays_warm() {
+        // min -2x - y  s.t.  x + y <= 10,  x, y in [0, 8].
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(-2.0, 0.0, 8.0);
+        let y = lp.add_var(-1.0, 0.0, 8.0);
+        lp.add_row(vec![(x, 1.0), (y, 1.0)], RowSense::Le, 10.0);
+        let cold = solve(&lp);
+        assert_close(cold.objective, -18.0, 1e-9);
+
+        let opts = SimplexOptions::default();
+        let mut warm = WarmBasis::new();
+        lp.set_bounds(x, 2.0, 2.0);
+        let pinned = solve_warm(&lp, &opts, &mut warm);
+        assert_eq!(pinned.status, LpStatus::Optimal);
+        assert_close(pinned.objective, -12.0, 1e-9);
+
+        lp.set_bounds(x, 0.0, 8.0);
+        let released = solve_warm(&lp, &opts, &mut warm);
+        assert_eq!(released.status, LpStatus::Optimal);
+        assert!(released.warm_used, "{released:?}");
+        assert_eq!(released.iterations, released.dual_pivots, "{released:?}");
+        assert_close(released.objective, cold.objective, 1e-9);
+    }
+
+    /// With no saved basis the solve starts from the slack basis on the
+    /// dual simplex: no Phase 1, and `warm_used` stays false because no
+    /// saved basis was reused.
+    #[test]
+    fn an_empty_basis_starts_from_the_slack_basis() {
+        // An OA-style master: min t  s.t.  t >= a_k n_k + b_k cuts.
+        let mut lp = LinearProgram::new();
+        let t = lp.add_var(1.0, 0.0, 1e6);
+        let n1 = lp.add_var(0.0, 1.0, 8.0);
+        let n2 = lp.add_var(0.0, 1.0, 8.0);
+        lp.add_row(vec![(n1, 1.0), (n2, 1.0)], RowSense::Le, 10.0);
+        lp.add_row(vec![(n1, -3.0), (t, -1.0)], RowSense::Le, -30.0);
+        lp.add_row(vec![(n2, -2.0), (t, -1.0)], RowSense::Le, -24.0);
+        let cold = solve(&lp);
+        let mut warm = WarmBasis::new();
+        let sol = solve_warm(&lp, &SimplexOptions::default(), &mut warm);
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert!(!sol.warm_used);
+        assert!(sol.dual_pivots > 0);
+        assert_eq!(sol.iterations, sol.dual_pivots, "{sol:?}");
+        assert_close(sol.objective, cold.objective, 1e-9);
+        assert!(lp.is_feasible(&sol.x, 1e-9));
+    }
+
+    /// An abandoned dual attempt's work is charged to the cold solve that
+    /// replaces it: a cut that empties the feasible set sends the re-solve
+    /// back to the two-phase path, which certifies `Infeasible`.
+    #[test]
+    fn an_abandoned_warm_attempt_counts_its_work() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(1.0, 0.0, 10.0);
+        let y = lp.add_var(1.0, 0.0, 10.0);
+        lp.add_row(vec![(x, 1.0), (y, 1.0)], RowSense::Ge, 2.0);
+        let opts = SimplexOptions::default();
+        let mut warm = WarmBasis::new();
+        let first = solve_warm(&lp, &opts, &mut warm);
+        assert_close(first.objective, 2.0, 1e-9);
+
+        lp.add_row(vec![(x, 1.0), (y, 1.0)], RowSense::Le, 1.0);
+        let second = solve_warm(&lp, &opts, &mut warm);
+        assert_eq!(second.status, LpStatus::Infeasible);
+        assert!(!second.warm_used);
+        assert!(
+            second.factorizations >= 2,
+            "the warm attempt and the cold solve each factorize: {second:?}"
+        );
+    }
+}

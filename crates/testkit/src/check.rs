@@ -14,7 +14,7 @@ use hslb::{
     build_flat_model, build_layout_model, layout1_oracle, solve_minmax_waterfill, CesmModelSpec,
     FlatSpec, Layout, SolverBackend,
 };
-use hslb_lp::LpStatus;
+use hslb_lp::{solve_warm, LinearProgram, LpSolution, LpStatus, SimplexOptions, VarId, WarmBasis};
 use hslb_minlp::{
     solve_exhaustive, solve_nlp_bnb, solve_oa_bnb, solve_parallel_bnb, MinlpOptions, MinlpStatus,
 };
@@ -82,7 +82,8 @@ fn agree(a: f64, b: f64, rel: f64) -> bool {
 
 /// Simplex vs its own certificate: optimality against the known feasible
 /// point, primal feasibility, and (canonical instances) the dual
-/// certificate — strong duality and complementary slackness.
+/// certificate — strong duality and complementary slackness. Then the
+/// dual-simplex path against the cold solve (see [`check_lp_warm`]).
 pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
     let sol = hslb_lp::solve(&inst.lp);
     if sol.status != LpStatus::Optimal {
@@ -129,6 +130,73 @@ pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
                     "complementary slackness violated on row {r}: slack {slack}, dual {y}"
                 ));
             }
+        }
+    }
+    check_lp_warm(&inst.lp, &sol, tol)
+}
+
+/// `solve_warm` vs `solve` on one cut-loop-like sequence: a solve from an
+/// empty basis (the slack-basis start), a warm re-solve with the first
+/// structural that sits strictly inside its bounds at the optimum pinned
+/// to its value, and a warm re-solve after that pin is released (the
+/// reload must move the released variable to a dual-feasible bound). Each
+/// answer must match the cold solve of the same LP. It draws no random
+/// numbers, so every generated case sees the same draws with or without it.
+fn check_lp_warm(lp: &LinearProgram, cold: &LpSolution, tol: f64) -> Result<(), String> {
+    let opts = SimplexOptions::default();
+    let mut warm = WarmBasis::new();
+    let first = solve_warm(lp, &opts, &mut warm);
+    same_lp_answer("warm from an empty basis", lp, &first, cold, tol)?;
+    let Some(j) = (0..lp.num_vars())
+        .find(|&j| cold.x[j] > lp.lowers()[j] + tol && cold.x[j] < lp.uppers()[j] - tol)
+    else {
+        return Ok(());
+    };
+    let mut pinned_lp = lp.clone();
+    pinned_lp.set_bounds(VarId(j), cold.x[j], cold.x[j]);
+    let pinned = solve_warm(&pinned_lp, &opts, &mut warm);
+    let pinned_cold = hslb_lp::solve(&pinned_lp);
+    same_lp_answer(
+        &format!("warm with x{j} pinned"),
+        &pinned_lp,
+        &pinned,
+        &pinned_cold,
+        tol,
+    )?;
+    let released = solve_warm(lp, &opts, &mut warm);
+    same_lp_answer(
+        &format!("warm after releasing x{j}"),
+        lp,
+        &released,
+        cold,
+        tol,
+    )
+}
+
+/// `got` must match the cold answer `want` in status and, within `tol`, in
+/// objective, and an optimal `got` must be feasible.
+fn same_lp_answer(
+    what: &str,
+    lp: &LinearProgram,
+    got: &LpSolution,
+    want: &LpSolution,
+    tol: f64,
+) -> Result<(), String> {
+    if got.status != want.status {
+        return Err(format!(
+            "{what}: status {:?}, cold {:?}",
+            got.status, want.status
+        ));
+    }
+    if got.status == LpStatus::Optimal {
+        if !agree(got.objective, want.objective, tol) {
+            return Err(format!(
+                "{what}: objective {}, cold {}",
+                got.objective, want.objective
+            ));
+        }
+        if !lp.is_feasible(&got.x, tol) {
+            return Err(format!("{what}: point infeasible: {:?}", got.x));
         }
     }
     Ok(())

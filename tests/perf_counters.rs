@@ -40,10 +40,16 @@ fn e7_oa_counters_golden() {
         // the dense inverse, which reorders best-bound ties: 5 nodes the
         // dense tableau pruned on their inherited bound are pruned after
         // their LP instead (same 33 nodes, 11 prunes, 11 incumbents, 56
-        // cuts).
-        lp_solves: 28,
+        // cuts). Since the tree's first master LP starts from the slack
+        // basis on the dual simplex, it spends no Phase 1 pivots, and no
+        // re-solve falls back cold; since basis LUs are ordered by column
+        // count, the LP optima round differently again and 5 more nodes are
+        // pruned on their inherited bound before their LP (28 -> 23 LP
+        // solves, 63 -> 33 pivots, all of them dual; every LP but the first
+        // reuses a saved basis) at the same nodes, cuts and NLP work.
+        lp_solves: 23,
         nlp_solves: 11,
-        simplex_pivots: 63,
+        simplex_pivots: 33,
         // Mehrotra predictor-corrector barrier: every Newton iteration is
         // one predictor + one corrector solve off a single factorization
         // (5.4x the fixed-μ schedule's 1060 at a byte-identical tree).
@@ -54,12 +60,12 @@ fn e7_oa_counters_golden() {
         barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 3,
-        warm_start_hits: 26,
+        warm_start_hits: 22,
         dual_pivots: 33,
         // Sparse LU: one refactorization per LP solve, one eta per pivot.
-        factorizations: 28,
-        factor_updates: 63,
-        fill_nnz: 2218,
+        factorizations: 23,
+        factor_updates: 33,
+        fill_nnz: 1793,
     };
     assert_eq!(stats, expected);
 }
@@ -155,6 +161,16 @@ fn e8_binary_encoding_newton_blowup() {
             native.stats.newton_iters
         );
     }
+}
+
+/// Every master LP of the pinned FMO OA solve stays on the dual simplex:
+/// each tree's first LP starts from the slack basis and every re-solve
+/// from the saved one, so no two-phase primal solve runs.
+#[test]
+fn fmo_oa_masters_run_only_dual_pivots() {
+    let stats = hslb_bench::perf::fmo_oa_case().stats;
+    assert!(stats.dual_pivots > 0, "{stats:?}");
+    assert_eq!(stats.simplex_pivots, stats.dual_pivots, "{stats:?}");
 }
 
 /// The committed `BENCH_solver.json` baseline must match a fresh solve

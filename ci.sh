@@ -104,6 +104,18 @@ echo "== lp and flat fuzz =="
 ./target/release/testkit fuzz --layer lp --seeds 2000
 ./target/release/testkit fuzz --layer flat --seeds 4000
 
+echo "== minlp, cesm and pipeline fuzz =="
+# The OA tree, with its integer-secant cut rounds, gets a deeper sweep on
+# every layer that runs it: each minlp case checks every backend against
+# the exhaustive oracle, each cesm case checks a layout-1 OA solve against
+# the monotone oracle, and each pipeline case runs gather, fit, OA solve
+# and execute on a seeded 1° scenario. The layers run on every 40th, 40th
+# and 50th round (their cost weights, capped at 50), so the commands below
+# are 500, 500 and 400 cases; the three take about 4 s.
+./target/release/testkit fuzz --layer minlp --seeds 20000
+./target/release/testkit fuzz --layer cesm --seeds 20000
+./target/release/testkit fuzz --layer pipeline --seeds 20000
+
 echo "== fit fuzz =="
 # The fit layer and its scaling metamorphic check get a deeper sweep. Both
 # layers run on every tenth round (their testkit cost weight), so each

@@ -10,7 +10,7 @@
 //! tables -- fig4               # E6: layouts 1-3 predicted scaling (1°)
 //! tables -- solver-time        # E7: MINLP solve time at 40,960 nodes
 //! tables -- warm-start         # E7b: warm vs cold solves (counters + wall clock)
-//! tables -- sos-ablation       # E8: SOS branching vs binary encoding
+//! tables -- sos-ablation       # E8: SOS branching vs binary encoding (~2 min)
 //! tables -- objectives         # E9: min-max vs max-min vs min-sum
 //! tables -- fmo                # E10: FMO HSLB vs baselines (title paper)
 //! tables -- layouts            # E11: layout semantics validation
@@ -105,7 +105,8 @@ fn run(cmd: &str) {
             print!("{}", render_warm_cold(&pts));
         }
         "sos-ablation" => {
-            let pts = sos_ablation(&[8, 32, 128, 512]);
+            let mut pts = sos_ablation(&[8, 32, 128, 512]);
+            pts.push(sos_ablation_paper_instance());
             print!("{}", render_sos(&pts));
         }
         "objectives" => {

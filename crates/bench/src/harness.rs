@@ -9,7 +9,7 @@ use hslb::{
 use hslb_cesm_sim::truth::NAMES;
 use hslb_cesm_sim::{manual_allocation, CesmSimulator, Scenario};
 use hslb_fmo_sim::{generate_cluster, FmoSimulator};
-use hslb_minlp::{encode_sets_as_binaries, MinlpOptions, MinlpProblem, MinlpSolution};
+use hslb_minlp::{encode_sets_as_binaries, MinlpOptions, MinlpProblem, MinlpSolution, SolveStats};
 use hslb_nlp::{ConstraintFn, ScalarFn};
 use hslb_perfmodel::{fit, FitReport, ScalingData};
 use std::time::Instant;
@@ -444,18 +444,61 @@ pub fn true_spec(scenario: &Scenario) -> CesmModelSpec {
 // E8 — SOS/domain branching vs explicit binary encoding
 // ---------------------------------------------------------------------------
 
+/// One arm of the E8 ablation: a single OA solve and its wall clock.
+#[derive(Debug, Clone)]
+pub struct SosArm {
+    pub seconds: f64,
+    pub objective: f64,
+    pub stats: SolveStats,
+}
+
+impl SosArm {
+    fn solve(problem: &MinlpProblem) -> SosArm {
+        let start = Instant::now();
+        let sol = hslb_minlp::solve_oa_bnb(problem, &MinlpOptions::default());
+        SosArm {
+            seconds: start.elapsed().as_secs_f64(),
+            objective: sol.objective,
+            stats: sol.stats,
+        }
+    }
+
+    /// Newton steps taken by the fixed-μ fallback loop rather than MPC.
+    pub fn fixed_mu_steps(&self) -> u64 {
+        self.stats.newton_iters - self.stats.predictor_steps
+    }
+}
+
 #[derive(Debug, Clone)]
 pub struct SosAblationPoint {
-    pub set_size: usize,
-    pub native_seconds: f64,
-    pub native_nodes: usize,
-    pub binary_seconds: f64,
-    pub binary_nodes: usize,
+    pub instance: String,
+    pub native: SosArm,
+    pub binary: SosArm,
 }
 
 impl SosAblationPoint {
+    /// Solves `problem` natively (interval/SOS branching) and through the
+    /// explicit binary encoding of every allowed set, one after the other
+    /// in the same run. Both must reach the same optimum.
+    fn measure(instance: String, problem: &MinlpProblem) -> SosAblationPoint {
+        let native = SosArm::solve(problem);
+        let (enc, _) = encode_sets_as_binaries(problem);
+        let binary = SosArm::solve(&enc);
+        assert!(
+            (native.objective - binary.objective).abs() < 1e-3 * native.objective.abs().max(1.0),
+            "encodings disagree on {instance}: {} vs {}",
+            native.objective,
+            binary.objective
+        );
+        SosAblationPoint {
+            instance,
+            native,
+            binary,
+        }
+    }
+
     pub fn speedup(&self) -> f64 {
-        self.binary_seconds / self.native_seconds.max(1e-12)
+        self.binary.seconds / self.native.seconds.max(1e-12)
     }
 }
 
@@ -495,35 +538,18 @@ pub fn sos_test_problem(set_size: usize) -> MinlpProblem {
 pub fn sos_ablation(set_sizes: &[usize]) -> Vec<SosAblationPoint> {
     set_sizes
         .iter()
-        .map(|&k| {
-            let p = sos_test_problem(k);
-            let opts = MinlpOptions::default();
-
-            let start = Instant::now();
-            let native = hslb_minlp::solve_oa_bnb(&p, &opts);
-            let native_seconds = start.elapsed().as_secs_f64();
-
-            let (enc, _) = encode_sets_as_binaries(&p);
-            let start = Instant::now();
-            let binary = hslb_minlp::solve_oa_bnb(&enc, &opts);
-            let binary_seconds = start.elapsed().as_secs_f64();
-
-            assert!(
-                (native.objective - binary.objective).abs()
-                    < 1e-3 * native.objective.abs().max(1.0),
-                "encodings disagree at k={k}: {} vs {}",
-                native.objective,
-                binary.objective
-            );
-            SosAblationPoint {
-                set_size: k,
-                native_seconds,
-                native_nodes: native.stats.nodes_opened as usize,
-                binary_seconds,
-                binary_nodes: binary.stats.nodes_opened as usize,
-            }
-        })
+        .map(|&k| SosAblationPoint::measure(format!("k={k}"), &sos_test_problem(k)))
         .collect()
+}
+
+/// The ablation on the paper's own instance: E7's true 1° models at
+/// 40,960 nodes, layout 1, with both allowed sets (the atmosphere's 1,639
+/// admissible counts and the ocean's 241) binary-encoded in the slow arm.
+/// The binary arm takes minutes.
+pub fn sos_ablation_paper_instance() -> SosAblationPoint {
+    let spec = true_spec(&Scenario::one_degree(40_960));
+    let model = build_layout_model(&spec, Layout::Hybrid);
+    SosAblationPoint::measure("E7 1° 40,960".to_string(), &model.problem)
 }
 
 pub fn render_sos(points: &[SosAblationPoint]) -> String {
@@ -535,20 +561,40 @@ pub fn render_sos(points: &[SosAblationPoint]) -> String {
     );
     let _ = writeln!(
         s,
-        "{:>9} {:>14} {:>13} {:>14} {:>13} {:>9}",
-        "set size", "native(s)", "native nodes", "binary(s)", "binary nodes", "speedup"
+        "{:<14} {:>6} {:>6} {:>6} {:>5} {:>6} {:>8} {:>5} {:>10} {:>12} {:>9}",
+        "instance",
+        "arm",
+        "nodes",
+        "LPs",
+        "NLPs",
+        "MPC",
+        "fixed-μ",
+        "fb",
+        "ms/node",
+        "wall (ms)",
+        "speedup"
     );
     for p in points {
-        let _ = writeln!(
-            s,
-            "{:>9} {:>14.4} {:>13} {:>14.4} {:>13} {:>8.1}x",
-            p.set_size,
-            p.native_seconds,
-            p.native_nodes,
-            p.binary_seconds,
-            p.binary_nodes,
-            p.speedup()
-        );
+        for (arm, r, speedup) in [
+            ("native", &p.native, String::new()),
+            ("binary", &p.binary, format!("{:.1}x", p.speedup())),
+        ] {
+            let _ = writeln!(
+                s,
+                "{:<14} {:>6} {:>6} {:>6} {:>5} {:>6} {:>8} {:>5} {:>10.4} {:>12.3} {:>9}",
+                p.instance,
+                arm,
+                r.stats.nodes_opened,
+                r.stats.lp_solves,
+                r.stats.nlp_solves,
+                r.stats.predictor_steps,
+                r.fixed_mu_steps(),
+                r.stats.barrier_fallbacks,
+                1e3 * r.seconds / (r.stats.nodes_opened.max(1) as f64),
+                1e3 * r.seconds,
+                speedup
+            );
+        }
     }
     s
 }

@@ -77,8 +77,9 @@ pub fn perf_suite() -> Vec<PerfCase> {
     }
 
     // E8: native SOS branching vs explicit binary encoding. The binary
-    // encoding lifts every node's barrier solve into a k-dimensional space,
-    // which the counters expose as a Newton-iteration blowup (see
+    // encoding lifts the barrier solves into a k-dimensional space, where
+    // MPC gives up and the fixed-μ fallback runs; the counters show it in
+    // `barrier_fallbacks` and `newton_iters − predictor_steps` (see
     // `tests/perf_counters.rs`).
     for k in E8_SET_SIZES {
         let p = sos_test_problem(k);

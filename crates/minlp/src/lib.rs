@@ -14,7 +14,10 @@
 //!   continuous relaxation at every node).
 //! * [`solve_oa_bnb`] — the paper's LP/NLP-based branch and bound: a single
 //!   tree over LP relaxations with lazy outer-approximation cuts added
-//!   whenever an integer point violates a nonlinear constraint.
+//!   whenever an integer point violates a nonlinear constraint, and
+//!   integer secants (chords through the admissible neighbours of each
+//!   fractional coordinate) that cut off a fractional point before it is
+//!   branched on.
 //! * [`solve_parallel_bnb`] — fork-join parallel variant of the
 //!   NLP-based tree with a shared atomic incumbent.
 //! * Branching rules ([`BranchRule`]): most-fractional, first-fractional

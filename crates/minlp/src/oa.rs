@@ -9,7 +9,12 @@
 //!    point are added initially").
 //! 2. A tree search solves increasingly tighter LP relaxations. Nodes whose
 //!    LP value exceeds the incumbent are discarded.
-//! 3. A fractional LP solution triggers branching.
+//! 3. A fractional LP solution is first cut off with *integer secants*:
+//!    each convex nonlinear row the point violates gets a linear cut in
+//!    which every term on a fractional discrete coordinate is replaced by
+//!    its chord through the two admissible neighbours of that coordinate
+//!    (see `integer_secant`), and the node is re-solved. Only a point no
+//!    secant separates triggers branching.
 //! 4. An integer LP solution is checked against the true nonlinear
 //!    constraints; if feasible it becomes the incumbent, otherwise the
 //!    violated constraints are linearized around it ("we later add
@@ -17,16 +22,18 @@
 //!    are violated significantly") and the node is re-solved.
 //!
 //! For convex constraints the first-order linearization underestimates the
-//! function everywhere, so every cut is globally valid and the method
-//! terminates at the global optimum.
+//! function everywhere, and the chord underestimates it at every admissible
+//! value, so every cut is valid at every node and the method terminates at
+//! the global optimum.
 
 use crate::bnb::{polish_candidate, prune_cutoff, recycle_node, Node, OrdF64};
 use crate::branching::{make_branch, select_branch_var};
-use crate::model::MinlpProblem;
+use crate::model::{MinlpProblem, VarDomain};
 use crate::scratch::ScratchArena;
 use crate::types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection, FEAS_TOL, INT_TOL};
+use hslb_linalg::approx::exactly_zero;
 use hslb_lp::{LinearProgram, LpStatus, RowSense, VarId};
-use hslb_nlp::NlpStatus;
+use hslb_nlp::{ConstraintFn, NlpStatus};
 use hslb_obs::{Deadline, Event, PruneReason, SolveStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -35,15 +42,15 @@ use std::collections::BinaryHeap;
 /// settled by pruning (safety valve against numerically stalled cuts).
 const MAX_CUT_ROUNDS_PER_NODE: usize = 60;
 
-/// Sampling fallback for initial linearization points: the box corners and
-/// midpoint (infinite sides clamped), which bracket the curvature of the
-/// univariate performance terms well enough to seed the master LP.
 /// Positive floor for sampled linearization points: the performance terms
 /// `a·x^(-c)` blow up at 0, so every sample stays at least this far inside.
 const SAMPLE_FLOOR: f64 = 1e-6;
 /// Stand-in upper corner when a box side is unbounded above.
 const SAMPLE_CEIL: f64 = 1e6;
 
+/// Sampling fallback for initial linearization points: the box corners and
+/// midpoint (infinite sides clamped), which bracket the curvature of the
+/// univariate performance terms well enough to seed the master LP.
 fn sample_points(relax: &hslb_nlp::NlpProblem) -> Vec<Vec<f64>> {
     let n = relax.num_vars();
     let clamp_lo = |j: usize| {
@@ -68,6 +75,81 @@ fn sample_points(relax: &hslb_nlp::NlpProblem) -> Vec<Vec<f64>> {
         .map(|j| (clamp_lo(j) * clamp_hi(j)).sqrt().max(SAMPLE_FLOOR))
         .collect();
     vec![mid_pt, lo_pt, hi_pt]
+}
+
+/// Appends the cut `coeffs·x <= rhs` to the master LP.
+fn add_cut(master: &mut LinearProgram, coeffs: Vec<(usize, f64)>, rhs: f64) {
+    let row = coeffs.into_iter().map(|(v, co)| (VarId(v), co)).collect();
+    master.add_row(row, RowSense::Le, rhs);
+}
+
+/// The admissible neighbours `a < x_j < b` of a fractional discrete
+/// coordinate in the variable's full domain: consecutive integers, or
+/// consecutive members of the allowed set. `None` for a continuous
+/// coordinate and for one within [`INT_TOL`] of an admissible value.
+fn admissible_neighbours(problem: &MinlpProblem, j: usize, xj: f64) -> Option<(f64, f64)> {
+    if problem.domain_violation(j, xj) <= INT_TOL {
+        return None;
+    }
+    match &problem.domains()[j] {
+        VarDomain::Continuous => None,
+        VarDomain::Integer => Some((xj.floor(), xj.floor() + 1.0)),
+        VarDomain::AllowedValues(vals) => {
+            let idx = vals.partition_point(|&v| (v as f64) < xj);
+            let (a, b) = (vals.get(idx.checked_sub(1)?)?, vals.get(idx)?);
+            Some((*a as f64, *b as f64))
+        }
+    }
+}
+
+/// The integer secant of the nonlinear row `c` at the master point `x`, as
+/// `(coefficients, rhs)` of the cut `coeffs·x <= rhs`.
+///
+/// Each term `f(n_j)` on a fractional discrete coordinate is replaced by its
+/// chord through the admissible neighbours `a < x_j < b`; every other term
+/// keeps its tangent `f(x_j) + f'(x_j)(n - x_j)`. A convex `f` lies on or
+/// above its chord outside `(a, b)`, which holds every admissible value, and
+/// above its tangent everywhere, so the cut is valid for every
+/// domain-feasible point of every node (the neighbours come from the full
+/// domain, not the node box) and exact at both neighbours. `None` when the
+/// row is not convex, no term got a chord, or a value is not finite (`f`
+/// can be infinite at a neighbour).
+fn integer_secant(
+    problem: &MinlpProblem,
+    c: &ConstraintFn,
+    x: &[f64],
+) -> Option<(Vec<(usize, f64)>, f64)> {
+    if !c.is_convex() {
+        return None;
+    }
+    let mut coeffs = c.linear.clone();
+    let mut constant = c.constant;
+    let mut any_chord = false;
+    for (v, f) in &c.nonlinear {
+        let xv = x[*v];
+        let (slope, intercept) = match admissible_neighbours(problem, *v, xv) {
+            Some((a, b)) => {
+                any_chord = true;
+                let fa = f.eval(a);
+                let slope = (f.eval(b) - fa) / (b - a);
+                (slope, fa - slope * a)
+            }
+            None => {
+                let slope = f.d1(xv);
+                (slope, f.eval(xv) - slope * xv)
+            }
+        };
+        constant += intercept;
+        match coeffs.iter_mut().find(|(u, _)| u == v) {
+            Some((_, co)) => *co += slope,
+            None => coeffs.push((*v, slope)),
+        }
+    }
+    if !any_chord || !constant.is_finite() || coeffs.iter().any(|(_, co)| !co.is_finite()) {
+        return None;
+    }
+    coeffs.retain(|&(_, co)| !exactly_zero(co));
+    Some((coeffs, -constant))
 }
 
 /// Solves a convex MINLP with the LP/NLP-based branch-and-bound.
@@ -140,9 +222,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
             nonlinear_ids.push(ci);
             for pt in &root_points {
                 let (coeffs, rhs) = c.linearize(pt);
-                let row: Vec<(VarId, f64)> =
-                    coeffs.into_iter().map(|(v, co)| (VarId(v), co)).collect();
-                master.add_row(row, RowSense::Le, rhs);
+                add_cut(&mut master, coeffs, rhs);
                 stats.oa_cuts += 1;
             }
         }
@@ -315,9 +395,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
                 let mut round_cuts = 0u64;
                 for &ci in &nonlinear_ids {
                     let (coeffs, rhs) = relax.constraints()[ci].linearize(&cand);
-                    let row: Vec<(VarId, f64)> =
-                        coeffs.into_iter().map(|(v, co)| (VarId(v), co)).collect();
-                    master.add_row(row, RowSense::Le, rhs);
+                    add_cut(&mut master, coeffs, rhs);
                     round_cuts += 1;
                 }
                 stats.oa_cuts += round_cuts;
@@ -329,9 +407,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
                 let c = &relax.constraints()[ci];
                 if c.eval(&x) > FEAS_TOL {
                     let (coeffs, rhs) = c.linearize(&x);
-                    let row: Vec<(VarId, f64)> =
-                        coeffs.into_iter().map(|(v, co)| (VarId(v), co)).collect();
-                    master.add_row(row, RowSense::Le, rhs);
+                    add_cut(&mut master, coeffs, rhs);
                     point_cuts += 1;
                 }
             }
@@ -351,7 +427,32 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
             continue;
         }
 
-        // Fractional: branch.
+        // Fractional: cut the point off with integer secants and re-solve
+        // the node; branch only when no secant separates it or the node has
+        // spent its cut rounds.
+        let mut secants = 0u64;
+        for &ci in &nonlinear_ids {
+            let Some((coeffs, rhs)) = integer_secant(problem, &relax.constraints()[ci], &x) else {
+                continue;
+            };
+            let value: f64 = coeffs.iter().map(|&(v, co)| co * x[v]).sum::<f64>() - rhs;
+            if value > FEAS_TOL {
+                add_cut(&mut master, coeffs, rhs);
+                secants += 1;
+            }
+        }
+        if secants > 0 {
+            stats.oa_cuts += secants;
+            opts.trace.emit(|| Event::CutsAdded { count: secants });
+            if cut_rounds + 1 < MAX_CUT_ROUNDS_PER_NODE {
+                let requeued = Node {
+                    bound: node_bound,
+                    ..node
+                };
+                push_node(requeued, cut_rounds + 1, &mut heap, &mut store, &mut stack);
+                continue;
+            }
+        }
         let Some(j) = select_branch_var(problem, &x, &node.lo, &node.hi, INT_TOL, opts.branch_rule)
         else {
             recycle_node(&mut arena, node);
@@ -424,7 +525,168 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
 mod tests {
     use super::*;
     use crate::bnb::solve_nlp_bnb;
-    use hslb_nlp::{ConstraintFn, ScalarFn};
+    use hslb_nlp::{ScalarFn, Term};
+
+    /// A seeded uniform stream on `[lo, hi)` (Knuth's MMIX LCG, top bits).
+    fn uniform(seed: u64) -> impl FnMut(f64, f64) -> f64 {
+        let mut state = seed;
+        move |lo, hi| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + (hi - lo) * (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A seeded convex performance term `a·n^(-c) + b·n`.
+    fn seeded_perf_model(draw: &mut impl FnMut(f64, f64) -> f64) -> ScalarFn {
+        ScalarFn::perf_model(draw(10.0, 1e5), draw(0.0, 2.0), draw(0.2, 2.5))
+    }
+
+    /// Asserts the secant of the row `f(n) - t <= 0` at the fractional
+    /// point `xn` lies on or below `f` at every admissible value and meets
+    /// it at the neighbours `(a, b)`.
+    fn assert_secant_valid(p: &MinlpProblem, f: &ScalarFn, xn: f64, admissible: &[i64]) {
+        let row = ConstraintFn::new("perf")
+            .nonlinear_term(0, f.clone())
+            .linear_term(1, -1.0);
+        let (a, b) = admissible_neighbours(p, 0, xn).expect("fractional coordinate");
+        assert!(a < xn && xn < b, "neighbours {a}, {b} must bracket {xn}");
+        let (coeffs, rhs) = integer_secant(p, &row, &[xn, 0.0]).expect("convex row with a chord");
+        assert_eq!(coeffs.iter().find(|(v, _)| *v == 1), Some(&(1, -1.0)));
+        let slope = coeffs
+            .iter()
+            .find(|(v, _)| *v == 0)
+            .map_or(0.0, |&(_, s)| s);
+        // The cut reads `t >= slope·n - rhs`.
+        let secant = |n: f64| slope * n - rhs;
+        for &m in admissible {
+            let (m, fm) = (m as f64, f.eval(m as f64));
+            assert!(
+                secant(m) <= fm + 1e-12 * fm.abs(),
+                "secant {} above f {fm} at admissible {m} (x = {xn})",
+                secant(m)
+            );
+        }
+        for n in [a, b] {
+            let fv = f.eval(n);
+            assert!(
+                (secant(n) - fv).abs() <= 1e-12 * fv.abs(),
+                "secant {} misses f {fv} at neighbour {n}",
+                secant(n)
+            );
+        }
+    }
+
+    #[test]
+    fn integer_secants_underestimate_on_integer_ranges() {
+        let mut draw = uniform(0x5ec4_0001);
+        for _ in 0..200 {
+            let mut p = MinlpProblem::new();
+            let hi = draw(2.0, 400.0) as i64;
+            p.add_int_var(0.0, 1, hi);
+            p.add_var(1.0, f64::NEG_INFINITY, f64::INFINITY);
+            let f = seeded_perf_model(&mut draw);
+            let floor = draw(1.0, hi as f64).floor();
+            let xn = floor + draw(0.01, 0.99);
+            let admissible: Vec<i64> = (1..=hi).collect();
+            assert_secant_valid(&p, &f, xn, &admissible);
+            assert_eq!(admissible_neighbours(&p, 0, xn), Some((floor, floor + 1.0)));
+        }
+    }
+
+    #[test]
+    fn integer_secants_underestimate_on_allowed_sets_with_gaps() {
+        let mut draw = uniform(0x5ec4_0002);
+        for trial in 0..200 {
+            let mut p = MinlpProblem::new();
+            let set: Vec<i64> = if trial == 0 {
+                vec![2, 6, 10, 50]
+            } else {
+                let mut members = vec![draw(1.0, 8.0) as i64];
+                for _ in 0..draw(1.0, 12.0) as usize {
+                    let gap = draw(1.0, 300.0) as i64;
+                    members.push(members[members.len() - 1] + gap);
+                }
+                members
+            };
+            p.add_set_var(0.0, set.iter().copied());
+            p.add_var(1.0, f64::NEG_INFINITY, f64::INFINITY);
+            let f = seeded_perf_model(&mut draw);
+            let k = draw(0.0, (set.len() - 1) as f64) as usize;
+            let (a, b) = (set[k] as f64, set[k + 1] as f64);
+            let xn = a + (b - a) * draw(0.01, 0.99);
+            assert_secant_valid(&p, &f, xn, &set);
+            assert_eq!(admissible_neighbours(&p, 0, xn), Some((a, b)));
+        }
+    }
+
+    #[test]
+    fn integral_and_continuous_coordinates_keep_the_tangent() {
+        let mut draw = uniform(0x5ec4_0003);
+        for _ in 0..50 {
+            let mut p = MinlpProblem::new();
+            let frac = p.add_int_var(0.0, 1, 100);
+            let integral = p.add_int_var(0.0, 1, 100);
+            let set = p.add_set_var(0.0, [2, 6, 10, 50]);
+            let cont = p.add_var(0.0, 1.0, 100.0);
+            let t = p.add_var(1.0, 0.0, 1e9);
+            let fs: Vec<ScalarFn> = (0..4).map(|_| seeded_perf_model(&mut draw)).collect();
+            let row = ConstraintFn::new("sum")
+                .nonlinear_term(frac, fs[0].clone())
+                .nonlinear_term(integral, fs[1].clone())
+                .nonlinear_term(set, fs[2].clone())
+                .nonlinear_term(cont, fs[3].clone())
+                .linear_term(t, -1.0);
+            // Integral within INT_TOL, a set member, and a continuous value.
+            let mut x = vec![
+                draw(1.0, 99.0).floor() + 0.5,
+                draw(1.0, 100.0).round() + 0.5 * INT_TOL,
+                10.0,
+                draw(1.0, 100.0),
+                0.0,
+            ];
+            let (coeffs, rhs) = integer_secant(&p, &row, &x).expect("one chord");
+            let coeff = |v: usize| coeffs.iter().find(|(u, _)| *u == v).map_or(0.0, |c| c.1);
+            for (v, f) in [(integral, &fs[1]), (set, &fs[2]), (cont, &fs[3])] {
+                let d = f.d1(x[v]);
+                assert!((coeff(v) - d).abs() <= 1e-12 * d.abs(), "slope at {v}");
+            }
+            // At the lower neighbour of the fractional coordinate the cut is
+            // exact: Σ f_j(x_j) on the other three terms plus f_0(a).
+            x[frac] = x[frac].floor();
+            let lhs: f64 = coeffs.iter().map(|&(v, co)| co * x[v]).sum();
+            let exact: f64 = (0..4).map(|k| fs[k].eval(x[k])).sum();
+            assert!(
+                (lhs - rhs - exact).abs() <= 1e-10 * exact,
+                "cut {} vs row {exact}",
+                lhs - rhs
+            );
+            // No fractional coordinate, no secant: the tangent cuts of the
+            // integer-point step cover that case.
+            x[frac] = 7.0;
+            assert!(integer_secant(&p, &row, &x).is_none());
+        }
+    }
+
+    #[test]
+    fn nonconvex_rows_and_infinite_neighbours_get_no_secant() {
+        let mut p = MinlpProblem::new();
+        let n = p.add_int_var(0.0, 0, 20);
+        let t = p.add_var(1.0, 0.0, 1e9);
+        let mut concave = ScalarFn::new();
+        concave.push(Term::PowerGrowth { b: 1.0, c: 0.5 });
+        let nonconvex = ConstraintFn::new("concave")
+            .nonlinear_term(n, concave)
+            .linear_term(t, -1.0);
+        assert!(integer_secant(&p, &nonconvex, &[3.5, 0.0]).is_none());
+        // a/n is infinite at the lower neighbour 0 of x = 0.5.
+        let decay = ConstraintFn::new("decay")
+            .nonlinear_term(n, ScalarFn::perf_model(100.0, 1.0, 1.0))
+            .linear_term(t, -1.0);
+        assert!(integer_secant(&p, &decay, &[0.5, 0.0]).is_none());
+        assert!(integer_secant(&p, &decay, &[3.5, 0.0]).is_some());
+    }
 
     fn allocation_problem(cap: i64, loads: &[f64]) -> MinlpProblem {
         let mut p = MinlpProblem::new();

@@ -31,41 +31,40 @@ fn e7_stats(backend: SolverBackend, threads: usize) -> SolveStats {
 fn e7_oa_counters_golden() {
     let stats = e7_stats(SolverBackend::OuterApproximation, 0);
     let expected = SolveStats {
-        nodes_opened: 33,
-        pruned_by_bound: 11,
+        // Integer secants cut off fractional master points before the tree
+        // branches on them (33 -> 18 nodes opened, 12 of them re-solves
+        // after a secant round). The master closes around the optimum before
+        // the polish NLPs that used to supply nine intermediate incumbents
+        // run, so the root NLP and one polish NLP remain (11 -> 2 NLP
+        // solves, 198 -> 46 Newton steps, 11 -> 2 incumbents). Cuts
+        // 56 -> 22: 4 initial, 6 at the one violated integer point and 12
+        // secants.
+        nodes_opened: 18,
+        pruned_by_bound: 2,
         pruned_infeasible: 0,
-        incumbents: 11,
-        oa_cuts: 56,
-        // Sparse-LU masters round their optima a few ulps differently from
-        // the dense inverse, which reorders best-bound ties: 5 nodes the
-        // dense tableau pruned on their inherited bound are pruned after
-        // their LP instead (same 33 nodes, 11 prunes, 11 incumbents, 56
-        // cuts). Since the tree's first master LP starts from the slack
-        // basis on the dual simplex, it spends no Phase 1 pivots, and no
-        // re-solve falls back cold; since basis LUs are ordered by column
-        // count, the LP optima round differently again and 5 more nodes are
-        // pruned on their inherited bound before their LP (28 -> 23 LP
-        // solves, 63 -> 33 pivots, all of them dual; every LP but the first
-        // reuses a saved basis) at the same nodes, cuts and NLP work.
-        lp_solves: 23,
-        nlp_solves: 11,
-        simplex_pivots: 33,
+        incumbents: 2,
+        oa_cuts: 22,
+        // Since the tree's first master LP starts from the slack basis on
+        // the dual simplex, it spends no Phase 1 pivots, and every LP but
+        // the first reuses a saved basis: every pivot is dual.
+        lp_solves: 16,
+        nlp_solves: 2,
+        simplex_pivots: 25,
         // Mehrotra predictor-corrector barrier: every Newton iteration is
-        // one predictor + one corrector solve off a single factorization
-        // (5.4x the fixed-μ schedule's 1060 at a byte-identical tree).
-        newton_iters: 198,
-        predictor_steps: 198,
-        corrector_steps: 198,
-        line_search_backtracks: 94,
+        // one predictor + one corrector solve off a single factorization.
+        newton_iters: 46,
+        predictor_steps: 46,
+        corrector_steps: 46,
+        line_search_backtracks: 29,
         barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 3,
-        warm_start_hits: 22,
-        dual_pivots: 33,
+        warm_start_hits: 15,
+        dual_pivots: 25,
         // Sparse LU: one refactorization per LP solve, one eta per pivot.
-        factorizations: 23,
-        factor_updates: 33,
-        fill_nnz: 1793,
+        factorizations: 16,
+        factor_updates: 25,
+        fill_nnz: 654,
     };
     assert_eq!(stats, expected);
 }
@@ -131,18 +130,18 @@ fn e7_parallel_t1_counters_golden() {
     assert_eq!(stats, expected);
 }
 
-/// E8 — native SOS branching vs explicit binary encoding (§III-E). The
-/// paper reports a two-orders-of-magnitude *wall time* gap; in counters the
-/// gap shows up as Newton-iteration blowup: the binary encoding adds one
-/// variable per set member, so every node's barrier solve works in a
-/// k-dimensional space with a weak relaxation, while native interval
-/// branching keeps the NLP three-dimensional. (Node counts barely move —
-/// the blowup is per-node work, which wall timings hide in noise and
-/// counters expose deterministically.) The blowup is a property of the
-/// lifted space, not of the barrier's μ schedule: 21x at k=32 and 33x at
-/// k=128.
+/// E8 — native SOS branching vs explicit binary encoding (§III-E): what
+/// carries the paper's claim. Both encodings reach the same optimum and the
+/// binary tree is never smaller than the native one, but on this synthetic
+/// instance the trees are the same size; the binary arm's cost is its
+/// lifted k-dimensional relaxation, on which the MPC barrier gives up and
+/// the fixed-μ fallback takes over. The native arm never falls back, and
+/// the binary arm's fixed-μ steps (`newton_iters − predictor_steps`) alone
+/// exceed the native arm's whole Newton count. A ratio on total Newton
+/// steps held only through those fallback steps, so this asserts the
+/// mechanism instead (EXPERIMENTS.md § E8).
 #[test]
-fn e8_binary_encoding_newton_blowup() {
+fn e8_binary_encoding_runs_on_the_fixed_mu_fallback() {
     for k in [32usize, 128] {
         let p = sos_test_problem(k);
         let opts = MinlpOptions::default();
@@ -153,12 +152,20 @@ fn e8_binary_encoding_newton_blowup() {
             (native.objective - binary.objective).abs() < 1e-3 * native.objective.abs().max(1.0),
             "k={k}: encodings must agree on the optimum"
         );
+        let (n, b) = (&native.stats, &binary.stats);
         assert!(
-            binary.stats.newton_iters >= 10 * native.stats.newton_iters,
-            "k={k}: binary encoding should cost >=10x the Newton iterations, \
-             got {} vs {}",
-            binary.stats.newton_iters,
-            native.stats.newton_iters
+            b.nodes_opened >= n.nodes_opened,
+            "k={k}: binary tree {} smaller than native {}",
+            b.nodes_opened,
+            n.nodes_opened
+        );
+        assert_eq!(n.barrier_fallbacks, 0, "k={k}: native arm fell back");
+        assert!(b.barrier_fallbacks >= 1, "k={k}: binary arm stayed on MPC");
+        let fixed_mu = b.newton_iters - b.predictor_steps;
+        assert!(
+            fixed_mu > n.newton_iters,
+            "k={k}: binary fixed-μ steps {fixed_mu} vs native Newton steps {}",
+            n.newton_iters
         );
     }
 }

@@ -248,3 +248,79 @@ fn nlp_bnb_matches_oa_on_fitted_eighth_degree_layout2() {
         oa.objective
     );
 }
+
+/// Regression: on this fitted 1° layout-1 model at 2,016 nodes the
+/// objective is nearly flat around the optimum, and OA that only branched
+/// at fractional master points opened 3,682 nodes where NLP-B&B needs 3.
+/// Integer secants cut those points off instead (48 nodes).
+#[test]
+fn oa_tree_stays_small_on_the_fitted_one_degree_2016_runaway() {
+    let scenario = Scenario::one_degree(2016);
+    let mut sim = CesmSimulator::new(scenario.clone(), 0x727c_6b54_c2a8_ea54);
+    let counts = scenario.benchmark_counts(5);
+    let opts = MinlpOptions::default();
+    let out = run_hslb(
+        &mut sim,
+        &counts,
+        Layout::Hybrid,
+        SolverBackend::OuterApproximation,
+        &opts,
+    )
+    .expect("feasible at 2,016 nodes");
+    let oa = &out.solution;
+    assert_eq!(oa.status, MinlpStatus::Optimal);
+    assert!(
+        oa.stats.nodes_opened <= 100,
+        "OA opened {} nodes",
+        oa.stats.nodes_opened
+    );
+    let model = build_layout_model(&out.spec, Layout::Hybrid);
+    let nlp = solve_model_with(&model.problem, SolverBackend::NlpBnb, &opts);
+    assert_eq!(nlp.status, MinlpStatus::Optimal);
+    // Within the solvers' 1e-6 relative gap of NLP-B&B (79.3984379).
+    assert!(
+        (oa.objective - nlp.objective).abs() <= 1e-6 * nlp.objective.abs(),
+        "OA {} vs NLP-B&B {}",
+        oa.objective,
+        nlp.objective
+    );
+}
+
+/// The seeded tree-size scan: 360 fitted CESM pipelines (1° at 2,048
+/// nodes, ⅛° at 32,768 and ⅛° with a free ocean at 32,768; layouts 1–3;
+/// 40 noise seeds each) must each end `Optimal` within 300 OA nodes. The
+/// largest tree was 337 nodes before integer secants and is 85 with them.
+#[test]
+fn oa_trees_stay_bounded_across_360_fitted_pipelines() {
+    let strata = [
+        ("1deg", Scenario::one_degree(2048)),
+        ("8th", Scenario::eighth_degree(32_768)),
+        ("8th_free", Scenario::eighth_degree_unconstrained(32_768)),
+    ];
+    let opts = MinlpOptions::default();
+    for (stratum, (name, scenario)) in strata.iter().enumerate() {
+        let nodes = scenario.total_nodes;
+        let counts = scenario.benchmark_counts(5);
+        for layout in Layout::ALL {
+            for s in 0..40u64 {
+                let seed = hslb_rng::hash_mix(&[s, stratum as u64, layout.index() as u64, 0x7a11]);
+                let label = format!("{name}/{nodes}/layout{}/{seed:#018x}", layout.index());
+                let mut sim = CesmSimulator::new(scenario.clone(), seed);
+                let out = run_hslb(
+                    &mut sim,
+                    &counts,
+                    layout,
+                    SolverBackend::OuterApproximation,
+                    &opts,
+                )
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(out.solution.status, MinlpStatus::Optimal, "{label}");
+                assert!(
+                    out.solution.stats.nodes_opened <= 300,
+                    "{label}: OA opened {} nodes",
+                    out.solution.stats.nodes_opened
+                );
+            }
+        }
+    }
+}

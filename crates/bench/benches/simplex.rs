@@ -1,37 +1,13 @@
 //! LP substrate microbenchmark: the master-problem shapes OA produces.
 
+use hslb_bench::perf::master_like_lp;
 use hslb_bench::timing::Runner;
-use hslb_lp::{solve, LinearProgram, RowSense};
-
-/// A master-LP-like instance: `cols` bounded columns, two linking equality
-/// rows and `cuts` inequality rows.
-fn master_like(cols: usize, cuts: usize) -> LinearProgram {
-    let mut lp = LinearProgram::new();
-    let n = lp.add_var(-1.0, 0.0, 1e6);
-    let zs: Vec<_> = (0..cols).map(|_| lp.add_var(0.0, 0.0, 1.0)).collect();
-    lp.add_row(zs.iter().map(|&z| (z, 1.0)).collect(), RowSense::Eq, 1.0);
-    let mut link: Vec<_> = zs
-        .iter()
-        .enumerate()
-        .map(|(k, &z)| (z, (2 * (k + 1)) as f64))
-        .collect();
-    link.push((n, -1.0));
-    lp.add_row(link, RowSense::Eq, 0.0);
-    for c in 0..cuts {
-        // Diverse inequality cuts touching n and a few z's.
-        let mut row = vec![(n, 1.0)];
-        for k in 0..3 {
-            row.push((zs[(c * 7 + k * 13) % cols], 1.5 + k as f64));
-        }
-        lp.add_row(row, RowSense::Le, 1e5 + c as f64);
-    }
-    lp
-}
+use hslb_lp::solve;
 
 fn main() {
     let runner = Runner::from_args("simplex_master_lp");
     for cols in [64usize, 256, 1024] {
-        let lp = master_like(cols, 24);
+        let lp = master_like_lp(cols, 24);
         runner.case(&format!("{cols}"), || {
             let sol = solve(&lp);
             assert!(sol.is_optimal());

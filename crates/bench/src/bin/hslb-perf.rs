@@ -4,7 +4,6 @@
 //! hslb-perf                  # run the pinned suite, write BENCH_solver.json
 //! hslb-perf --smoke          # run + diff against the committed baseline
 //! hslb-perf --out <path>     # write/compare somewhere else
-//! hslb-perf --speedup        # wall-clock gate: sparse >= 5x dense at n=1k
 //! hslb-perf --serve-qps      # wall-clock gate: served throughput >= 1000/s
 //! hslb-perf --mpc-gate       # counter gate: E7 nlp-bnb newton_iters <= 15,508
 //! ```
@@ -13,14 +12,10 @@
 //! output is byte-identical across runs and machines — see
 //! `hslb_bench::perf` for the gate semantics.
 
-use hslb_bench::perf::{
-    diff_suites, e7_nlp_bnb_case, e7_thread_envelope, mpc_gate, perf_suite, time_netlib_like,
-    SPARSE_LP_SIZES, SPARSE_SPEEDUP_MIN,
-};
+use hslb_bench::perf::{diff_suites, e7_nlp_bnb_case, e7_thread_envelope, mpc_gate, perf_suite};
 use hslb_bench::serve_perf::{
     baseline_from_json, baseline_to_json, diff_serve, measure_serve_qps, serve_suite, SERVE_QPS_MIN,
 };
-use hslb_linalg::LinalgBackend;
 use std::path::PathBuf;
 
 /// Default baseline location: the workspace root, two levels above this
@@ -32,7 +27,6 @@ fn default_baseline() -> PathBuf {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut speedup = false;
     let mut serve_qps = false;
     let mut mpc = false;
     let mut out = default_baseline();
@@ -40,7 +34,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--speedup" => speedup = true,
             "--serve-qps" => serve_qps = true,
             "--mpc-gate" => mpc = true,
             "--out" => match it.next() {
@@ -73,23 +66,6 @@ fn main() {
         if qps < SERVE_QPS_MIN {
             fail(&format!(
                 "served throughput {qps:.0}/s below required {SERVE_QPS_MIN}/s"
-            ));
-        }
-        return;
-    }
-
-    if speedup {
-        // Standalone wall-clock gate; the only non-counter check, so it
-        // never touches the baseline file.
-        let (n, m) = SPARSE_LP_SIZES[1];
-        eprintln!("hslb-perf: timing dense vs sparse simplex at n={n}, m={m}...");
-        let dense = time_netlib_like(n, m, LinalgBackend::Dense);
-        let sparse = time_netlib_like(n, m, LinalgBackend::Sparse);
-        let ratio = dense / sparse;
-        println!("hslb-perf: dense {dense:.3}s, sparse {sparse:.3}s -> speedup {ratio:.1}x");
-        if ratio < SPARSE_SPEEDUP_MIN {
-            fail(&format!(
-                "sparse speedup {ratio:.1}x below required {SPARSE_SPEEDUP_MIN}x"
             ));
         }
         return;
@@ -162,7 +138,7 @@ fn main() {
 
 fn usage(msg: &str) -> ! {
     eprintln!("hslb-perf: {msg}");
-    eprintln!("usage: hslb-perf [--smoke] [--speedup] [--serve-qps] [--mpc-gate] [--out <path>]");
+    eprintln!("usage: hslb-perf [--smoke] [--serve-qps] [--mpc-gate] [--out <path>]");
     std::process::exit(2);
 }
 

@@ -14,13 +14,12 @@
 //! tables -- objectives         # E9: min-max vs max-min vs min-sum
 //! tables -- fmo                # E10: FMO HSLB vs baselines (title paper)
 //! tables -- layouts            # E11: layout semantics validation
-//! tables -- sparse             # E15: sparse vs dense simplex, netlib scale
+//! tables -- sparse             # E15: sparse-LU simplex at netlib scale
 //! ```
 
 use hslb_bench::harness::*;
 use hslb_bench::perf::{solve_netlib_like, time_netlib_like, SPARSE_LP_SIZES};
 use hslb_cesm_sim::Scenario;
-use hslb_linalg::LinalgBackend;
 
 const SEED: u64 = hslb_rng::seeds::CESM;
 
@@ -148,26 +147,23 @@ fn run(cmd: &str) {
             }
         }
         "sparse" => {
-            println!("# E15 — sparse vs dense simplex on seeded netlib-style LPs");
-            println!("# (dense timings at n=5000 are skipped: the O(m^3) refactorizations");
-            println!("#  alone take minutes; the counter columns still pin both backends)");
+            println!("# E15 — sparse-LU simplex on seeded netlib-style LPs");
+            println!("# (every optimum certified from its own duals)");
             println!(
-                "{:<14} {:>8} {:>8} {:>8} {:>10} {:>10} {:>10}",
-                "instance", "pivots", "refact", "etas", "fill_nnz", "sparse s", "dense s"
+                "{:<14} {:>8} {:>8} {:>8} {:>10} {:>10}",
+                "instance", "pivots", "refact", "etas", "fill_nnz", "seconds"
             );
-            for (i, &(n, m)) in SPARSE_LP_SIZES.iter().enumerate() {
-                let stats = solve_netlib_like(n, m, LinalgBackend::Sparse);
-                let sparse_s = time_netlib_like(n, m, LinalgBackend::Sparse);
-                let dense_s = (i < 2).then(|| time_netlib_like(n, m, LinalgBackend::Dense));
+            for (n, m) in SPARSE_LP_SIZES {
+                let stats = solve_netlib_like(n, m);
+                let seconds = time_netlib_like(n, m);
                 println!(
-                    "{:<14} {:>8} {:>8} {:>8} {:>10} {:>10.3} {:>10}",
+                    "{:<14} {:>8} {:>8} {:>8} {:>10} {:>10.3}",
                     format!("netlib n={n}"),
                     stats.simplex_pivots,
                     stats.factorizations,
                     stats.factor_updates,
                     stats.fill_nnz,
-                    sparse_s,
-                    dense_s.map_or("-".to_string(), |s| format!("{s:.3}")),
+                    seconds,
                 );
             }
         }

@@ -17,8 +17,7 @@ use crate::harness::{fmo_cluster_spec, sos_test_problem, true_spec};
 use hslb::{build_flat_model, build_layout_model, solve_model_with, Layout, SolverBackend};
 use hslb_cesm_sim::Scenario;
 use hslb_json::Json;
-use hslb_linalg::LinalgBackend;
-use hslb_lp::{LinearProgram, RowSense, SimplexOptions};
+use hslb_lp::{LinearProgram, RowSense};
 use hslb_minlp::{encode_sets_as_binaries, MinlpOptions, MinlpStatus, SolveStats};
 use hslb_perfmodel::{fit, PerfModel, ScalingData};
 use hslb_rng::seeds;
@@ -114,27 +113,16 @@ pub fn perf_suite() -> Vec<PerfCase> {
     }
 
     // Sparse-LP suite: seeded netlib-style instances (`netgen`) at
-    // and beyond paper scale, solved on the sparse basis factorization.
+    // and beyond paper scale, each optimum certified from its own duals.
     // The counters pin the pivot path *and* the factorization behavior
     // (refactorization count, eta updates, factor fill).
     for (n, m) in SPARSE_LP_SIZES {
-        let sol = solve_netlib_like(n, m, LinalgBackend::Sparse);
+        let sol = solve_netlib_like(n, m);
         cases.push(PerfCase {
             name: format!("sparse_lp_n{n}"),
             stats: sol,
         });
     }
-    // Dense twin of the smallest case: backend drift (a pivot-path change
-    // that only one factorization sees) is caught from both sides.
-    let dense = solve_netlib_like(
-        SPARSE_LP_SIZES[0].0,
-        SPARSE_LP_SIZES[0].1,
-        LinalgBackend::Dense,
-    );
-    cases.push(PerfCase {
-        name: format!("dense_lp_n{}", SPARSE_LP_SIZES[0].0),
-        stats: dense,
-    });
 
     // Fit microkernel: the paper-model fit on pinned synthetic data; its
     // `lm_steps` counts profile evaluations.
@@ -193,23 +181,20 @@ pub fn e7_thread_envelope(cases: &[PerfCase]) -> Vec<String> {
 }
 
 /// Pinned netlib-style LP sizes `(columns, rows)` for the sparse suite.
-/// Smallest first: index 0 doubles as the dense twin.
 pub const SPARSE_LP_SIZES: [(usize, usize); 3] = [(100, 60), (1000, 600), (5000, 1200)];
 
 /// Seed for the pinned netlib-style generator instances.
 pub const SPARSE_LP_SEED: u64 = 0xB0A7_F00D;
 
-/// Solves one seeded netlib-style instance on the given backend and
-/// returns its counters. Asserts optimality: the generator constructs
-/// feasible bounded instances by design.
-pub fn solve_netlib_like(n: usize, m: usize, backend: LinalgBackend) -> SolveStats {
+/// Solves one seeded netlib-style instance and returns its counters.
+/// Asserts that the optimum certifies ([`hslb_lp::LpSolution::certify`]):
+/// the generator constructs feasible bounded instances by design.
+pub fn solve_netlib_like(n: usize, m: usize) -> SolveStats {
     let lp = crate::netgen::netlib_like(SPARSE_LP_SEED, n, m);
-    let opts = SimplexOptions {
-        backend,
-        ..Default::default()
-    };
-    let sol = hslb_lp::solve_with(&lp, &opts);
-    assert!(sol.is_optimal(), "netlib-like n={n} m={m} must solve");
+    let sol = hslb_lp::solve(&lp);
+    if let Err(e) = sol.certify(&lp) {
+        panic!("netlib-like n={n} m={m} must solve to a certified optimum: {e}");
+    }
     SolveStats {
         lp_solves: 1,
         simplex_pivots: sol.iterations as u64,
@@ -220,25 +205,19 @@ pub fn solve_netlib_like(n: usize, m: usize, backend: LinalgBackend) -> SolveSta
     }
 }
 
-/// Minimum accepted sparse-over-dense wall-clock speedup on the n=1000
-/// netlib-like instance (the `hslb-perf --speedup` gate). The measured
-/// ratio is far higher (the dense basis inverse is O(m²) per pivot and
-/// O(m³) per refactorization); 5× leaves room for machine noise.
-pub const SPARSE_SPEEDUP_MIN: f64 = 5.0;
-
-/// Times one seeded netlib-like solve on the given backend, in seconds.
-/// The only wall-clock measurement in this module — used by the
-/// `--speedup` gate and the `tables -- sparse` report, never by the
-/// counter baseline.
-pub fn time_netlib_like(n: usize, m: usize, backend: LinalgBackend) -> f64 {
+/// Times one seeded netlib-like solve, in seconds. The only wall-clock
+/// measurement in this module — used by the `tables -- sparse` report,
+/// never by the counter baseline.
+pub fn time_netlib_like(n: usize, m: usize) -> f64 {
     let start = std::time::Instant::now();
-    let _ = solve_netlib_like(n, m, backend);
+    let _ = solve_netlib_like(n, m);
     start.elapsed().as_secs_f64()
 }
 
-/// The master-problem LP shape from the simplex benchmark: `cols` bounded
-/// columns, two linking equality rows, `cuts` inequality rows.
-fn master_like_lp(cols: usize, cuts: usize) -> LinearProgram {
+/// A master-problem LP shape OA generates: `cols` bounded columns, two
+/// linking equality rows, `cuts` inequality rows. Shared by the
+/// `micro_simplex_*` counter cases and the `simplex` bench.
+pub fn master_like_lp(cols: usize, cuts: usize) -> LinearProgram {
     let mut lp = LinearProgram::new();
     let n = lp.add_var(-1.0, 0.0, 1e6);
     let zs: Vec<_> = (0..cols).map(|_| lp.add_var(0.0, 0.0, 1.0)).collect();

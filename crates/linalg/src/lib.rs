@@ -1,13 +1,14 @@
-//! Dense linear-algebra substrate for the HSLB reproduction.
+//! Linear-algebra substrate for the HSLB reproduction, with no external
+//! dependencies.
 //!
-//! The optimization stack (Levenberg–Marquardt fitting, log-barrier Newton
-//! steps, simplex pricing) only ever needs small dense systems — a handful to
-//! a few thousand unknowns — so this crate provides straightforward row-major
-//! dense kernels with no external dependencies:
+//! The barrier's Newton steps at paper scale need only small dense systems
+//! (under [`SPARSE_CROSSOVER_DIM`] unknowns), so this crate provides
+//! straightforward row-major dense kernels for them; the simplex basis and
+//! larger KKT systems run on the sparse core:
 //!
 //! * [`Matrix`] — row-major dense matrix with the usual arithmetic.
 //! * [`Cholesky`] — SPD factorization with a ridge-regularized fallback
-//!   ([`Cholesky::new_regularized`]) used by trust-region and barrier solvers.
+//!   ([`Cholesky::new_regularized`]) used by the barrier solver.
 //! * [`Lu`] — partial-pivoting LU for general square systems.
 //! * [`Qr`] — Householder QR for least-squares subproblems.
 //! * [`vecops`] — the handful of BLAS-1 style vector helpers used everywhere.
@@ -15,9 +16,9 @@
 //!   fuzzy integer snaps, and intent-named float→int conversions.
 //! * [`sparse`] — the sparse core (CSC/CSR storage, fill-reducing
 //!   ordering, LU and Cholesky with a symbolic/numeric split) plus the
-//!   [`LinalgBackend`] selector: the simplex basis is always sparse unless
-//!   `Dense` is forced, the barrier KKT stays dense below
-//!   [`SPARSE_CROSSOVER_DIM`].
+//!   [`LinalgBackend`] selector of the barrier KKT path, dense below
+//!   [`SPARSE_CROSSOVER_DIM`] and sparse at or above it. The simplex basis
+//!   is always a sparse LU.
 //!
 //! All factorizations report failure through [`LinalgError`] instead of
 //! panicking so callers (iterative solvers) can recover, e.g. by adding

@@ -13,10 +13,10 @@
 //! * [`SparseWorkspace`] — the scatter/mark scratch shared by both
 //!   factorizations, held by callers (e.g. branch-and-bound scratch
 //!   arenas) so hot loops refactorize without reallocating.
-//! * [`LinalgBackend`] — the dense/sparse selector threaded through the
-//!   LP, NLP and MINLP option structs: the simplex basis is sparse unless
-//!   `Dense` is forced, the barrier KKT switches at the crossover
-//!   dimension.
+//! * [`LinalgBackend`] — the dense/sparse selector of the barrier KKT
+//!   solves, threaded through the NLP and MINLP option structs; the KKT
+//!   switches at the crossover dimension unless one path is forced. The
+//!   simplex basis is always a sparse LU and takes no selector.
 
 pub mod cholesky;
 pub mod csc;
@@ -32,7 +32,7 @@ pub(crate) const NONE: usize = usize::MAX;
 
 /// KKT dimension at which `LinalgBackend::Auto` switches the barrier's
 /// Newton system from dense to sparse Cholesky. The simplex basis does not
-/// consult it: it is sparse at every row count unless `Dense` is forced.
+/// consult it: it is a sparse LU at every row count.
 ///
 /// Calibration: the paper-scale barrier KKTs (E7/E8, the FMO cluster
 /// NLPs, the testkit generators) stay under 160 unknowns, and there the
@@ -43,18 +43,17 @@ pub(crate) const NONE: usize = usize::MAX;
 /// where the asymptotic win is unambiguous.
 pub const SPARSE_CROSSOVER_DIM: usize = 160;
 
-/// Which linear-algebra kernels a solver should use.
+/// Which kernels the barrier's KKT solves use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinalgBackend {
-    /// The production choice: the sparse LU simplex basis at every row
-    /// count; the barrier KKT dense below [`SPARSE_CROSSOVER_DIM`] and
+    /// The production choice: dense below [`SPARSE_CROSSOVER_DIM`] and
     /// sparse at or above it.
     #[default]
     Auto,
-    /// Always the dense kernels (the differential reference for the
-    /// sparse≡dense batteries and `hslb-perf --speedup`).
+    /// Always the dense KKT (the reference for the dense-vs-sparse barrier
+    /// batteries).
     Dense,
-    /// Always the sparse kernels.
+    /// Always the sparse KKT.
     Sparse,
 }
 

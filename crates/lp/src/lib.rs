@@ -22,7 +22,9 @@
 //!   the two-phase solve only when the start stays dual infeasible, on
 //!   numerical trouble, or to certify `Infeasible`.
 //! * [`LpSolution`] / [`LpStatus`] — primal values, objective, duals, and
-//!   infeasible/unbounded outcomes.
+//!   infeasible/unbounded outcomes. [`LpSolution::certify`] checks an
+//!   optimum from the LP, its point and its duals alone: primal and dual
+//!   feasibility, complementary slackness and a zero duality gap.
 //!
 //! HSLB LPs range from a few dozen rows (E7 masters) to several hundred
 //! (FMO masters after a few hundred OA cuts, whose epigraph column touches

@@ -7,15 +7,14 @@
 //! sum of artificials; Phase 2 minimizes the true objective with artificials
 //! frozen at zero.
 //!
-//! The basis lives behind [`BasisFactor`]: a sparse LU factorization with
+//! The basis lives in a [`BasisFactor`]: a sparse LU factorization with
 //! Bartels–Golub-style product-form eta updates per pivot, at every row
 //! count. Each refactorization orders the basis columns by nonzero count
 //! ([`LuSymbolic::by_column_count`]): one sort, slack singletons first, the
-//! epigraph hub of an OA master last. The explicit dense inverse (the
-//! historical tableau) is reached only through an explicit
-//! `LinalgBackend::Dense`, where it serves as the differential reference
-//! (the sparse≡dense batteries, `hslb-perf --speedup`). Both
-//! representations are refactorized periodically for numerical hygiene.
+//! epigraph hub of an OA master last. The factorization is rebuilt every
+//! `REFACTOR_EVERY` pivots for numerical hygiene. Every optimum can be
+//! checked without trusting this module: [`LpSolution::certify`] reads only
+//! the LP, the point, the duals and the objective.
 //!
 //! [`solve_warm`] runs the dual simplex from the basis saved by a previous
 //! solve, or from the slack basis when there is none. Neither appending a
@@ -35,7 +34,7 @@
 
 use crate::model::{LinearProgram, RowSense};
 use crate::solution::{LpSolution, LpStatus};
-use hslb_linalg::{CscMatrix, LinalgBackend, Lu, LuSymbolic, Matrix, SparseLu, SparseWorkspace};
+use hslb_linalg::{CscMatrix, LuSymbolic, SparseLu, SparseWorkspace};
 use hslb_obs::{Event, Trace};
 
 use hslb_linalg::approx::exactly_zero;
@@ -67,24 +66,11 @@ const WARM_DUAL_TOL: f64 = 1e-7;
 
 /// Simplex options. The tolerances and pivot budgets are module consts
 /// sized for the HSLB problems.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimplexOptions {
     /// Event trace (off by default; see `hslb-obs`). When enabled, every
     /// solve emits one `LpSolved` event carrying its pivot count.
     pub trace: Trace,
-    /// Basis representation: the sparse LU + eta-update factorization
-    /// (`Auto` and `Sparse`, at every row count) or the dense explicit
-    /// inverse (`Dense` only — the differential reference).
-    pub backend: LinalgBackend,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            trace: Trace::off(),
-            backend: LinalgBackend::Auto,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,10 +152,9 @@ impl WarmBasis {
     }
 }
 
-/// One product-form update recorded by a sparse-path pivot. The update
-/// matrix `E⁻¹` applies to a vector as `v[r] /= pivot; v[i] -= w_i·v[r]`
-/// (`i ≠ r`), exactly the elementary row operation the dense path applies
-/// to its explicit inverse.
+/// One product-form update recorded by a pivot. The update matrix `E⁻¹`
+/// applies to a vector as `v[r] /= pivot; v[i] -= w_i·v[r]` (`i ≠ r`): the
+/// elementary row operation of the pivot.
 struct Eta {
     r: usize,
     /// Off-pivot rows of the ftran column (`i ≠ r`, structural zeros
@@ -178,39 +163,16 @@ struct Eta {
     pivot: f64,
 }
 
-/// The basis representation behind the simplex.
-///
-/// `Sparse` (the production kernel) holds the basis as `SparseLu` plus the
-/// etas appended since the last refactorization (Bartels–Golub-style
-/// product form): ftran applies the LU solve then the etas in order, btran
-/// applies the transposed etas in reverse then the transposed LU solve.
-/// `Dense` is the historical explicit inverse, built only when a caller
-/// asks for `LinalgBackend::Dense` as a reference.
-// One BasisFactor exists per solve (never in a collection), so the
-// dense/sparse size gap costs nothing; boxing would add a pointer chase
-// to every ftran/btran instead.
-#[allow(clippy::large_enum_variant)]
-enum BasisFactor {
-    Dense(Matrix),
-    Sparse {
-        lu: Option<SparseLu>,
-        etas: Vec<Eta>,
-        ws: SparseWorkspace,
-    },
-}
-
-impl BasisFactor {
-    fn new(backend: LinalgBackend, m: usize) -> BasisFactor {
-        if backend == LinalgBackend::Dense {
-            BasisFactor::Dense(Matrix::identity(m))
-        } else {
-            BasisFactor::Sparse {
-                lu: None,
-                etas: Vec::new(),
-                ws: SparseWorkspace::new(),
-            }
-        }
-    }
+/// The basis representation behind the simplex: a `SparseLu` plus the etas
+/// appended since the last refactorization (Bartels–Golub-style product
+/// form). ftran applies the LU solve then the etas in order; btran applies
+/// the transposed etas in reverse then the transposed LU solve.
+#[derive(Default)]
+struct BasisFactor {
+    /// `None` until the first refactorization.
+    lu: Option<SparseLu>,
+    etas: Vec<Eta>,
+    ws: SparseWorkspace,
 }
 
 struct Tableau {
@@ -221,7 +183,7 @@ struct Tableau {
     status: Vec<VarStatus>,
     /// Variable occupying each basis row.
     basis: Vec<usize>,
-    /// Basis factorization (dense explicit inverse or sparse LU + etas).
+    /// Basis factorization (sparse LU + etas).
     factor: BasisFactor,
     /// Values of the basic variables, row-aligned with `basis`.
     xb: Vec<f64>,
@@ -231,13 +193,11 @@ struct Tableau {
     /// Phase 2).
     can_enter: Vec<bool>,
     m: usize,
-    /// Basis (re)factorizations performed, both backends.
+    /// Basis (re)factorizations performed.
     factorizations: u64,
-    /// Product-form eta updates appended (sparse path only; the dense
-    /// path's elementary inverse updates are the same event but have no
-    /// factor to update).
+    /// Product-form eta updates appended.
     factor_updates: u64,
-    /// Cumulative factor nonzeros across sparse refactorizations.
+    /// Cumulative factor nonzeros across refactorizations.
     fill_nnz: u64,
 }
 
@@ -258,71 +218,31 @@ impl Tableau {
 
     /// y = cBᵀ B⁻¹ for the given cost vector.
     fn duals(&self, costs: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        match &self.factor {
-            BasisFactor::Dense(binv) => {
-                let mut y = vec![0.0; m];
-                for (r, &bvar) in self.basis.iter().enumerate() {
-                    let c = costs[bvar];
-                    if !exactly_zero(c) {
-                        for (k, yk) in y.iter_mut().enumerate() {
-                            *yk += c * binv[(r, k)];
-                        }
-                    }
-                }
-                y
-            }
-            BasisFactor::Sparse { .. } => {
-                let mut cb = vec![0.0; m];
-                for (r, &bvar) in self.basis.iter().enumerate() {
-                    cb[r] = costs[bvar];
-                }
-                self.btran(cb)
-            }
-        }
+        let cb = self.basis.iter().map(|&bvar| costs[bvar]).collect();
+        self.btran(cb)
     }
 
     /// Row `r` of B⁻¹ (ρᵀ = e_rᵀ B⁻¹) — the dual ratio test's pivot row.
     fn row_of_inverse(&self, r: usize) -> Vec<f64> {
-        match &self.factor {
-            BasisFactor::Dense(binv) => (0..self.m).map(|k| binv[(r, k)]).collect(),
-            BasisFactor::Sparse { .. } => {
-                let mut e = vec![0.0; self.m];
-                e[r] = 1.0;
-                self.btran(e)
-            }
-        }
+        let mut e = vec![0.0; self.m];
+        e[r] = 1.0;
+        self.btran(e)
     }
 
-    /// y = B⁻ᵀ v. Sparse path: transposed etas in reverse order, then the
-    /// transposed LU solve. (Dense callers use their historical loops
-    /// directly; this fallback arm keeps the method total.)
+    /// y = B⁻ᵀ v: transposed etas in reverse order, then the transposed LU
+    /// solve.
     fn btran(&self, mut v: Vec<f64>) -> Vec<f64> {
-        match &self.factor {
-            BasisFactor::Dense(binv) => {
-                let mut y = vec![0.0; self.m];
-                for (r, vr) in v.iter().enumerate() {
-                    if !exactly_zero(*vr) {
-                        for (k, yk) in y.iter_mut().enumerate() {
-                            *yk += vr * binv[(r, k)];
-                        }
-                    }
-                }
-                y
+        let BasisFactor { lu, etas, .. } = &self.factor;
+        for eta in etas.iter().rev() {
+            let mut s = v[eta.r];
+            for &(i, wi) in &eta.w {
+                s -= wi * v[i];
             }
-            BasisFactor::Sparse { lu, etas, .. } => {
-                for eta in etas.iter().rev() {
-                    let mut s = v[eta.r];
-                    for &(i, wi) in &eta.w {
-                        s -= wi * v[i];
-                    }
-                    v[eta.r] = s / eta.pivot;
-                }
-                match lu {
-                    Some(f) => f.solve_transposed(&v),
-                    None => v,
-                }
-            }
+            v[eta.r] = s / eta.pivot;
+        }
+        match lu {
+            Some(f) => f.solve_transposed(&v),
+            None => v,
         }
     }
 
@@ -337,139 +257,71 @@ impl Tableau {
 
     /// w = B⁻¹ A_j.
     fn ftran(&self, j: usize) -> Vec<f64> {
-        match &self.factor {
-            BasisFactor::Dense(binv) => {
-                let m = self.m;
-                let mut w = vec![0.0; m];
-                for &(row, a) in &self.cols[j] {
-                    if !exactly_zero(a) {
-                        for (i, wi) in w.iter_mut().enumerate() {
-                            *wi += binv[(i, row)] * a;
-                        }
-                    }
-                }
-                w
-            }
-            BasisFactor::Sparse { .. } => {
-                let mut v = vec![0.0; self.m];
-                for &(row, a) in &self.cols[j] {
-                    v[row] += a;
-                }
-                self.ftran_vec(v)
-            }
+        let mut v = vec![0.0; self.m];
+        for &(row, a) in &self.cols[j] {
+            v[row] += a;
         }
+        self.ftran_vec(v)
     }
 
     /// w = B⁻¹ v for a dense right-hand side: LU solve then the etas in
-    /// recording order (sparse path).
+    /// recording order.
     fn ftran_vec(&self, v: Vec<f64>) -> Vec<f64> {
-        match &self.factor {
-            BasisFactor::Dense(binv) => (0..self.m)
-                .map(|i| v.iter().enumerate().map(|(k, &vk)| binv[(i, k)] * vk).sum())
-                .collect(),
-            BasisFactor::Sparse { lu, etas, .. } => {
-                let mut w = match lu {
-                    Some(f) => f.solve(&v),
-                    None => v,
-                };
-                for eta in etas {
-                    let vr = w[eta.r] / eta.pivot;
-                    w[eta.r] = vr;
-                    if !exactly_zero(vr) {
-                        for &(i, wi) in &eta.w {
-                            w[i] -= wi * vr;
-                        }
-                    }
+        let BasisFactor { lu, etas, .. } = &self.factor;
+        let mut w = match lu {
+            Some(f) => f.solve(&v),
+            None => v,
+        };
+        for eta in etas {
+            let vr = w[eta.r] / eta.pivot;
+            w[eta.r] = vr;
+            if !exactly_zero(vr) {
+                for &(i, wi) in &eta.w {
+                    w[i] -= wi * vr;
                 }
-                w
             }
         }
+        w
     }
 
-    /// Applies the basis exchange at row `r` with ftran column `w`: the
-    /// elementary row update of the dense explicit inverse, or a recorded
-    /// product-form eta on the sparse factorization.
+    /// Applies the basis exchange at row `r` with ftran column `w` by
+    /// recording a product-form eta.
     fn pivot_update(&mut self, r: usize, w: &[f64]) {
-        match &mut self.factor {
-            BasisFactor::Dense(binv) => {
-                let p = w[r];
-                for k in 0..self.m {
-                    binv[(r, k)] /= p;
-                }
-                for (i, &f) in w.iter().enumerate() {
-                    if i != r && !exactly_zero(f) {
-                        for k in 0..self.m {
-                            let br = binv[(r, k)];
-                            binv[(i, k)] -= f * br;
-                        }
-                    }
-                }
-            }
-            BasisFactor::Sparse { etas, .. } => {
-                let wr: Vec<(usize, f64)> = w
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &wi)| i != r && !exactly_zero(wi))
-                    .map(|(i, &wi)| (i, wi))
-                    .collect();
-                etas.push(Eta {
-                    r,
-                    w: wr,
-                    pivot: w[r],
-                });
-                self.factor_updates += 1;
-            }
-        }
+        let wr: Vec<(usize, f64)> = w
+            .iter()
+            .enumerate()
+            .filter(|&(i, &wi)| i != r && !exactly_zero(wi))
+            .map(|(i, &wi)| (i, wi))
+            .collect();
+        self.factor.etas.push(Eta {
+            r,
+            w: wr,
+            pivot: w[r],
+        });
+        self.factor_updates += 1;
     }
 
     /// Rebuilds the basis factorization and `xb` from scratch (numerical
-    /// hygiene; also the sparse path's eta compaction point).
+    /// hygiene; also the eta compaction point).
     fn refactorize(&mut self) -> Result<(), ()> {
-        let m = self.m;
         self.factorizations += 1;
-        match &mut self.factor {
-            BasisFactor::Dense(binv_slot) => {
-                let mut b = Matrix::zeros(m, m);
-                for (r, &bvar) in self.basis.iter().enumerate() {
-                    for &(row, a) in &self.cols[bvar] {
-                        b[(row, r)] += a;
-                    }
-                }
-                let lu = Lu::new(&b).map_err(|_| ())?;
-                // binv columns: solve B z = e_k.
-                let mut binv = Matrix::zeros(m, m);
-                let mut e = vec![0.0; m];
-                for k in 0..m {
-                    e[k] = 1.0;
-                    let z = lu.solve(&e);
-                    e[k] = 0.0;
-                    for i in 0..m {
-                        binv[(i, k)] = z[i];
-                    }
-                }
-                *binv_slot = binv;
-            }
-            BasisFactor::Sparse { lu, etas, ws } => {
-                let bcols: Vec<&[(usize, f64)]> = self
-                    .basis
-                    .iter()
-                    .map(|&bvar| &self.cols[bvar][..])
-                    .collect();
-                let b = CscMatrix::from_columns(m, &bcols).map_err(|_| ())?;
-                let sym = LuSymbolic::by_column_count(&b).map_err(|_| ())?;
-                let f = SparseLu::factorize(&b, &sym, ws).map_err(|_| ())?;
-                self.fill_nnz += f.fill_nnz() as u64;
-                etas.clear();
-                *lu = Some(f);
-            }
-        }
+        let bcols: Vec<&[(usize, f64)]> = self
+            .basis
+            .iter()
+            .map(|&bvar| &self.cols[bvar][..])
+            .collect();
+        let b = CscMatrix::from_columns(self.m, &bcols).map_err(|_| ())?;
+        let sym = LuSymbolic::by_column_count(&b).map_err(|_| ())?;
+        let f = SparseLu::factorize(&b, &sym, &mut self.factor.ws).map_err(|_| ())?;
+        self.fill_nnz += f.fill_nnz() as u64;
+        self.factor.etas.clear();
+        self.factor.lu = Some(f);
         self.recompute_xb();
         Ok(())
     }
 
     /// xB = B⁻¹ (b - N x_N).
     fn recompute_xb(&mut self) {
-        let m = self.m;
         let mut resid = self.rhs.clone();
         for j in 0..self.cols.len() {
             if matches!(self.status[j], VarStatus::Basic(_)) {
@@ -482,19 +334,7 @@ impl Tableau {
                 }
             }
         }
-        let xb: Vec<f64> = match &self.factor {
-            BasisFactor::Dense(binv) => (0..m)
-                .map(|i| {
-                    resid
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &rk)| binv[(i, k)] * rk)
-                        .sum()
-                })
-                .collect(),
-            BasisFactor::Sparse { .. } => self.ftran_vec(resid),
-        };
-        self.xb = xb;
+        self.xb = self.ftran_vec(resid);
     }
 
     /// An outcome without a point (`Infeasible`, `Unbounded` or
@@ -541,7 +381,7 @@ pub fn solve(lp: &LinearProgram) -> LpSolution {
 
 /// Solves the LP with explicit options.
 pub fn solve_with(lp: &LinearProgram, opts: &SimplexOptions) -> LpSolution {
-    let sol = solve_inner(lp, opts, None);
+    let sol = solve_inner(lp, None);
     opts.trace.emit(|| Event::LpSolved {
         pivots: sol.iterations as u64,
     });
@@ -567,13 +407,13 @@ pub fn solve_warm(lp: &LinearProgram, opts: &SimplexOptions, warm: &mut WarmBasi
     } else {
         slack_basis(lp)
     };
-    let sol = match try_dual(lp, opts, status, basis, warm) {
+    let sol = match try_dual(lp, status, basis, warm) {
         Ok(sol) => LpSolution {
             warm_used: reuse,
             ..sol
         },
         Err(attempt) => {
-            let cold = solve_inner(lp, opts, Some(warm));
+            let cold = solve_inner(lp, Some(warm));
             LpSolution {
                 iterations: cold.iterations + attempt.iterations,
                 dual_pivots: cold.dual_pivots + attempt.dual_pivots,
@@ -659,11 +499,7 @@ fn build_base(lp: &LinearProgram) -> TableauBase {
 /// The actual two-phase solve; `solve_with` wraps it so that every return
 /// path emits exactly one trace event. When `save` is given, the optimal
 /// basis is recorded into it for later `solve_warm` calls.
-fn solve_inner(
-    lp: &LinearProgram,
-    opts: &SimplexOptions,
-    save: Option<&mut WarmBasis>,
-) -> LpSolution {
+fn solve_inner(lp: &LinearProgram, save: Option<&mut WarmBasis>) -> LpSolution {
     let m = lp.num_rows();
     let n = lp.num_vars();
 
@@ -737,7 +573,7 @@ fn solve_inner(
         hi,
         status,
         basis,
-        factor: BasisFactor::new(opts.backend, m),
+        factor: BasisFactor::default(),
         factorizations: 0,
         factor_updates: 0,
         fill_nnz: 0,
@@ -807,7 +643,6 @@ fn solve_inner(
 /// carries the abandoned attempt's work.
 fn try_dual(
     lp: &LinearProgram,
-    opts: &SimplexOptions,
     mut status: Vec<VarStatus>,
     basis: Vec<usize>,
     warm: &mut WarmBasis,
@@ -839,7 +674,7 @@ fn try_dual(
         hi,
         status,
         basis,
-        factor: BasisFactor::new(opts.backend, m),
+        factor: BasisFactor::default(),
         factorizations: 0,
         factor_updates: 0,
         fill_nnz: 0,

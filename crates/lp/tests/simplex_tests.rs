@@ -344,7 +344,6 @@ fn traced_solve_emits_one_lp_solved_event_with_pivot_count() {
     let ring = Arc::new(RingBuffer::new(16));
     let opts = hslb_lp::SimplexOptions {
         trace: Trace::to_sink(ring.clone()),
-        ..Default::default()
     };
     let sol = hslb_lp::solve_with(&lp, &opts);
     assert_eq!(sol.status, LpStatus::Optimal);
@@ -358,21 +357,14 @@ fn traced_solve_emits_one_lp_solved_event_with_pivot_count() {
     );
 }
 
-mod sparse_backend {
+mod certificate {
     use super::*;
-    use hslb_linalg::LinalgBackend;
-    use hslb_lp::{solve_warm, solve_with, SimplexOptions, WarmBasis};
+    use hslb_lp::{solve_warm, SimplexOptions, WarmBasis};
     use hslb_rng::Rng;
 
-    fn opts(backend: LinalgBackend) -> SimplexOptions {
-        SimplexOptions {
-            backend,
-            ..Default::default()
-        }
-    }
-
     /// Random feasible LP (same construction as the property module, wider
-    /// shapes so the basis has enough rows for the sparse path to matter).
+    /// shapes so the basis has enough rows for the LU and its etas to
+    /// matter).
     fn feasible_lp(rng: &mut Rng) -> (LinearProgram, Vec<f64>) {
         let n = rng.usize_range(2, 8);
         let m = rng.usize_range(1, 8);
@@ -395,54 +387,49 @@ mod sparse_backend {
     }
 
     #[test]
-    fn sparse_and_dense_backends_agree_on_random_lps() {
+    fn random_lp_optima_certify() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x5a);
         for case in 0..200 {
             let (lp, _) = feasible_lp(&mut rng);
-            let dense = solve_with(&lp, &opts(LinalgBackend::Dense));
-            let sparse = solve_with(&lp, &opts(LinalgBackend::Sparse));
-            assert_eq!(dense.status, sparse.status, "case {case}");
-            assert_eq!(dense.status, LpStatus::Optimal, "case {case}");
-            assert!(
-                (dense.objective - sparse.objective).abs() <= 1e-7,
-                "case {case}: dense {} vs sparse {}",
-                dense.objective,
-                sparse.objective
-            );
-            assert!(lp.is_feasible(&sparse.x, 1e-6), "case {case}");
-            assert!(sparse.factorizations >= 1, "case {case}");
-            assert_eq!(dense.factor_updates, 0, "dense path records no etas");
+            let sol = solve(&lp);
+            assert_eq!(sol.status, LpStatus::Optimal, "case {case}");
+            if let Err(e) = sol.certify(&lp) {
+                panic!("case {case}: {e}");
+            }
+            assert!(lp.is_feasible(&sol.x, 1e-6), "case {case}");
+            assert!(sol.factorizations >= 1, "case {case}");
         }
     }
 
     #[test]
-    fn sparse_warm_restart_agrees_with_dense() {
+    fn warm_restart_after_a_cut_certifies_and_matches_cold() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x6c);
+        let opts = SimplexOptions::default();
         for case in 0..50 {
             let (mut lp, xstar) = feasible_lp(&mut rng);
-            let mut warm_d = WarmBasis::new();
-            let mut warm_s = WarmBasis::new();
-            let d0 = solve_warm(&lp, &opts(LinalgBackend::Dense), &mut warm_d);
-            let s0 = solve_warm(&lp, &opts(LinalgBackend::Sparse), &mut warm_s);
-            assert_eq!(d0.status, s0.status, "case {case} cold");
+            let mut warm = WarmBasis::new();
+            let first = solve_warm(&lp, &opts, &mut warm);
+            assert_eq!(first.status, LpStatus::Optimal, "case {case} first");
             // Append a cut violated at the incumbent (supported by x*) and
-            // re-solve warm under both backends.
+            // re-solve warm.
             let n = xstar.len();
             let row = rng.vec_f64(n, -2.0, 2.0);
             let act: f64 = row.iter().zip(&xstar).map(|(a, x)| a * x).sum();
             let terms: Vec<_> = (0..n).map(|i| (hslb_lp::VarId(i), row[i])).collect();
             lp.add_row(terms, RowSense::Le, act + 0.5);
-            let d1 = solve_warm(&lp, &opts(LinalgBackend::Dense), &mut warm_d);
-            let s1 = solve_warm(&lp, &opts(LinalgBackend::Sparse), &mut warm_s);
-            assert_eq!(d1.status, s1.status, "case {case} warm");
-            if d1.status == LpStatus::Optimal {
-                assert!(
-                    (d1.objective - s1.objective).abs() <= 1e-7,
-                    "case {case}: dense {} vs sparse {}",
-                    d1.objective,
-                    s1.objective
-                );
+            let again = solve_warm(&lp, &opts, &mut warm);
+            let cold = solve(&lp);
+            assert_eq!(again.status, cold.status, "case {case} warm");
+            assert_eq!(again.status, LpStatus::Optimal, "case {case} warm");
+            if let Err(e) = again.certify(&lp) {
+                panic!("case {case}: {e}");
             }
+            assert!(
+                (again.objective - cold.objective).abs() <= 1e-7,
+                "case {case}: warm {} vs cold {}",
+                again.objective,
+                cold.objective
+            );
         }
     }
 }

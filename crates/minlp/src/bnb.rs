@@ -366,14 +366,7 @@ pub fn solve_nlp_bnb_seeded(
         }
 
         // Branch.
-        let Some(j) = select_branch_var(
-            problem,
-            &relax.x,
-            &node.lo,
-            &node.hi,
-            INT_TOL,
-            opts.branch_rule,
-        ) else {
+        let Some(j) = select_branch_var(problem, &relax.x, &node.lo, &node.hi, INT_TOL) else {
             recycle_node(&mut arena, node);
             continue; // nothing to branch on (degenerate)
         };

@@ -1,20 +1,11 @@
-//! Branching rules, including interval branching on allowed-value sets.
+//! Branching: most-fractional variable selection and interval branching on
+//! allowed-value sets.
 
 use crate::model::{set_members_in, MinlpProblem, VarDomain};
 
 /// Distance from the integer lattice below which a relaxation value counts
 /// as integral when constructing a branch.
 const INT_SNAP_TOL: f64 = 1e-9;
-
-/// How to pick the branching variable among domain-violating coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRule {
-    /// Branch on the coordinate with the largest domain violation
-    /// (most-fractional for plain integers).
-    MostFractional,
-    /// Branch on the lowest-index violating coordinate.
-    FirstFractional,
-}
 
 /// A branching decision: two child intervals `[lo, hi]` for one variable.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,15 +17,15 @@ pub struct Branch {
     pub up: (f64, f64),
 }
 
-/// Picks the branching variable at `x` under the rule, or `None` when every
-/// discrete coordinate already satisfies its domain within `int_tol`.
+/// Picks the branching variable at `x`: the coordinate with the largest
+/// domain violation (most-fractional for plain integers), or `None` when
+/// every discrete coordinate already satisfies its domain within `int_tol`.
 pub fn select_branch_var(
     problem: &MinlpProblem,
     x: &[f64],
     lo: &[f64],
     hi: &[f64],
     int_tol: f64,
-    rule: BranchRule,
 ) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for j in problem.discrete_vars() {
@@ -46,13 +37,8 @@ pub fn select_branch_var(
         if viol <= int_tol {
             continue;
         }
-        match rule {
-            BranchRule::FirstFractional => return Some(j),
-            BranchRule::MostFractional => {
-                if best.is_none_or(|(_, bv)| viol > bv) {
-                    best = Some((j, viol));
-                }
-            }
+        if best.is_none_or(|(_, bv)| viol > bv) {
+            best = Some((j, viol));
         }
     }
     best.map(|(j, _)| j)
@@ -154,14 +140,7 @@ mod tests {
         let x = [5.5, 5.4, 5.0]; // int viol 0.4; set viol 1.0 (5 vs 4)
         let lo = [0.0, 0.0, 2.0];
         let hi = [100.0, 100.0, 32.0];
-        assert_eq!(
-            select_branch_var(&p, &x, &lo, &hi, 1e-6, BranchRule::MostFractional),
-            Some(2)
-        );
-        assert_eq!(
-            select_branch_var(&p, &x, &lo, &hi, 1e-6, BranchRule::FirstFractional),
-            Some(1)
-        );
+        assert_eq!(select_branch_var(&p, &x, &lo, &hi, 1e-6), Some(2));
     }
 
     #[test]
@@ -170,10 +149,7 @@ mod tests {
         let x = [5.5, 5.0, 8.0];
         let lo = [0.0, 0.0, 2.0];
         let hi = [100.0, 100.0, 32.0];
-        assert_eq!(
-            select_branch_var(&p, &x, &lo, &hi, 1e-6, BranchRule::MostFractional),
-            None
-        );
+        assert_eq!(select_branch_var(&p, &x, &lo, &hi, 1e-6), None);
     }
 
     #[test]
@@ -182,10 +158,7 @@ mod tests {
         let x = [0.0, 5.4, 8.0];
         let lo = [0.0, 5.4, 2.0]; // var 1 pinned at fractional? lo==hi skips it
         let hi = [100.0, 5.4, 32.0];
-        assert_eq!(
-            select_branch_var(&p, &x, &lo, &hi, 1e-6, BranchRule::MostFractional),
-            None
-        );
+        assert_eq!(select_branch_var(&p, &x, &lo, &hi, 1e-6), None);
     }
 
     #[test]

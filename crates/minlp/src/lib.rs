@@ -20,8 +20,8 @@
 //!   branched on.
 //! * [`solve_parallel_bnb`] — fork-join parallel variant of the
 //!   NLP-based tree with a shared atomic incumbent.
-//! * Branching rules ([`BranchRule`]): most-fractional, first-fractional
-//!   (Bland-like), and **interval branching on allowed-value sets** — the
+//! * Branching ([`branching`]): most-fractional variable selection and
+//!   **interval branching on allowed-value sets** — the
 //!   "branch on the special ordered set rather than on individual binary
 //!   variables" trick the paper credits with two orders of magnitude
 //!   (§III-E). The explicit binary SOS1 encoding is kept in [`encode`] for
@@ -65,7 +65,6 @@ pub mod types;
 
 pub use ampl::to_ampl;
 pub use bnb::{solve_nlp_bnb, solve_nlp_bnb_seeded};
-pub use branching::BranchRule;
 pub use encode::encode_sets_as_binaries;
 pub use model::{MinlpProblem, VarDomain};
 pub use oa::solve_oa_bnb;

@@ -161,7 +161,6 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
     let barrier = opts.barrier();
     let lp_opts = hslb_lp::SimplexOptions {
         trace: opts.trace.clone(),
-        backend: opts.backend,
     };
     let relax = problem.relaxation();
     let n = problem.num_vars();
@@ -453,8 +452,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
                 continue;
             }
         }
-        let Some(j) = select_branch_var(problem, &x, &node.lo, &node.hi, INT_TOL, opts.branch_rule)
-        else {
+        let Some(j) = select_branch_var(problem, &x, &node.lo, &node.hi, INT_TOL) else {
             recycle_node(&mut arena, node);
             continue;
         };

@@ -572,15 +572,8 @@ fn explore_node(
         // already captured the candidate).
         None
     } else {
-        select_branch_var(
-            shared.problem,
-            &relax.x,
-            lo,
-            hi,
-            INT_TOL,
-            shared.opts.branch_rule,
-        )
-        .and_then(|j| make_branch(shared.problem, j, relax.x[j], lo[j], hi[j]).map(|b| (j, b)))
+        select_branch_var(shared.problem, &relax.x, lo, hi, INT_TOL)
+            .and_then(|j| make_branch(shared.problem, j, relax.x[j], lo[j], hi[j]).map(|b| (j, b)))
     };
     shared.merge(&local);
 

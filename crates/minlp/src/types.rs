@@ -1,6 +1,5 @@
 //! Shared solver types: options, status, solution, statistics.
 
-use crate::branching::BranchRule;
 use hslb_nlp::BarrierOptions;
 use hslb_obs::{ClockHandle, SolveStats, Trace};
 
@@ -40,8 +39,6 @@ pub struct MinlpOptions {
     pub clock: ClockHandle,
     /// Event trace (off by default; see `hslb-obs`).
     pub trace: Trace,
-    /// Branching rule.
-    pub branch_rule: BranchRule,
     /// Node selection.
     pub node_selection: NodeSelection,
     /// Threads for the parallel solver (0 = one per available core).
@@ -54,11 +51,11 @@ pub struct MinlpOptions {
     /// unchanged; only the work counters shrink. `hslb-cli` exposes
     /// `--no-warm-start` for A/B runs.
     pub warm_start: bool,
-    /// Linear-algebra backend for the LP and NLP subsolvers. `Auto` runs
-    /// every simplex basis on the sparse LU and the barrier KKT dense below
-    /// the crossover dimension; `Dense` forces the dense reference
-    /// everywhere, for the sparse≡dense batteries and `hslb-perf
-    /// --speedup`.
+    /// Linear-algebra backend of the barrier KKT solves in every NLP
+    /// subsolve (`BarrierOptions::backend`); the simplex always runs on its
+    /// sparse LU. `Auto` factors the KKT system dense below the barrier's
+    /// crossover dimension and sparse above it; `Dense` and `Sparse` force
+    /// one path, for the dense-vs-sparse barrier batteries.
     pub backend: hslb_linalg::LinalgBackend,
     /// Multiplier on the barrier's initial centering target μ₀, forwarded
     /// to every NLP subsolve (`BarrierOptions::mu0_scale`). Problem
@@ -86,7 +83,6 @@ impl Default for MinlpOptions {
             time_limit: None,
             clock: ClockHandle::default(),
             trace: Trace::off(),
-            branch_rule: BranchRule::MostFractional,
             node_selection: NodeSelection::BestBound,
             threads: 0,
             warm_start: true,

@@ -25,8 +25,8 @@ use hslb_rng::Rng;
 /// Relative tolerance for cross-solver objective agreement.
 pub const REL_TOL: f64 = 1e-3;
 
-/// Baseline differential tolerance, calibrated on the dense oracle at
-/// paper scale (boxes of ≤ 16 variables, O(1)–O(10) coefficients).
+/// Baseline differential tolerance, calibrated at paper scale (boxes of
+/// ≤ 16 variables, O(1)–O(10) coefficients).
 const DIFF_TOL_BASE: f64 = 1e-6;
 /// Dimension at which [`backend_diff_tol`] starts growing: the paper-scale
 /// instances the fixed historical 1e-6 was calibrated on.
@@ -38,26 +38,28 @@ const DIFF_TOL_CAP: f64 = 1e-4;
 /// Differential tolerance as a function of instance dimension and
 /// conditioning.
 ///
-/// The fixed `1e-6` the checkers used historically silently assumed the
-/// dense oracle at paper scale; rounding error in a factorization grows
-/// like √dim, and disagreement between two *different* factorization
-/// orders (dense explicit inverse vs sparse LU + eta updates) additionally
-/// scales with the spread of coefficient magnitudes. `dim` is the total
-/// instance dimension (variables + rows); `cond_scale` is a cheap
-/// conditioning proxy such as [`lp_cond_scale`]. At paper scale
-/// (`dim ≤ 16`, `cond_scale ≈ 1`) this reproduces the historical 1e-6, so
-/// none of the tier-1 suites move; calibration is documented in
-/// EXPERIMENTS.md § Testkit.
+/// The fixed `1e-6` the checkers used historically silently assumed paper
+/// scale; rounding error in a factorization grows like √dim, and
+/// disagreement between two solves that reach an optimum by different
+/// paths (warm vs cold simplex, the barrier's dense vs sparse KKT, a served
+/// vs a fresh solve) additionally scales with the spread of coefficient
+/// magnitudes. `dim` is the total instance dimension (variables + rows);
+/// `cond_scale` is a cheap conditioning proxy such as [`lp_cond_scale`].
+/// At paper scale (`dim ≤ 16`, `cond_scale ≈ 1`) this reproduces the
+/// historical 1e-6, so none of the tier-1 suites move; calibration is
+/// documented in EXPERIMENTS.md § Testkit.
 pub fn backend_diff_tol(dim: usize, cond_scale: f64) -> f64 {
     let growth = (dim as f64 / DIFF_TOL_DIM0).sqrt().max(1.0);
     (DIFF_TOL_BASE * growth * cond_scale.max(1.0)).min(DIFF_TOL_CAP)
 }
 
 /// Conditioning proxy for an LP: the number of decades its nonzero
-/// coefficient magnitudes span (≥ 1). A full condition-number estimate
-/// would need a factorization — circular for a checker that exists to
-/// validate factorizations — so the coefficient spread stands in: it
-/// bounds the scaling mismatch pivoting has to absorb.
+/// coefficient magnitudes span (≥ 1). It scales the feasibility and
+/// warm-vs-cold tolerances of the LP checks; optimality itself is checked
+/// by [`LpSolution::certify`]. A full condition-number estimate would need
+/// a factorization — circular for a checker of the factorized simplex — so
+/// the coefficient spread stands in: it bounds the scaling mismatch
+/// pivoting has to absorb.
 pub fn lp_cond_scale(lp: &hslb_lp::LinearProgram) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = 0.0f64;
@@ -80,10 +82,11 @@ fn agree(a: f64, b: f64, rel: f64) -> bool {
     (a - b).abs() <= rel * a.abs().max(b.abs()).max(1.0)
 }
 
-/// Simplex vs its own certificate: optimality against the known feasible
-/// point, primal feasibility, and (canonical instances) the dual
-/// certificate — strong duality and complementary slackness. Then the
-/// dual-simplex path against the cold solve (see [`check_lp_warm`]).
+/// Simplex vs its own certificate ([`LpSolution::certify`]: primal and
+/// dual feasibility, complementary slackness, zero duality gap), primal
+/// feasibility within the instance tolerance, and optimality against the
+/// known feasible point. Then the dual-simplex path against the cold solve
+/// (see [`check_lp_warm`]).
 pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
     let sol = hslb_lp::solve(&inst.lp);
     if sol.status != LpStatus::Optimal {
@@ -92,8 +95,9 @@ pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
             sol.status
         ));
     }
-    // Tolerance derived from the instance, not hardwired to the dense
-    // oracle at paper scale — see `backend_diff_tol`.
+    sol.certify(&inst.lp)?;
+    // Tolerance derived from the instance's size and coefficient spread —
+    // see `backend_diff_tol`.
     let tol = backend_diff_tol(
         inst.lp.num_vars() + inst.lp.num_rows(),
         lp_cond_scale(&inst.lp),
@@ -108,30 +112,6 @@ pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
             sol.objective
         ));
     }
-    if inst.canonical {
-        let dual_obj: f64 = inst
-            .lp
-            .rows()
-            .iter()
-            .zip(&sol.duals)
-            .map(|(row, y)| row.rhs * y)
-            .sum();
-        if !agree(dual_obj, sol.objective, tol) {
-            return Err(format!(
-                "strong duality violated: dual {dual_obj} vs primal {}",
-                sol.objective
-            ));
-        }
-        for (r, row) in inst.lp.rows().iter().enumerate() {
-            let slack = inst.lp.row_activity(r, &sol.x) - row.rhs;
-            let y = sol.duals[r];
-            if slack.abs() > tol && y.abs() > tol {
-                return Err(format!(
-                    "complementary slackness violated on row {r}: slack {slack}, dual {y}"
-                ));
-            }
-        }
-    }
     check_lp_warm(&inst.lp, &sol, tol)
 }
 
@@ -140,8 +120,9 @@ pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
 /// structural that sits strictly inside its bounds at the optimum pinned
 /// to its value, and a warm re-solve after that pin is released (the
 /// reload must move the released variable to a dual-feasible bound). Each
-/// answer must match the cold solve of the same LP. It draws no random
-/// numbers, so every generated case sees the same draws with or without it.
+/// answer must certify and match the cold solve of the same LP. It draws
+/// no random numbers, so every generated case sees the same draws with or
+/// without it.
 fn check_lp_warm(lp: &LinearProgram, cold: &LpSolution, tol: f64) -> Result<(), String> {
     let opts = SimplexOptions::default();
     let mut warm = WarmBasis::new();
@@ -174,7 +155,7 @@ fn check_lp_warm(lp: &LinearProgram, cold: &LpSolution, tol: f64) -> Result<(), 
 }
 
 /// `got` must match the cold answer `want` in status and, within `tol`, in
-/// objective, and an optimal `got` must be feasible.
+/// objective, and an optimal `got` must certify and be feasible.
 fn same_lp_answer(
     what: &str,
     lp: &LinearProgram,
@@ -189,6 +170,7 @@ fn same_lp_answer(
         ));
     }
     if got.status == LpStatus::Optimal {
+        got.certify(lp).map_err(|e| format!("{what}: {e}"))?;
         if !agree(got.objective, want.objective, tol) {
             return Err(format!(
                 "{what}: objective {}, cold {}",

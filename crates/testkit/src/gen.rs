@@ -28,15 +28,12 @@ pub struct LpInstance {
     pub lp: LinearProgram,
     /// Point used to set every right-hand side; always feasible.
     pub xstar: Vec<f64>,
-    /// True when the instance is in canonical form `min cᵀx, Ax >= b,
-    /// x >= 0` with nonnegative costs — the form for which the simplex
-    /// duals are the LP dual variables (strong duality is then checkable).
-    pub canonical: bool,
 }
 
 /// Random bounded LP, feasible by construction (every row's rhs is set
-/// relative to the activity at `xstar`). Half the draws are canonical-form
-/// instances with checkable dual certificates.
+/// relative to the activity at `xstar`). Half the draws are in canonical
+/// form `min cᵀx, Ax >= b, x >= 0` with nonnegative costs; the rest box
+/// every variable and mix `<=` and `>=` rows.
 pub fn lp_instance(rng: &mut Rng, size: u32) -> LpInstance {
     let size = clamp_size(size);
     let canonical = rng.bool(0.5);
@@ -57,11 +54,7 @@ pub fn lp_instance(rng: &mut Rng, size: u32) -> LpInstance {
                 act * rng.f64_range(0.5, 0.95),
             );
         }
-        LpInstance {
-            lp,
-            xstar,
-            canonical,
-        }
+        LpInstance { lp, xstar }
     } else {
         let xstar = rng.vec_f64(n, -5.0, 5.0);
         let mut lp = LinearProgram::new();
@@ -78,11 +71,7 @@ pub fn lp_instance(rng: &mut Rng, size: u32) -> LpInstance {
                 _ => lp.add_row(terms, RowSense::Eq, act),
             };
         }
-        LpInstance {
-            lp,
-            xstar,
-            canonical,
-        }
+        LpInstance { lp, xstar }
     }
 }
 

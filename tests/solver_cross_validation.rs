@@ -3,7 +3,7 @@
 
 use hslb_minlp::{
     encode_sets_as_binaries, solve_exhaustive, solve_nlp_bnb, solve_oa_bnb, solve_parallel_bnb,
-    BranchRule, MinlpOptions, MinlpProblem, MinlpStatus, NodeSelection,
+    MinlpOptions, MinlpProblem, MinlpStatus, NodeSelection,
 };
 use hslb_nlp::{ConstraintFn, ScalarFn};
 use hslb_rng::Rng;
@@ -50,20 +50,17 @@ fn three_backends_and_oracle_agree() {
 }
 
 #[test]
-fn branch_rules_and_node_selection_reach_same_optimum() {
+fn node_selections_reach_same_optimum() {
     let p = allocation(&[(500.0, 1.0), (250.0, 3.0), (90.0, 0.2)], 23);
     let mut objs = Vec::new();
-    for rule in [BranchRule::MostFractional, BranchRule::FirstFractional] {
-        for sel in [NodeSelection::BestBound, NodeSelection::DepthFirst] {
-            let opts = MinlpOptions {
-                branch_rule: rule,
-                node_selection: sel,
-                ..Default::default()
-            };
-            let sol = solve_oa_bnb(&p, &opts);
-            assert_eq!(sol.status, MinlpStatus::Optimal, "{rule:?}/{sel:?}");
-            objs.push(sol.objective);
-        }
+    for sel in [NodeSelection::BestBound, NodeSelection::DepthFirst] {
+        let opts = MinlpOptions {
+            node_selection: sel,
+            ..Default::default()
+        };
+        let sol = solve_oa_bnb(&p, &opts);
+        assert_eq!(sol.status, MinlpStatus::Optimal, "{sel:?}");
+        objs.push(sol.objective);
     }
     for w in objs.windows(2) {
         assert!((w[0] - w[1]).abs() < 1e-4, "{objs:?}");

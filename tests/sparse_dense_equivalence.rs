@@ -1,15 +1,19 @@
-//! Backend equivalence: the sparse numerical core (CSC LU + eta updates in
-//! the simplex, sparse Cholesky/LU KKT solves in the barrier) is an
-//! implementation detail — forcing `LinalgBackend::Sparse` vs
-//! `LinalgBackend::Dense` may change work counters and rounding in the
-//! last digits, never statuses, objectives, or feasibility. This suite
-//! pins that contract over 530 seeded instances across every solver layer
-//! (LP, netlib-style LP, NLP, all three MINLP backends), mirroring
-//! `warm_cold_equivalence.rs`, plus a pinned pivot/Newton-count envelope
-//! on fixed instances so silent work blowups in either backend fail loudly.
+//! The numerical core's answers, checked without a second solver. Every
+//! simplex optimum runs on the sparse LU + eta basis and must certify from
+//! its own duals (`LpSolution::certify`): primal and dual feasibility,
+//! complementary slackness and a zero duality gap. The barrier still has
+//! two KKT paths (dense below `SPARSE_CROSSOVER_DIM`, sparse Cholesky/LU
+//! above it), so forcing `LinalgBackend::Sparse` vs `LinalgBackend::Dense`
+//! through `BarrierOptions`/`MinlpOptions` may change work counters and
+//! rounding in the last digits, never statuses, objectives, or
+//! feasibility. The suite pins both contracts over 530 seeded instances
+//! (260 certified LPs, 120 NLPs and 150 MINLPs across all three
+//! branch-and-bound backends), mirroring `warm_cold_equivalence.rs`, plus
+//! a pinned pivot/Newton-count envelope on fixed instances so silent work
+//! blowups fail loudly.
 
 use hslb_linalg::LinalgBackend;
-use hslb_lp::{LpStatus, SimplexOptions};
+use hslb_lp::{LinearProgram, LpSolution, LpStatus};
 use hslb_minlp::{
     solve_nlp_bnb, solve_oa_bnb, solve_parallel_bnb, MinlpOptions, MinlpSolution, MinlpStatus,
 };
@@ -19,95 +23,46 @@ use hslb_testkit::check::{backend_diff_tol, lp_cond_scale};
 use hslb_testkit::gen;
 
 /// Objective agreement tolerance for the NLP/MINLP layers, relative to the
-/// dense optimum's scale. Looser than the LP tolerance: barrier solves
-/// terminate at a finite duality gap, so two factorization orders stop at
-/// slightly different interior points.
+/// dense optimum's scale. Barrier solves terminate at a finite duality gap,
+/// so two factorization orders stop at slightly different interior points.
 const OBJ_TOL: f64 = 1e-4;
 /// Feasibility tolerance for returned points (the solvers' own acceptance
 /// tolerance).
 const FEAS_TOL: f64 = 1e-5;
 
-fn dense_opts() -> SimplexOptions {
-    SimplexOptions {
-        backend: LinalgBackend::Dense,
-        ..Default::default()
+/// An optimal LP answer must certify and its point must be feasible within
+/// the instance-derived tolerance.
+fn assert_certified(what: &str, lp: &LinearProgram, sol: &LpSolution) {
+    if let Err(e) = sol.certify(lp) {
+        panic!("{what}: {e}");
     }
-}
-
-fn sparse_opts() -> SimplexOptions {
-    SimplexOptions {
-        backend: LinalgBackend::Sparse,
-        ..Default::default()
-    }
+    let tol = backend_diff_tol(lp.num_vars() + lp.num_rows(), lp_cond_scale(lp));
+    assert!(lp.is_feasible(&sol.x, tol), "{what}: point infeasible");
 }
 
 #[test]
-fn lp_backends_agree_across_200_generated_instances() {
+fn lp_optima_certify_across_200_generated_instances() {
     let mut rng = Rng::new(0x5BA2_5E0D);
     for case in 0..200u64 {
         let size = (case % 6) as u32 + 1;
         let inst = gen::lp_instance(&mut rng, size);
-        let dense = hslb_lp::solve_with(&inst.lp, &dense_opts());
-        let sparse = hslb_lp::solve_with(&inst.lp, &sparse_opts());
-        assert_eq!(
-            dense.status, sparse.status,
-            "case {case}: backend status diverged"
-        );
-        if dense.status != LpStatus::Optimal {
-            continue;
-        }
-        let tol = backend_diff_tol(
-            inst.lp.num_vars() + inst.lp.num_rows(),
-            lp_cond_scale(&inst.lp),
-        );
-        assert!(
-            (dense.objective - sparse.objective).abs() <= tol * dense.objective.abs().max(1.0),
-            "case {case}: dense {} vs sparse {}",
-            dense.objective,
-            sparse.objective
-        );
-        assert!(
-            inst.lp.is_feasible(&sparse.x, tol),
-            "case {case}: sparse point infeasible"
-        );
-        for (j, (&xd, &xs)) in dense.x.iter().zip(&sparse.x).enumerate() {
-            assert!(
-                (xd - xs).abs() <= 1e3 * tol * xd.abs().max(1.0),
-                "case {case}: x[{j}] dense {xd} vs sparse {xs}"
-            );
-        }
+        let sol = hslb_lp::solve(&inst.lp);
+        assert_eq!(sol.status, LpStatus::Optimal, "case {case}");
+        assert_certified(&format!("case {case}"), &inst.lp, &sol);
     }
 }
 
 #[test]
-fn lp_backends_agree_on_60_netlib_scale_instances() {
-    // Larger instances from the netlib-style generator: these cross the
-    // Auto backend's crossover dimension, so the sparse path here is the
-    // production path, not a forced test configuration.
+fn lp_optima_certify_on_60_netlib_scale_instances() {
+    // Larger instances from the netlib-style generator, up to 100 columns
+    // and 50 rows.
     for case in 0..60u64 {
         let n = 20 + (case as usize % 9) * 10; // 20..100 columns
         let m = n / 2;
         let lp = hslb_bench::netgen::netlib_like(0xD1FF_0000 + case, n, m);
-        let dense = hslb_lp::solve_with(&lp, &dense_opts());
-        let sparse = hslb_lp::solve_with(&lp, &sparse_opts());
-        assert_eq!(
-            dense.status, sparse.status,
-            "netlib case {case}: status diverged"
-        );
-        if dense.status != LpStatus::Optimal {
-            continue;
-        }
-        let tol = backend_diff_tol(lp.num_vars() + lp.num_rows(), lp_cond_scale(&lp));
-        assert!(
-            (dense.objective - sparse.objective).abs() <= tol * dense.objective.abs().max(1.0),
-            "netlib case {case}: dense {} vs sparse {}",
-            dense.objective,
-            sparse.objective
-        );
-        assert!(
-            lp.is_feasible(&sparse.x, tol),
-            "netlib case {case}: sparse point infeasible"
-        );
+        let sol = hslb_lp::solve(&lp);
+        assert_eq!(sol.status, LpStatus::Optimal, "netlib case {case}");
+        assert_certified(&format!("netlib case {case}"), &lp, &sol);
     }
 }
 
@@ -198,33 +153,26 @@ fn minlp_backends_agree_across_150_generated_instances() {
     }
 }
 
-/// Pinned work envelope on fixed instances: the backends must take the
-/// *same* pivot path (pivoting decisions depend on signs and ratio tests,
-/// which both factorizations compute to well within the decision
-/// tolerances at these sizes), and Newton counts must stay inside an
-/// envelope so a silently quadratic sparse kernel cannot hide behind
-/// matching objectives.
+/// Pinned work envelope on fixed instances: the simplex's pivot and
+/// refactorization counts stay in a pinned range, and the two barrier KKT
+/// paths' Newton counts stay inside one envelope, so a silently quadratic
+/// kernel cannot hide behind matching objectives.
 #[test]
 fn pinned_pivot_and_newton_envelope() {
     // LP: the n=100 netlib-style instance from the perf suite's seed
-    // family. Identical pivot counts, pinned range.
+    // family. Pinned pivot and refactorization ranges.
     let lp = hslb_bench::netgen::netlib_like(0xB0A7_F00D, 100, 60);
-    let dense = hslb_lp::solve_with(&lp, &dense_opts());
-    let sparse = hslb_lp::solve_with(&lp, &sparse_opts());
-    assert!(dense.is_optimal() && sparse.is_optimal());
-    assert_eq!(
-        dense.iterations, sparse.iterations,
-        "backends took different pivot paths"
-    );
+    let sol = hslb_lp::solve(&lp);
+    assert!(sol.is_optimal());
     assert!(
-        (150..=600).contains(&dense.iterations),
+        (150..=600).contains(&sol.iterations),
         "pivot count {} outside pinned envelope [150, 600]",
-        dense.iterations
+        sol.iterations
     );
     assert!(
-        (1..=20).contains(&sparse.factorizations),
-        "sparse refactorizations {} outside [1, 20]",
-        sparse.factorizations
+        (1..=20).contains(&sol.factorizations),
+        "refactorizations {} outside [1, 20]",
+        sol.factorizations
     );
 
     // NLP: a fixed mid-size barrier instance. Newton counts may differ a

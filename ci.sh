@@ -41,13 +41,13 @@ echo "== warm/cold equivalence =="
 # the suite solves ~3000 MINLPs.
 cargo test --release -q --test warm_cold_equivalence
 
-echo "== sparse/dense equivalence =="
+echo "== certified optima =="
 # Answers of the numerical core, checked without a second solver: 260
 # seeded LPs (200 generated, 60 netlib-style) whose simplex optima must
-# certify from their own duals, plus 270 NLP / MINLP instances on which
-# forcing the barrier's dense or sparse KKT may change work counters, never
-# answers, and a pinned pivot/Newton envelope (see DESIGN.md § Sparse core).
-cargo test --release -q --test sparse_dense_equivalence
+# certify from their own duals, 120 seeded NLPs whose barrier optima must
+# certify from their own multipliers, and a pinned pivot/Newton envelope
+# (see DESIGN.md § Sparse core).
+cargo test --release -q --test certified_optima
 
 echo "== serve equivalence =="
 # The serving layer must never change answers: 500 seeded instances solved
@@ -96,6 +96,14 @@ echo "== lp and flat fuzz =="
 # command is 1,000 OA solves; the pair takes about a second.
 ./target/release/testkit fuzz --layer lp --seeds 2000
 ./target/release/testkit fuzz --layer flat --seeds 4000
+
+echo "== nlp fuzz =="
+# Every nlp case solves a seeded min-max NLP and checks the barrier optimum
+# against its multiplier certificate (feasibility, multiplier signs,
+# reduced gradients and a zero duality gap at relative 1e-7), then
+# re-solves it with hostile coefficients. The layer runs on every second
+# round, so the command is 1,000 cases.
+./target/release/testkit fuzz --layer nlp --seeds 2000
 
 echo "== minlp, cesm and pipeline fuzz =="
 # The OA tree, with its integer-secant cut rounds, gets a deeper sweep on

@@ -9,7 +9,7 @@ use hslb::{
 use hslb_cesm_sim::truth::NAMES;
 use hslb_cesm_sim::{manual_allocation, CesmSimulator, Scenario};
 use hslb_fmo_sim::{generate_cluster, FmoSimulator};
-use hslb_minlp::{encode_sets_as_binaries, MinlpOptions, MinlpProblem, MinlpSolution, SolveStats};
+use hslb_minlp::{encode_sets_as_binaries, MinlpOptions, MinlpProblem, SolveStats};
 use hslb_nlp::{ConstraintFn, ScalarFn};
 use hslb_perfmodel::{fit, FitReport, ScalingData};
 use std::time::Instant;
@@ -993,9 +993,4 @@ pub fn layout_semantics_check(seed: u64) -> Vec<(String, f64, f64)> {
         out.push((format!("{alloc:?}"), formula, simulated));
     }
     out
-}
-
-/// Convenience wrapper: an OA solve with default options (used by benches).
-pub fn solve_default(problem: &MinlpProblem) -> MinlpSolution {
-    hslb_minlp::solve_oa_bnb(problem, &MinlpOptions::default())
 }

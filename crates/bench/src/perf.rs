@@ -215,9 +215,9 @@ pub fn time_netlib_like(n: usize, m: usize) -> f64 {
 }
 
 /// A master-problem LP shape OA generates: `cols` bounded columns, two
-/// linking equality rows, `cuts` inequality rows. Shared by the
-/// `micro_simplex_*` counter cases and the `simplex` bench.
-pub fn master_like_lp(cols: usize, cuts: usize) -> LinearProgram {
+/// linking equality rows, `cuts` inequality rows; the `micro_simplex_*`
+/// counter cases solve it.
+fn master_like_lp(cols: usize, cuts: usize) -> LinearProgram {
     let mut lp = LinearProgram::new();
     let n = lp.add_var(-1.0, 0.0, 1e6);
     let zs: Vec<_> = (0..cols).map(|_| lp.add_var(0.0, 0.0, 1.0)).collect();

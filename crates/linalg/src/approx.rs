@@ -58,6 +58,34 @@ pub fn fuzzy_floor(x: f64, tol: f64) -> f64 {
 /// unit spacing of the integer lattices being snapped to.
 pub const SNAP_TOL: f64 = 1e-9;
 
+/// Relative tolerance of the optimality certificates (`LpSolution::certify`
+/// and `NlpSolution::certify`): the simplex's primal feasibility tolerance.
+pub const CERT_TOL: f64 = 1e-7;
+
+/// Whether a certificate violation of size `viol` is within [`CERT_TOL`]
+/// relative to `1 + |scale|`. NaN is never within tolerance.
+pub fn cert_within(viol: f64, scale: f64) -> bool {
+    viol <= CERT_TOL * (1.0 + scale.abs())
+}
+
+/// `Err` naming the violated certificate condition `what` at `kind` `index`
+/// when `viol` is out of tolerance relative to `scale` ([`cert_within`]).
+pub fn cert_check(
+    what: &str,
+    kind: &str,
+    index: usize,
+    viol: f64,
+    scale: f64,
+) -> Result<(), String> {
+    if cert_within(viol, scale) {
+        return Ok(());
+    }
+    Err(format!(
+        "{what}: {kind} {index} off by {viol:e} ({:.1e} relative)",
+        viol / (1.0 + scale.abs())
+    ))
+}
+
 /// `x.ceil()` as an `i64`, saturating — the name states the rounding.
 pub fn ceil_to_i64(x: f64) -> i64 {
     x.ceil() as i64

@@ -15,10 +15,9 @@
 //! * [`approx`] — the workspace tolerance vocabulary: named comparisons,
 //!   fuzzy integer snaps, and intent-named float→int conversions.
 //! * [`sparse`] — the sparse core (CSC/CSR storage, fill-reducing
-//!   ordering, LU and Cholesky with a symbolic/numeric split) plus the
-//!   [`LinalgBackend`] selector of the barrier KKT path, dense below
-//!   [`SPARSE_CROSSOVER_DIM`] and sparse at or above it. The simplex basis
-//!   is always a sparse LU.
+//!   ordering, LU and Cholesky with a symbolic/numeric split). The simplex
+//!   basis is always a sparse LU; the barrier factors its KKT system dense
+//!   below [`SPARSE_CROSSOVER_DIM`] unknowns and sparse at or above it.
 //!
 //! All factorizations report failure through [`LinalgError`] instead of
 //! panicking so callers (iterative solvers) can recover, e.g. by adding
@@ -38,8 +37,8 @@ pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use sparse::{
-    CholSymbolic, CscMatrix, CsrMatrix, LinalgBackend, LuSymbolic, SparseCholesky, SparseLu,
-    SparseWorkspace, SPARSE_CROSSOVER_DIM,
+    CholSymbolic, CscMatrix, CsrMatrix, LuSymbolic, SparseCholesky, SparseLu, SparseWorkspace,
+    SPARSE_CROSSOVER_DIM,
 };
 
 /// Errors reported by factorizations and solves.

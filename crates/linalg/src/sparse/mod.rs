@@ -13,10 +13,10 @@
 //! * [`SparseWorkspace`] — the scatter/mark scratch shared by both
 //!   factorizations, held by callers (e.g. branch-and-bound scratch
 //!   arenas) so hot loops refactorize without reallocating.
-//! * [`LinalgBackend`] — the dense/sparse selector of the barrier KKT
-//!   solves, threaded through the NLP and MINLP option structs; the KKT
-//!   switches at the crossover dimension unless one path is forced. The
-//!   simplex basis is always a sparse LU and takes no selector.
+//!
+//! There is no dense/sparse selector. The simplex basis is always a
+//! sparse LU, and the barrier factors its KKT system sparse exactly when
+//! the system has at least [`SPARSE_CROSSOVER_DIM`] unknowns.
 
 pub mod cholesky;
 pub mod csc;
@@ -30,9 +30,10 @@ pub use lu::{LuSymbolic, SparseLu};
 /// Sentinel for "no index" in permutation / tree arrays.
 pub(crate) const NONE: usize = usize::MAX;
 
-/// KKT dimension at which `LinalgBackend::Auto` switches the barrier's
-/// Newton system from dense to sparse Cholesky. The simplex basis does not
-/// consult it: it is a sparse LU at every row count.
+/// KKT dimension at which the barrier's Newton system switches from the
+/// dense factorizations to the sparse Cholesky (no equalities) or LU (with
+/// equalities). The simplex basis does not consult it: it is a sparse LU
+/// at every row count.
 ///
 /// Calibration: the paper-scale barrier KKTs (E7/E8, the FMO cluster
 /// NLPs, the testkit generators) stay under 160 unknowns, and there the
@@ -42,32 +43,6 @@ pub(crate) const NONE: usize = usize::MAX;
 /// Netlib-scale systems (a few hundred unknowns and up) flip to sparse
 /// where the asymptotic win is unambiguous.
 pub const SPARSE_CROSSOVER_DIM: usize = 160;
-
-/// Which kernels the barrier's KKT solves use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LinalgBackend {
-    /// The production choice: dense below [`SPARSE_CROSSOVER_DIM`] and
-    /// sparse at or above it.
-    #[default]
-    Auto,
-    /// Always the dense KKT (the reference for the dense-vs-sparse barrier
-    /// batteries).
-    Dense,
-    /// Always the sparse KKT.
-    Sparse,
-}
-
-impl LinalgBackend {
-    /// Resolves the backend choice for a barrier KKT system of `dim`
-    /// unknowns.
-    pub fn use_sparse(self, dim: usize) -> bool {
-        match self {
-            LinalgBackend::Auto => dim >= SPARSE_CROSSOVER_DIM,
-            LinalgBackend::Dense => false,
-            LinalgBackend::Sparse => true,
-        }
-    }
-}
 
 /// Reusable scratch for the sparse factorizations: a dense scatter
 /// vector, a stamp-based visited mark, a DFS stack and a pattern/topo
@@ -93,18 +68,5 @@ impl SparseWorkspace {
             self.x.resize(n, 0.0);
             self.flag.resize(n, 0);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn auto_crossover_behaves() {
-        assert!(!LinalgBackend::Auto.use_sparse(SPARSE_CROSSOVER_DIM - 1));
-        assert!(LinalgBackend::Auto.use_sparse(SPARSE_CROSSOVER_DIM));
-        assert!(!LinalgBackend::Dense.use_sparse(100_000));
-        assert!(LinalgBackend::Sparse.use_sparse(2));
     }
 }

@@ -37,7 +37,7 @@ use crate::solution::{LpSolution, LpStatus};
 use hslb_linalg::{CscMatrix, LuSymbolic, SparseLu, SparseWorkspace};
 use hslb_obs::{Event, Trace};
 
-use hslb_linalg::approx::exactly_zero;
+use hslb_linalg::approx::{cert_within, exactly_zero};
 
 /// Hard cap on total pivots across both phases.
 const MAX_ITERS: usize = 50_000;
@@ -358,12 +358,40 @@ impl Tableau {
         dual_pivots: usize,
     ) -> LpSolution {
         let x: Vec<f64> = (0..lp.num_vars()).map(|j| self.value(j)).collect();
-        LpSolution {
+        let sol = LpSolution {
             objective: lp.objective_value(&x),
             x,
             duals: self.duals(costs),
             ..self.stopped(LpStatus::Optimal, iterations, dual_pivots)
-        }
+        };
+        debug_assert_eq!(
+            sol.certify(lp),
+            Ok(()),
+            "simplex optimum fails its certificate"
+        );
+        sol
+    }
+
+    /// Whether the point has drifted off a row of `lp`: the basic values
+    /// went through eta updates since the last refactorization, and some
+    /// row residual of the structural point fails the row check of
+    /// [`LpSolution::certify`] (relative to `1 + |rhs| + Σ|a_j·x_j|` at
+    /// 1e-7, this module's `FEAS_TOL`).
+    fn drifted(&self, lp: &LinearProgram) -> bool {
+        !self.factor.etas.is_empty()
+            && lp.rows().iter().any(|row| {
+                let (act, size) = row.coeffs.iter().fold((0.0, 0.0), |(act, size), &(v, a)| {
+                    let ax = a * self.value(v.0);
+                    (act + ax, size + f64::abs(ax))
+                });
+                let slack = act - row.rhs;
+                let viol = match row.sense {
+                    RowSense::Le => slack,
+                    RowSense::Ge => -slack,
+                    RowSense::Eq => slack.abs(),
+                };
+                !cert_within(viol, row.rhs.abs() + size)
+            })
     }
 }
 
@@ -623,15 +651,27 @@ fn solve_inner(lp: &LinearProgram, save: Option<&mut WarmBasis>) -> LpSolution {
     // ---- Phase 2 -------------------------------------------------------
     let mut costs2 = vec![0.0; tab.cols.len()];
     costs2[..n].copy_from_slice(lp.costs());
-    match run_phase(&mut tab, &costs2, &mut iterations) {
-        PhaseEnd::Optimal => {
+    let mut dual_pivots = 0;
+    let end = Some(run_phase(&mut tab, &costs2, &mut iterations));
+    let end = settle(
+        &mut tab,
+        lp,
+        &costs2,
+        end,
+        &mut iterations,
+        &mut dual_pivots,
+    );
+    match end {
+        Some(PhaseEnd::Optimal) => {
             if let Some(warm) = save {
                 warm.save_from(&tab, n);
             }
-            tab.optimal(lp, &costs2, iterations, 0)
+            tab.optimal(lp, &costs2, iterations, dual_pivots)
         }
-        PhaseEnd::Unbounded => tab.stopped(LpStatus::Unbounded, iterations, 0),
-        PhaseEnd::IterationLimit => tab.stopped(LpStatus::IterationLimit, iterations, 0),
+        Some(PhaseEnd::Unbounded) => tab.stopped(LpStatus::Unbounded, iterations, dual_pivots),
+        Some(PhaseEnd::IterationLimit) | None => {
+            tab.stopped(LpStatus::IterationLimit, iterations, dual_pivots)
+        }
     }
 }
 
@@ -687,7 +727,9 @@ fn try_dual(
     costs[..n].copy_from_slice(lp.costs());
     let mut iterations = 0usize;
     let mut dual_pivots = 0usize;
-    match run_dual(&mut tab, &costs, &mut iterations, &mut dual_pivots) {
+    let end = run_dual(&mut tab, &costs, &mut iterations, &mut dual_pivots);
+    let end = settle(&mut tab, lp, &costs, end, &mut iterations, &mut dual_pivots);
+    match end {
         Some(PhaseEnd::Optimal) => {
             warm.save_from(&tab, n);
             Ok(tab.optimal(lp, &costs, iterations, dual_pivots))
@@ -697,6 +739,27 @@ fn try_dual(
             Err(tab.stopped(LpStatus::IterationLimit, iterations, dual_pivots))
         }
     }
+}
+
+/// Checks an optimal `end` against eta drift: the simplex tests
+/// feasibility on the basic values, which the eta updates change step by
+/// step, so a point can leave a row unseen. While the optimum has
+/// [`drifted`](Tableau::drifted), the basis is refactorized and pivoting
+/// resumes on the dual simplex (an optimal basis is dual feasible). Each
+/// round that drifts again pivoted at least once, so `MAX_ITERS` bounds
+/// the loop. Any other `end` passes through.
+fn settle(
+    tab: &mut Tableau,
+    lp: &LinearProgram,
+    costs: &[f64],
+    mut end: Option<PhaseEnd>,
+    iterations: &mut usize,
+    dual_pivots: &mut usize,
+) -> Option<PhaseEnd> {
+    while matches!(end, Some(PhaseEnd::Optimal)) && tab.drifted(lp) {
+        end = run_dual(tab, costs, iterations, dual_pivots);
+    }
+    end
 }
 
 /// Factorizes the start basis of `tab`, makes it dual feasible by bound

@@ -2,10 +2,7 @@
 //! without trusting the solver that produced it.
 
 use crate::model::{LinearProgram, RowSense};
-
-/// Relative tolerance of [`LpSolution::certify`]: the simplex's own primal
-/// feasibility tolerance.
-const CERT_TOL: f64 = 1e-7;
+use hslb_linalg::approx::{cert_check as check, cert_within as within};
 
 /// Terminal status of a simplex run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +31,10 @@ pub struct LpSolution {
     pub duals: Vec<f64>,
     /// Simplex pivots of every kind (includes `dual_pivots`).
     pub iterations: usize,
-    /// Dual-simplex pivots `solve_warm` spent restoring primal feasibility,
-    /// from a saved basis or from the slack basis (zero for `solve` and
+    /// Dual-simplex pivots spent restoring primal feasibility: those
+    /// `solve_warm` spent from a saved basis or from the slack basis, and
+    /// those any solve spent after an optimum drifted off a row and the
+    /// basis was refactorized (otherwise zero for `solve` and
     /// `solve_with`). `iterations - dual_pivots` are primal pivots: the
     /// two-phase solve's and any clean-up after the dual pivots. A dual
     /// attempt that was abandoned for the cold solve still counts here, as
@@ -224,24 +223,6 @@ impl LpSolution {
             fill_nnz: 0,
         }
     }
-}
-
-/// Whether a violation of size `viol` is within tolerance relative to
-/// `1 + |scale|`. NaN is never within tolerance.
-fn within(viol: f64, scale: f64) -> bool {
-    viol <= CERT_TOL * (1.0 + scale.abs())
-}
-
-/// `Err` naming the violated condition `what` at `kind` `index` when `viol`
-/// is out of tolerance relative to `scale`.
-fn check(what: &str, kind: &str, index: usize, viol: f64, scale: f64) -> Result<(), String> {
-    if within(viol, scale) {
-        return Ok(());
-    }
-    Err(format!(
-        "{what}: {kind} {index} off by {viol:e} ({:.1e} relative)",
-        viol / (1.0 + scale.abs())
-    ))
 }
 
 #[cfg(test)]

@@ -24,7 +24,10 @@ pub(crate) const INT_TOL: f64 = 1e-6;
 pub(crate) const FEAS_TOL: f64 = 1e-6;
 
 /// Options shared by all MINLP solvers. The gap, integrality and
-/// feasibility tolerances are the consts above.
+/// feasibility tolerances are the consts above. No option picks a linear
+/// algebra path: every master LP runs on the sparse-LU simplex, and every
+/// NLP subsolve factors its barrier KKT system by its dimension (see
+/// `hslb_linalg::SPARSE_CROSSOVER_DIM`).
 #[derive(Debug, Clone)]
 pub struct MinlpOptions {
     /// Hard cap on explored nodes.
@@ -51,12 +54,6 @@ pub struct MinlpOptions {
     /// unchanged; only the work counters shrink. `hslb-cli` exposes
     /// `--no-warm-start` for A/B runs.
     pub warm_start: bool,
-    /// Linear-algebra backend of the barrier KKT solves in every NLP
-    /// subsolve (`BarrierOptions::backend`); the simplex always runs on its
-    /// sparse LU. `Auto` factors the KKT system dense below the barrier's
-    /// crossover dimension and sparse above it; `Dense` and `Sparse` force
-    /// one path, for the dense-vs-sparse barrier batteries.
-    pub backend: hslb_linalg::LinalgBackend,
     /// Multiplier on the barrier's initial centering target μ₀, forwarded
     /// to every NLP subsolve (`BarrierOptions::mu0_scale`). Problem
     /// families whose objective scale differs wildly from the unit-box
@@ -70,7 +67,6 @@ impl MinlpOptions {
     pub(crate) fn barrier(&self) -> BarrierOptions {
         BarrierOptions {
             trace: self.trace.clone(),
-            backend: self.backend,
             mu0_scale: self.mu0_scale,
         }
     }
@@ -86,7 +82,6 @@ impl Default for MinlpOptions {
             node_selection: NodeSelection::BestBound,
             threads: 0,
             warm_start: true,
-            backend: hslb_linalg::LinalgBackend::Auto,
             mu0_scale: 1.0,
         }
     }

@@ -24,8 +24,8 @@
 use crate::problem::NlpProblem;
 use hslb_linalg::approx::exactly_zero;
 use hslb_linalg::{
-    CholSymbolic, Cholesky, CscMatrix, LinalgBackend, Lu, LuSymbolic, Matrix, Qr, SparseCholesky,
-    SparseLu, SparseWorkspace,
+    CholSymbolic, Cholesky, CscMatrix, Lu, LuSymbolic, Matrix, Qr, SparseCholesky, SparseLu,
+    SparseWorkspace, SPARSE_CROSSOVER_DIM,
 };
 use hslb_obs::{Event, SolveStats, Trace};
 
@@ -122,17 +122,16 @@ const WARM_MU0_MIN: f64 = 1e-6;
 /// already centered there, so re-solving at that μ wastes a round.
 const WARM_MU0_SIGMA: f64 = 0.1;
 
-/// Barrier solver options. The tolerances and budgets are module consts.
+/// Barrier solver options. The tolerances and budgets are module consts,
+/// and so is the KKT path: a Newton system of fewer than
+/// [`SPARSE_CROSSOVER_DIM`] unknowns is factored dense, a larger one by
+/// the sparse Cholesky (no equalities) or LU (with equalities).
 #[derive(Debug, Clone)]
 pub struct BarrierOptions {
     /// Event trace (off by default; see `hslb-obs`). When enabled, every
     /// completed solve emits one `NlpSolved` event carrying its Newton
     /// iteration count.
     pub trace: Trace,
-    /// Which linear-algebra kernels the Newton/KKT solves use. `Auto`
-    /// keeps paper-scale systems on the dense oracle and switches large
-    /// ones to the sparse factorizations with symbolic reuse.
-    pub backend: LinalgBackend,
     /// Multiplier applied to the initial barrier weight, cold and warm
     /// alike (must be positive). A per-problem-family heuristic hook: a
     /// family whose instances start far from the central path can raise
@@ -145,7 +144,6 @@ impl Default for BarrierOptions {
     fn default() -> Self {
         BarrierOptions {
             trace: Trace::off(),
-            backend: LinalgBackend::Auto,
             mu0_scale: 1.0,
         }
     }
@@ -1073,17 +1071,7 @@ fn barrier_loop(
         }
     }
     tally.fixed_mu_ran = true;
-    fixed_mu_loop(
-        p,
-        x,
-        &free,
-        mu0,
-        opts,
-        newton_total,
-        tally,
-        scratch,
-        early_exit,
-    )
+    fixed_mu_loop(p, x, &free, mu0, newton_total, tally, scratch, early_exit)
 }
 
 /// The fixed-μ barrier loop: damped Newton on each barrier subproblem,
@@ -1098,7 +1086,6 @@ fn fixed_mu_loop(
     mut x: Vec<f64>,
     free: &[usize],
     mu0: f64,
-    opts: &BarrierOptions,
     newton_total: &mut usize,
     tally: &mut FactorTally,
     scratch: &mut SparseWorkspace,
@@ -1128,7 +1115,7 @@ fn fixed_mu_loop(
     // Sparse path: analyze the structural KKT pattern once per solve;
     // every Newton iteration below only refactorizes numerically.
     let kkt_dim = if m_eq == 0 { k } else { k + m_eq };
-    let mut sparse_kkt = if opts.backend.use_sparse(kkt_dim) {
+    let mut sparse_kkt = if kkt_dim >= SPARSE_CROSSOVER_DIM {
         SparseKkt::build(p, &col_of, &a_eq, k, m_eq, scratch)
     } else {
         None

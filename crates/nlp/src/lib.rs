@@ -22,7 +22,14 @@
 //! relaxes every constraint with one slack variable when needed. A fixed-μ
 //! log-barrier loop with damped Newton steps runs only where MPC cannot
 //! finish (its budget ran out, or the problem has no barrier terms); each
-//! solve that ran it sets [`NlpSolution::barrier_fallbacks`].
+//! solve that ran it sets [`NlpSolution::barrier_fallbacks`]. The Newton
+//! system is factored dense below `SPARSE_CROSSOVER_DIM` unknowns and by
+//! the sparse Cholesky or LU at or above it.
+//!
+//! Every optimum can be checked without trusting the barrier:
+//! [`NlpSolution::certify`] reads only the problem, the point, the
+//! inequality multipliers and the objective, and proves the optimum by
+//! weak duality, which the problem's convexity makes valid.
 
 //! # Example
 //!
@@ -45,6 +52,7 @@
 //! ```
 
 pub mod barrier;
+mod certificate;
 pub mod mpc;
 pub mod problem;
 pub mod term;

@@ -22,9 +22,11 @@
 //! spin. This extends the non-finite fast-fail that
 //! `Cholesky::new_regularized` gained for the same reason.
 
-use crate::barrier::{BarrierOptions, FactorTally, SparseKkt, HESS_CHOL_REG, KKT_REG};
+use crate::barrier::{FactorTally, SparseKkt, HESS_CHOL_REG, KKT_REG};
 use crate::problem::NlpProblem;
-use hslb_linalg::{Cholesky, Lu, Matrix, SparseCholesky, SparseLu, SparseWorkspace};
+use hslb_linalg::{
+    Cholesky, Lu, Matrix, SparseCholesky, SparseLu, SparseWorkspace, SPARSE_CROSSOVER_DIM,
+};
 
 /// Typed failure of the augmented system. Callers terminate the solve
 /// cleanly at their best iterate; they never retry the same system.
@@ -48,7 +50,8 @@ pub(crate) struct AugmentedSystem<'a> {
 }
 
 impl<'a> AugmentedSystem<'a> {
-    /// Chooses the backend and (on the sparse path) runs the symbolic
+    /// Chooses the path by the KKT dimension (sparse at or above
+    /// [`SPARSE_CROSSOVER_DIM`]) and, on the sparse path, runs the symbolic
     /// analysis once. A failed analysis silently degrades to dense,
     /// matching the fixed-μ loop.
     pub(crate) fn new(
@@ -57,11 +60,10 @@ impl<'a> AugmentedSystem<'a> {
         a_eq: &Matrix,
         k: usize,
         m_eq: usize,
-        opts: &BarrierOptions,
         scratch: &'a mut SparseWorkspace,
     ) -> AugmentedSystem<'a> {
         let dim = if m_eq == 0 { k } else { k + m_eq };
-        let sparse = if opts.backend.use_sparse(dim) {
+        let sparse = if dim >= SPARSE_CROSSOVER_DIM {
             SparseKkt::build(p, col_of, a_eq, k, m_eq, scratch)
         } else {
             None

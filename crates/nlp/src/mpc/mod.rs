@@ -835,7 +835,7 @@ pub(crate) fn run(
         count,
         eq_scale,
     };
-    let mut sys = AugmentedSystem::new(p, &col_of, &ctx.a_eq, k, m_eq, opts, scratch);
+    let mut sys = AugmentedSystem::new(p, &col_of, &ctx.a_eq, k, m_eq, scratch);
 
     // Perfectly centered initial duals: every complementarity product
     // starts at exactly μ₀ (capped), so the first predictor sees the true

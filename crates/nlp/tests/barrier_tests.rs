@@ -309,25 +309,18 @@ mod property {
     }
 }
 
-mod sparse_backend {
+mod certificate {
     use super::*;
-    use hslb_linalg::LinalgBackend;
-    use hslb_nlp::{solve_with, BarrierOptions};
+    use hslb_linalg::SPARSE_CROSSOVER_DIM;
+    use hslb_nlp::NlpSolution;
     use hslb_rng::Rng;
 
-    fn opts(backend: LinalgBackend) -> BarrierOptions {
-        BarrierOptions {
-            backend,
-            ..Default::default()
-        }
-    }
-
     /// Random min-max allocation NLP (the HSLB core shape): minimize the
-    /// epigraph variable t over per-group Amdahl curves and a node budget,
-    /// optionally with an equality pinning the total allocation so the KKT
-    /// sparse-LU path is exercised too.
-    fn minmax_nlp(rng: &mut Rng, with_eq: bool) -> NlpProblem {
-        let groups = rng.usize_range(2, 6);
+    /// epigraph variable t over `groups` Amdahl curves and a node budget,
+    /// optionally with an equality pinning the total allocation so the
+    /// KKT system carries an equality block (the sparse LU path above the
+    /// crossover).
+    fn minmax_nlp(rng: &mut Rng, groups: usize, with_eq: bool) -> NlpProblem {
         let mut p = NlpProblem::new();
         let vars: Vec<_> = (0..groups).map(|_| p.add_var(0.0, 0.5, 30.0)).collect();
         let t = p.add_var(1.0, 0.0, 1e6);
@@ -354,31 +347,43 @@ mod sparse_backend {
         p
     }
 
+    fn certified(p: &NlpProblem, what: &str) -> NlpSolution {
+        let sol = solve(p).unwrap();
+        assert_eq!(sol.status, NlpStatus::Optimal, "{what}");
+        if let Err(e) = sol.certify(p) {
+            panic!("{what}: {e}");
+        }
+        sol
+    }
+
     #[test]
-    fn sparse_and_dense_backends_agree_on_random_nlps() {
+    fn random_minmax_optima_certify() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x7d);
         for case in 0..40 {
-            let with_eq = case % 2 == 1;
-            let p = minmax_nlp(&mut rng, with_eq);
-            let dense = solve_with(&p, &opts(LinalgBackend::Dense)).unwrap();
-            let sparse = solve_with(&p, &opts(LinalgBackend::Sparse)).unwrap();
-            assert_eq!(dense.status, sparse.status, "case {case}");
-            assert_eq!(dense.status, NlpStatus::Optimal, "case {case}");
-            let scale = 1.0 + dense.objective.abs();
-            assert!(
-                (dense.objective - sparse.objective).abs() <= 1e-4 * scale,
-                "case {case}: dense {} vs sparse {}",
-                dense.objective,
-                sparse.objective
-            );
-            assert!(
-                sparse.factorizations >= 1,
-                "case {case}: sparse path unused"
-            );
-            assert_eq!(
-                dense.factorizations, 0,
-                "dense path counts no sparse factors"
-            );
+            let groups = rng.usize_range(2, 6);
+            let p = minmax_nlp(&mut rng, groups, case % 2 == 1);
+            certified(&p, &format!("case {case}"));
+        }
+    }
+
+    /// Both KKT paths certify on their own side of the crossover: 100
+    /// components factor dense, 200 and 320 sparse, each with and without
+    /// an equality row, so the sparse Cholesky and the sparse LU both run.
+    #[test]
+    fn optima_on_both_sides_of_the_kkt_crossover_certify() {
+        let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0xc0);
+        for groups in [100, 200, 320] {
+            for with_eq in [false, true] {
+                let p = minmax_nlp(&mut rng, groups, with_eq);
+                let what = format!("{groups} components, equality {with_eq}");
+                let sol = certified(&p, &what);
+                let kkt_dim = groups + 1 + usize::from(with_eq);
+                if kkt_dim < SPARSE_CROSSOVER_DIM {
+                    assert_eq!(sol.factorizations, 0, "{what}: dense path counted");
+                } else {
+                    assert!(sol.factorizations >= 1, "{what}: sparse path unused");
+                }
+            }
         }
     }
 }

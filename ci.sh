@@ -68,13 +68,6 @@ echo "== perf counters (hslb-perf --smoke) =="
 # and by how much (see DESIGN.md § Observability).
 ./target/release/hslb-perf --smoke
 
-echo "== mpc newton gate (hslb-perf --mpc-gate) =="
-# Counter gate for the Mehrotra predictor-corrector barrier: the pinned
-# E7 nlp-bnb solve must spend <= 15,508 Newton iterations, 60% of the
-# 25,848 the fixed-μ schedule spent (observed 6,629; the ceiling catches
-# any regression back toward the fixed schedule's per-node cost).
-./target/release/hslb-perf --mpc-gate
-
 echo "== serve throughput (hslb-perf --serve-qps) =="
 # Wall-clock gate: mixed cheap traffic (pings + verbatim cache replays)
 # through the threaded server must sustain >= 1000 queries/sec. Observed
@@ -91,8 +84,9 @@ echo "== lp and flat fuzz =="
 # The simplex warm path gets a deeper sweep. Every lp case also re-solves
 # through solve_warm from an empty basis, with a variable pinned and with
 # the pin released, against the cold solve; every flat case is a min-max OA
-# solve (its masters on the dual simplex) checked against the exact
-# waterfill. The flat layer runs on every fourth round, so the second
+# solve (its masters on the dual simplex) on paper models and allowed sets,
+# whose answer and the waterfill's must pass the exact structure
+# certificate. The flat layer runs on every fourth round, so the second
 # command is 1,000 OA solves; the pair takes about a second.
 ./target/release/testkit fuzz --layer lp --seeds 2000
 ./target/release/testkit fuzz --layer flat --seeds 4000
@@ -108,11 +102,13 @@ echo "== nlp fuzz =="
 echo "== minlp, cesm and pipeline fuzz =="
 # The OA tree, with its integer-secant cut rounds, gets a deeper sweep on
 # every layer that runs it: each minlp case checks every backend against
-# the exhaustive oracle, each cesm case checks a layout-1 OA solve against
-# the monotone oracle, and each pipeline case runs gather, fit, OA solve
+# the exhaustive oracle, each cesm case certifies an OA solve of one layout
+# (drawn from the seed) on paper models and allowed sets against the exact
+# structure certificate, and each pipeline case runs gather, fit, OA solve
 # and execute on a seeded 1° scenario. The layers run on every 40th, 40th
 # and 50th round (their cost weights, capped at 50), so the commands below
-# are 500, 500 and 400 cases; the three take about 4 s.
+# are 500, 500 and 400 cases; the three take about 15 s, nearly all of
+# it in the minlp layer.
 ./target/release/testkit fuzz --layer minlp --seeds 20000
 ./target/release/testkit fuzz --layer cesm --seeds 20000
 ./target/release/testkit fuzz --layer pipeline --seeds 20000

@@ -5,14 +5,13 @@
 //! hslb-perf --smoke          # run + diff against the committed baseline
 //! hslb-perf --out <path>     # write/compare somewhere else
 //! hslb-perf --serve-qps      # wall-clock gate: served throughput >= 1000/s
-//! hslb-perf --mpc-gate       # counter gate: E7 nlp-bnb newton_iters <= 15,508
 //! ```
 //!
 //! The suite records only deterministic work counters (no timings), so the
 //! output is byte-identical across runs and machines — see
 //! `hslb_bench::perf` for the gate semantics.
 
-use hslb_bench::perf::{diff_suites, e7_nlp_bnb_case, e7_thread_envelope, mpc_gate, perf_suite};
+use hslb_bench::perf::{diff_suites, e7_thread_envelope, perf_suite};
 use hslb_bench::serve_perf::{
     baseline_from_json, baseline_to_json, diff_serve, measure_serve_qps, serve_suite, SERVE_QPS_MIN,
 };
@@ -28,33 +27,18 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut serve_qps = false;
-    let mut mpc = false;
     let mut out = default_baseline();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--serve-qps" => serve_qps = true,
-            "--mpc-gate" => mpc = true,
             "--out" => match it.next() {
                 Some(path) => out = PathBuf::from(path),
                 None => usage("--out needs a path"),
             },
             other => usage(&format!("unknown argument {other}")),
         }
-    }
-
-    if mpc {
-        // Standalone counter gate for the predictor-corrector barrier:
-        // solves only the pinned E7 nlp-bnb case, so it stays cheap enough
-        // to run alongside --smoke in CI.
-        eprintln!("hslb-perf: running E7 nlp-bnb for the MPC newton gate...");
-        let case = e7_nlp_bnb_case();
-        match mpc_gate(std::slice::from_ref(&case)) {
-            Ok(verdict) => println!("hslb-perf: {verdict}"),
-            Err(e) => fail(&e),
-        }
-        return;
     }
 
     if serve_qps {
@@ -138,7 +122,7 @@ fn main() {
 
 fn usage(msg: &str) -> ! {
     eprintln!("hslb-perf: {msg}");
-    eprintln!("usage: hslb-perf [--smoke] [--serve-qps] [--mpc-gate] [--out <path>]");
+    eprintln!("usage: hslb-perf [--smoke] [--serve-qps] [--out <path>]");
     std::process::exit(2);
 }
 

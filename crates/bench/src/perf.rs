@@ -338,11 +338,6 @@ pub fn diff_suites(baseline: &[PerfCase], current: &[PerfCase]) -> Vec<String> {
     drifts
 }
 
-/// Ceiling on the E7 nlp-bnb case's Newton iterations (the `--mpc-gate`
-/// pin): 60% of the 25,848 the fixed-μ barrier spent on this case before
-/// the predictor-corrector loop replaced it. A hard perf gate, not a trend.
-pub const MPC_NEWTON_CEILING: u64 = 15_508;
-
 /// FMO (the title paper's domain): OA on the largest min-max cluster of
 /// `tests/fmo_claims.rs`. Every master LP, the first of each tree
 /// included, runs on the sparse-LU dual simplex (`simplex_pivots ==
@@ -367,44 +362,6 @@ pub fn fmo_oa_case() -> PerfCase {
         name: format!("fmo_oa_{FMO_FRAGMENTS}frag"),
         stats: sol.stats,
     }
-}
-
-/// Solves just the pinned E7 nlp-bnb case — the `--mpc-gate` workload —
-/// without paying for the rest of the suite.
-pub fn e7_nlp_bnb_case() -> PerfCase {
-    let spec = true_spec(&Scenario::one_degree(E7_TOTAL_NODES));
-    let model = build_layout_model(&spec, Layout::Hybrid);
-    let sol = solve_model_with(
-        &model.problem,
-        SolverBackend::NlpBnb,
-        &MinlpOptions::default(),
-    );
-    assert!(sol.objective.is_finite(), "E7 nlp_bnb must solve");
-    PerfCase {
-        name: format!("e7_layout1_{E7_TOTAL_NODES}_nlp_bnb"),
-        stats: sol.stats,
-    }
-}
-
-/// Perf gate for the predictor-corrector barrier: the pinned E7 nlp-bnb
-/// case must spend at most [`MPC_NEWTON_CEILING`] Newton iterations. Takes
-/// an already-computed suite (any slice containing the case), and returns
-/// a human-readable verdict line on success.
-pub fn mpc_gate(cases: &[PerfCase]) -> Result<String, String> {
-    let name = format!("e7_layout1_{E7_TOTAL_NODES}_nlp_bnb");
-    let case = cases
-        .iter()
-        .find(|c| c.name == name)
-        .ok_or_else(|| format!("suite is missing {name}"))?;
-    let newton = case.stats.newton_iters;
-    if newton > MPC_NEWTON_CEILING {
-        return Err(format!(
-            "{name}: newton_iters {newton} exceeds the MPC gate ceiling {MPC_NEWTON_CEILING}"
-        ));
-    }
-    Ok(format!(
-        "mpc gate: {name} newton_iters {newton} <= ceiling {MPC_NEWTON_CEILING}"
-    ))
 }
 
 #[cfg(test)]
@@ -432,20 +389,6 @@ mod tests {
         assert_eq!(back[1].stats, cases[1].stats);
         // Serialization is a fixed point.
         assert_eq!(suite_to_json(&back), text);
-    }
-
-    #[test]
-    fn mpc_gate_trips_on_newton_regression() {
-        let mk = |newton_iters| PerfCase {
-            name: format!("e7_layout1_{E7_TOTAL_NODES}_nlp_bnb"),
-            stats: SolveStats {
-                newton_iters,
-                ..Default::default()
-            },
-        };
-        assert!(mpc_gate(&[mk(15_000)]).is_ok());
-        assert!(mpc_gate(&[mk(16_000)]).is_err());
-        assert!(mpc_gate(&[case("other", 1)]).is_err(), "missing case fails");
     }
 
     #[test]

@@ -231,140 +231,43 @@ pub fn build_flat_model(spec: &FlatSpec) -> FlatModel {
     }
 }
 
-/// Exact polynomial-time solver for the **min–max** flat allocation with
-/// monotone-decreasing task times — the "single constraint resource
-/// constrained MINLP with non-increasing objective" special case the paper
-/// notes "can be solved in polynomial time with customized solvers
-/// (Ibaraki & Katoh)". Used as an oracle for the branch-and-bound solvers
-/// and as the fast path for thousand-fragment FMO instances.
-///
-/// Bisects on the makespan `T`: each task needs the smallest admissible
-/// node count with `T_j(n) <= T`; feasible iff the counts sum to at most
-/// `N`. Leftover nodes are then handed greedily to the current bottleneck.
-///
-/// Returns `None` when infeasible or when some model is not monotone
-/// decreasing on its domain (the argument would not hold).
+/// Exact polynomial-time solver for the **min–max** flat allocation — the
+/// "single constraint resource constrained MINLP" the paper notes "can be
+/// solved in polynomial time with customized solvers (Ibaraki & Katoh)" —
+/// and the fast path for thousand-fragment FMO instances. Each task gets
+/// the fewest admissible nodes that reach the optimal makespan
+/// (`exact::flat_optimum`); leftover nodes then go, one admissible
+/// step at a time, to the slowest task whose next count does not raise its
+/// time (`Σ n_j = N` semantics). `objective` is ignored: this is min–max.
+/// `None` when no allocation fits.
 pub fn solve_minmax_waterfill(spec: &FlatSpec) -> Option<FlatAllocation> {
     let n_total = spec.total_nodes;
-    for c in &spec.components {
-        let (lo, hi) = c.allowed.hull();
-        if !c.model.is_decreasing_on(lo as f64, hi.min(n_total) as f64) {
-            return None;
-        }
-    }
-    // Smallest admissible nodes achieving T_j(n) <= t, or None.
-    let need = |c: &ComponentSpec, t: f64| -> Option<i64> {
-        let (lo, hi) = c.allowed.hull();
-        let hi = hi.min(n_total);
-        if c.model.eval(hi as f64) > t {
-            return None;
-        }
-        if c.model.eval(lo as f64) <= t {
-            return smallest_admissible(c, lo);
-        }
-        // Binary search the threshold on the integer hull.
-        let (mut a, mut b) = (lo, hi); // T(a) > t >= T(b)
-        while b - a > 1 {
-            let m = a + (b - a) / 2;
-            if c.model.eval(m as f64) > t {
-                a = m;
-            } else {
-                b = m;
-            }
-        }
-        smallest_admissible(c, b)
-    };
-    let total_needed = |t: f64| -> Option<i64> {
-        let mut sum = 0i64;
-        for c in &spec.components {
-            sum += need(c, t)?;
-        }
-        Some(sum)
-    };
-
-    // Bracket the optimal makespan.
-    let t_hi = spec
-        .components
-        .iter()
-        .map(|c| c.model.eval(c.allowed.hull().0 as f64))
-        .fold(0.0f64, f64::max);
-    let t_lo = spec
-        .components
-        .iter()
-        .map(|c| c.model.eval(c.allowed.hull().1.min(n_total) as f64))
-        .fold(0.0f64, f64::max);
-    if total_needed(t_hi).is_none_or(|s| s > n_total) {
-        return None;
-    }
-    let (mut lo_t, mut hi_t) = (t_lo, t_hi);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo_t + hi_t);
-        match total_needed(mid) {
-            Some(s) if s <= n_total => hi_t = mid,
-            _ => lo_t = mid,
-        }
-    }
-    let t_star = hi_t;
-    let mut nodes: Vec<i64> = spec
-        .components
-        .iter()
-        .map(|c| need(c, t_star).expect("t_star feasible"))
-        .collect();
-
-    // Distribute leftovers to the bottleneck (Σ n_j = N semantics).
+    let (mut nodes, _) = crate::exact::flat_optimum(spec)?;
     let mut leftover = n_total - nodes.iter().sum::<i64>();
-    while leftover > 0 {
+    loop {
         // Current bottleneck with room to grow to its next admissible count.
         let mut best: Option<(usize, i64, f64)> = None; // (idx, next, time)
         for (j, c) in spec.components.iter().enumerate() {
-            let t = c.model.eval(nodes[j] as f64);
-            if let Some(next) = next_admissible(c, nodes[j], nodes[j] + leftover, n_total) {
-                if best.as_ref().is_none_or(|&(_, _, bt)| t > bt) {
-                    best = Some((j, next, t));
-                }
+            let (t, rank) = (c.model.eval(nodes[j] as f64), c.allowed.rank(nodes[j]));
+            if rank == c.allowed.rank((nodes[j] + leftover).min(n_total)) {
+                continue; // no admissible count fits in the leftover
+            }
+            let next = c.allowed.nth(rank);
+            if c.model.eval(next as f64) <= t && best.is_none_or(|(_, _, bt)| t > bt) {
+                best = Some((j, next, t));
             }
         }
-        match best {
-            Some((j, next, _)) => {
-                leftover -= next - nodes[j];
-                nodes[j] = next;
-            }
-            None => break, // nobody can absorb more nodes
-        }
+        let Some((j, next, _)) = best else { break }; // nobody can absorb more
+        leftover -= next - nodes[j];
+        nodes[j] = next;
     }
-
-    let nodes_u: Vec<u64> = nodes.iter().map(|&n| n as u64).collect();
-    let times: Vec<f64> = nodes_u
+    let nodes: Vec<u64> = nodes.into_iter().map(|n| n as u64).collect();
+    let times = nodes
         .iter()
         .zip(&spec.components)
         .map(|(&n, c)| c.predict(n))
         .collect();
-    Some(FlatAllocation {
-        nodes: nodes_u,
-        times,
-    })
-}
-
-/// Smallest admissible value `>= floor` in the component's domain.
-fn smallest_admissible(c: &ComponentSpec, floor: i64) -> Option<i64> {
-    match &c.allowed {
-        crate::spec::AllowedNodes::Range { min, max } => {
-            let v = floor.max(*min);
-            (v <= *max).then_some(v)
-        }
-        crate::spec::AllowedNodes::Set(vals) => {
-            let idx = vals.partition_point(|&v| v < floor);
-            vals.get(idx).copied()
-        }
-    }
-}
-
-/// Next admissible value strictly above `current`, at most `cap` and the
-/// machine size.
-fn next_admissible(c: &ComponentSpec, current: i64, cap: i64, machine: i64) -> Option<i64> {
-    let cap = cap.min(machine);
-    let next = smallest_admissible(c, current + 1)?;
-    (next <= cap).then_some(next)
+    Some(FlatAllocation { nodes, times })
 }
 
 #[cfg(test)]
@@ -398,6 +301,8 @@ mod tests {
         // Perfect continuous split is 4:12:2 -> times all 30.
         assert_eq!(alloc.nodes, vec![4, 12, 2], "{alloc:?}");
         assert!(alloc.imbalance() < 1e-9);
+        assert_eq!(solve_minmax_waterfill(&s).unwrap(), alloc);
+        crate::exact::certify_flat(&s, &alloc.nodes).unwrap();
     }
 
     #[test]
@@ -446,22 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn waterfill_matches_bnb_minmax() {
-        let s = spec(Objective::MinMax);
-        let wf = solve_minmax_waterfill(&s).unwrap();
-        let model = build_flat_model(&s);
-        let sol = solve_model(&model.problem, SolverBackend::default());
-        assert_eq!(sol.status, MinlpStatus::Optimal);
-        assert!(
-            (wf.makespan() - sol.objective).abs() / sol.objective < 1e-6,
-            "waterfill {} vs bnb {}",
-            wf.makespan(),
-            sol.objective
-        );
-        assert_eq!(wf.nodes.iter().sum::<u64>(), 18);
-    }
-
-    #[test]
     fn waterfill_respects_allowed_sets() {
         let s = FlatSpec {
             components: vec![
@@ -472,8 +361,7 @@ mod tests {
             objective: Objective::MinMax,
         };
         let wf = solve_minmax_waterfill(&s).unwrap();
-        assert!([2u64, 4, 8].contains(&wf.nodes[0]), "{wf:?}");
-        assert!(wf.nodes.iter().sum::<u64>() <= 11);
+        crate::exact::certify_flat(&s, &wf.nodes).unwrap();
     }
 
     #[test]
@@ -509,11 +397,6 @@ mod tests {
         };
         let wf = solve_minmax_waterfill(&s).unwrap();
         assert_eq!(wf.nodes.iter().sum::<u64>(), 4096);
-        // Balance sanity: no task more than ~2x the makespan under any
-        // single-node increment (discrete quantization allows some gap).
-        let ms = wf.makespan();
-        assert!(ms > 0.0 && ms.is_finite());
-        let worst_min = wf.min_time();
-        assert!(worst_min <= ms + 1e-9);
+        crate::exact::certify_flat(&s, &wf.nodes).unwrap();
     }
 }

@@ -238,7 +238,7 @@ pub fn build_layout_model_with_minor(
                     .with_constant(d),
             );
             // Optional T_sync pair (lines 18–19). The reverse side is a
-            // nonconvex (reverse-convex) constraint; see `oracle` tests.
+            // nonconvex (reverse-convex) constraint; see `exact` tests.
             if let Some(tsync) = spec.tsync {
                 let (iv, ifn, id) = perf(ni, &spec.ice);
                 let (lv, lfn, ld) = perf(nl, &spec.lnd);
@@ -427,48 +427,13 @@ mod tests {
         let sol = solve_model(&model.problem, SolverBackend::default());
         assert_eq!(sol.status, MinlpStatus::Optimal);
         let alloc = model.allocation(&sol);
-        // Structural constraints of layout 1.
-        assert!(alloc.ice + alloc.lnd <= alloc.atm);
-        assert!(alloc.atm + alloc.ocn <= 32);
+        // Admissible, inside layout 1's rows, and optimal.
+        crate::exact::certify_layout(&spec, Layout::Hybrid, &alloc).unwrap();
         // Objective equals the layout formula.
         let times = layout_predicted_times(&spec, Layout::Hybrid, &alloc);
         assert!(
             (sol.objective - times.total).abs() < 1e-3,
             "{sol:?} vs {times:?}"
-        );
-    }
-
-    #[test]
-    fn hybrid_matches_brute_force() {
-        let spec = small_spec(16);
-        let model = build_layout_model(&spec, Layout::Hybrid);
-        let sol = solve_model(&model.problem, SolverBackend::default());
-        assert_eq!(sol.status, MinlpStatus::Optimal);
-
-        // Brute force over all feasible integer allocations.
-        let mut best = f64::INFINITY;
-        for no in 1..16i64 {
-            for na in 1..=(16 - no) {
-                for ni in 1..na {
-                    let nl = na - ni; // using all of atm's partition is optimal
-                    if nl < 1 {
-                        continue;
-                    }
-                    let alloc = CesmAllocation {
-                        ice: ni as u64,
-                        lnd: nl as u64,
-                        atm: na as u64,
-                        ocn: no as u64,
-                    };
-                    let t = layout_predicted_times(&spec, Layout::Hybrid, &alloc).total;
-                    best = best.min(t);
-                }
-            }
-        }
-        assert!(
-            (sol.objective - best).abs() < 1e-3,
-            "solver {} vs brute force {best}",
-            sol.objective
         );
     }
 

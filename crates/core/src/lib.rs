@@ -51,10 +51,10 @@
 //! ```
 
 pub mod advisor;
+pub mod exact;
 pub mod flat;
 pub mod jsonio;
 pub mod layouts;
-pub mod oracle;
 pub mod pipeline;
 pub mod report;
 pub mod solver;
@@ -63,6 +63,7 @@ pub mod spec;
 pub use advisor::{
     component_swap_effect, recommend_layout, recommend_node_count, NodeGoal, NodeRecommendation,
 };
+pub use exact::{certify_flat, certify_layout, layout1_oracle, layout_optimum};
 pub use flat::{
     build_flat_model, solve_minmax_waterfill, FlatAllocation, FlatModel, FlatSpec, Objective,
 };
@@ -71,7 +72,6 @@ pub use layouts::{
     layout_predicted_times_with_minor, CesmAllocation, CesmModelSpec, Layout, LayoutModel,
     LayoutTimes, MinorComponents,
 };
-pub use oracle::layout1_oracle;
 pub use pipeline::{fit_all, gather, run_hslb, ExecutionReport, HslbOutcome, Workload};
 pub use report::AllocationReport;
 pub use solver::{solve_model, solve_model_with, SolverBackend};

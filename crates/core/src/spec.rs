@@ -48,16 +48,7 @@ impl AllowedNodes {
 
     /// Largest admissible value `<= cap`, if any.
     pub fn largest_at_most(&self, cap: i64) -> Option<i64> {
-        match self {
-            AllowedNodes::Range { min, max } => {
-                let v = cap.min(*max);
-                (v >= *min).then_some(v)
-            }
-            AllowedNodes::Set(vals) => {
-                let idx = vals.partition_point(|&v| v <= cap);
-                (idx > 0).then(|| vals[idx - 1])
-            }
-        }
+        self.rank(cap).checked_sub(1).map(|i| self.nth(i))
     }
 
     /// Admissible value nearest to `target` (ties break downward).
@@ -77,11 +68,21 @@ impl AllowedNodes {
         }
     }
 
-    /// All admissible values (materialized; use with care on wide ranges).
-    pub fn values(&self) -> Vec<i64> {
+    /// Number of admissible values `<= cap`.
+    pub(crate) fn rank(&self, cap: i64) -> usize {
         match self {
-            AllowedNodes::Range { min, max } => (*min..=*max).collect(),
-            AllowedNodes::Set(v) => v.clone(),
+            AllowedNodes::Range { min, max } => (cap.min(*max) - min + 1).max(0) as usize,
+            AllowedNodes::Set(vals) => vals.partition_point(|&v| v <= cap),
+        }
+    }
+
+    /// The `i`-th smallest admissible value, counting from 0; `i` must be
+    /// below the domain's size. With [`AllowedNodes::rank`] this reads the
+    /// domain by index without materializing it.
+    pub(crate) fn nth(&self, i: usize) -> i64 {
+        match self {
+            AllowedNodes::Range { min, .. } => min + i as i64,
+            AllowedNodes::Set(vals) => vals[i],
         }
     }
 
@@ -157,10 +158,12 @@ mod tests {
         assert_eq!(s.largest_at_most(3000), Some(2356));
         assert_eq!(s.largest_at_most(512), Some(512));
         assert_eq!(s.largest_at_most(100), None);
+        assert_eq!((s.rank(512), s.rank(i64::MAX), s.nth(2)), (2, 4, 2356));
         let r = AllowedNodes::Range { min: 4, max: 64 };
         assert_eq!(r.largest_at_most(100), Some(64));
         assert_eq!(r.largest_at_most(10), Some(10));
         assert_eq!(r.largest_at_most(3), None);
+        assert_eq!((r.rank(3), r.rank(100), r.nth(6)), (0, 61, 10));
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use oa::solve_oa_bnb;
 pub use oracle::solve_exhaustive;
 pub use parallel::solve_parallel_bnb;
 pub use presolve::{presolve, PresolveOutcome};
-pub use types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection};
+pub use types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection, ABS_GAP, REL_GAP};
 
 // Observability vocabulary, re-exported so downstream crates can configure
 // traces/clocks and read counters without a direct `hslb-obs` dependency.

@@ -15,9 +15,9 @@ pub enum NodeSelection {
 
 /// Absolute optimality gap at which a node is pruned and the search
 /// declared optimal.
-pub(crate) const ABS_GAP: f64 = 1e-6;
+pub const ABS_GAP: f64 = 1e-6;
 /// Relative optimality gap (on top of [`ABS_GAP`]).
-pub(crate) const REL_GAP: f64 = 1e-6;
+pub const REL_GAP: f64 = 1e-6;
 /// Integrality / set-membership tolerance.
 pub(crate) const INT_TOL: f64 = 1e-6;
 /// Constraint feasibility tolerance for accepting incumbents.

@@ -1,6 +1,5 @@
 //! The performance function `T(n) = a/n^c + b·n + d` and variants.
 
-use hslb_linalg::approx::exactly_zero;
 use hslb_nlp::ScalarFn;
 
 /// Functional form used when fitting (the full paper model or a restricted
@@ -68,46 +67,6 @@ impl PerfModel {
         self.a / n.powf(self.c) + self.b * n + self.d
     }
 
-    /// First derivative `dT/dn`.
-    pub fn d1(&self, n: f64) -> f64 {
-        -self.a * self.c * n.powf(-self.c - 1.0) + self.b
-    }
-
-    /// The scalable contribution `T_sca(n)`.
-    pub fn scalable(&self, n: f64) -> f64 {
-        self.a / n.powf(self.c)
-    }
-
-    /// The increasing contribution `T_nln(n)`.
-    pub fn nonlinear(&self, n: f64) -> f64 {
-        self.b * n
-    }
-
-    /// The serial floor `T_ser`.
-    pub fn serial(&self) -> f64 {
-        self.d
-    }
-
-    /// Whether the model is monotonically decreasing on `[lo, hi]`
-    /// (true when `b` is negligible or the minimum lies beyond `hi`).
-    pub fn is_decreasing_on(&self, lo: f64, hi: f64) -> bool {
-        // dT/dn < 0 iff n < (a·c/b)^(1/(c+1)); with b = 0 it always is.
-        if exactly_zero(self.b) || exactly_zero(self.a) {
-            return self.a > 0.0 || exactly_zero(self.b);
-        }
-        let turning = (self.a * self.c / self.b).powf(1.0 / (self.c + 1.0));
-        lo < turning && hi <= turning
-    }
-
-    /// Node count minimizing `T(n)` on the continuum (`None` when the model
-    /// is monotone decreasing, i.e. "more nodes is always better").
-    pub fn continuous_minimizer(&self) -> Option<f64> {
-        if self.b <= 0.0 || self.a <= 0.0 || self.c <= 0.0 {
-            return None;
-        }
-        Some((self.a * self.c / self.b).powf(1.0 / (self.c + 1.0)))
-    }
-
     /// Exports the *variable* part (`a/n^c + b·n`) as a structured
     /// [`ScalarFn`] for MINLP constraints; the constant `d` must be added to
     /// the constraint's constant term by the caller.
@@ -139,7 +98,6 @@ mod tests {
     fn eval_decomposes() {
         let m = PerfModel::new(1000.0, 0.01, 1.0, 5.0);
         let n = 50.0;
-        assert!((m.eval(n) - (m.scalable(n) + m.nonlinear(n) + m.serial())).abs() < 1e-12);
         assert!((m.eval(n) - (20.0 + 0.5 + 5.0)).abs() < 1e-12);
     }
 
@@ -147,36 +105,6 @@ mod tests {
     fn amdahl_special_case() {
         let m = PerfModel::amdahl(1495.0, 1.5);
         assert!((m.eval(24.0) - (1495.0 / 24.0 + 1.5)).abs() < 1e-12);
-        assert!(m.is_decreasing_on(1.0, 1e9));
-        assert!(m.continuous_minimizer().is_none());
-    }
-
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let m = PerfModel::new(500.0, 0.02, 1.2, 3.0);
-        for &n in &[4.0, 64.0, 1024.0] {
-            let h = 1e-5 * n;
-            let fd = (m.eval(n + h) - m.eval(n - h)) / (2.0 * h);
-            assert!((m.d1(n) - fd).abs() < 1e-5 * (1.0 + fd.abs()));
-        }
-    }
-
-    #[test]
-    fn minimizer_balances_terms() {
-        let m = PerfModel::new(1000.0, 0.5, 1.0, 0.0);
-        let n_star = m.continuous_minimizer().unwrap();
-        // At the turning point the derivative vanishes.
-        assert!(m.d1(n_star).abs() < 1e-9);
-        // And it is a minimum: value below neighbours.
-        assert!(m.eval(n_star) < m.eval(n_star * 0.8));
-        assert!(m.eval(n_star) < m.eval(n_star * 1.2));
-    }
-
-    #[test]
-    fn monotonicity_classification() {
-        let growing = PerfModel::new(100.0, 1.0, 1.0, 0.0); // turning at 10
-        assert!(growing.is_decreasing_on(1.0, 9.0));
-        assert!(!growing.is_decreasing_on(1.0, 50.0));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use crate::gen::{FitDataset, LpInstance, MinlpInstance, NlpInstance};
 use hslb::{
-    build_flat_model, build_layout_model, layout1_oracle, solve_minmax_waterfill, CesmModelSpec,
-    FlatSpec, Layout, SolverBackend,
+    build_flat_model, build_layout_model, certify_flat, certify_layout, layout_predicted_times,
+    solve_minmax_waterfill, CesmModelSpec, FlatSpec, Layout, SolverBackend,
 };
 use hslb_lp::{solve_warm, LinearProgram, LpSolution, LpStatus, SimplexOptions, VarId, WarmBasis};
 use hslb_minlp::{
@@ -319,10 +319,10 @@ pub fn check_minlp(inst: &MinlpInstance) -> Result<(), String> {
     Ok(())
 }
 
-/// Branch-and-bound on the flat model vs the exact waterfill oracle.
+/// OA on a flat min–max spec, and the waterfill, each certified by the
+/// exact structure check ([`certify_flat`]): admissible counts inside the
+/// node budget, and no allocation a gap faster.
 pub fn check_flat(spec: &FlatSpec) -> Result<(), String> {
-    let exact = solve_minmax_waterfill(spec)
-        .ok_or_else(|| "waterfill found no allocation for a feasible spec".to_string())?;
     let model = build_flat_model(spec);
     let sol = hslb::solve_model_with(
         &model.problem,
@@ -333,20 +333,10 @@ pub fn check_flat(spec: &FlatSpec) -> Result<(), String> {
         return Err(format!("bnb returned {:?}", sol.status));
     }
     let bnb = model.allocation(spec, &sol);
-    if !agree(bnb.makespan(), exact.makespan(), REL_TOL) {
-        return Err(format!(
-            "bnb makespan {} vs waterfill {} (bnb nodes {:?}, waterfill nodes {:?})",
-            bnb.makespan(),
-            exact.makespan(),
-            bnb.nodes,
-            exact.nodes
-        ));
-    }
-    let used: i64 = bnb.nodes.iter().map(|&n| n as i64).sum();
-    if used > spec.total_nodes {
-        return Err(format!("bnb over-allocates: {used} > {}", spec.total_nodes));
-    }
-    Ok(())
+    certify_flat(spec, &bnb.nodes).map_err(|e| format!("bnb nodes {:?}: {e}", bnb.nodes))?;
+    let exact = solve_minmax_waterfill(spec)
+        .ok_or_else(|| "waterfill found no allocation for a feasible spec".to_string())?;
+    certify_flat(spec, &exact.nodes).map_err(|e| format!("waterfill nodes {:?}: {e}", exact.nodes))
 }
 
 /// Fitted model vs the generating ground truth, compared by prediction.
@@ -385,30 +375,27 @@ pub fn check_fit(ds: &FitDataset) -> Result<(), String> {
     Ok(())
 }
 
-/// Layout-1 branch-and-bound vs the independent monotone oracle.
-pub fn check_cesm(spec: &CesmModelSpec) -> Result<(), String> {
-    let (oracle_alloc, oracle_t) =
-        layout1_oracle(spec).ok_or_else(|| "oracle rejected a monotone spec".to_string())?;
-    let model = build_layout_model(spec, Layout::Hybrid);
-    let sol = hslb::solve_model_with(
-        &model.problem,
-        SolverBackend::OuterApproximation,
-        &crate::family_options(crate::Layer::Cesm),
-    );
+/// OA on one layout of a CESM spec, certified by the exact structure check
+/// ([`certify_layout`]): admissible counts, the layout's structural rows,
+/// and no allocation a gap faster. The objective OA reports must also be
+/// its allocation's total.
+pub fn check_cesm(spec: &CesmModelSpec, layout: Layout) -> Result<(), String> {
+    let model = build_layout_model(spec, layout);
+    let opts = crate::family_options(crate::Layer::Cesm);
+    let sol = hslb::solve_model_with(&model.problem, SolverBackend::OuterApproximation, &opts);
+    let label = format!("layout {} bnb", layout.index());
     if sol.status != MinlpStatus::Optimal {
-        return Err(format!("bnb returned {:?}", sol.status));
-    }
-    if !agree(sol.objective, oracle_t, REL_TOL) {
-        return Err(format!(
-            "bnb {} vs oracle {} (oracle alloc {oracle_alloc:?})",
-            sol.objective, oracle_t
-        ));
+        return Err(format!("{label} returned {:?}", sol.status));
     }
     let a = model.allocation(&sol);
-    if a.ice + a.lnd > a.atm || a.atm + a.ocn > spec.total_nodes as u64 {
-        return Err(format!("structural constraints violated: {a:?}"));
+    let total = layout_predicted_times(spec, layout, &a).total;
+    if !agree(sol.objective, total, REL_TOL) {
+        let got = sol.objective;
+        return Err(format!(
+            "{label} objective {got} vs its total {total} at {a:?}"
+        ));
     }
-    Ok(())
+    certify_layout(spec, layout, &a).map_err(|e| format!("{label} {a:?}: {e}"))
 }
 
 /// End-to-end pipeline: HSLB's *predicted* coupled time vs the simulator's

@@ -189,24 +189,54 @@ pub fn minlp_instance(rng: &mut Rng, size: u32) -> MinlpInstance {
     }
 }
 
-/// Random FMO-style flat min-max spec with `Range {1, ..}` domains — the
-/// form for which the exact waterfill oracle applies. Always feasible
-/// (total nodes >= component count).
+/// Random FMO-style flat min-max spec on [`paper_component`]s. Always
+/// feasible: every domain holds 1, and total nodes >= component count.
 pub fn flat_spec(rng: &mut Rng, size: u32) -> FlatSpec {
     let size = clamp_size(size);
     let k = rng.usize_range(2, size + 2);
     let total = rng.i64_range(k as i64 + 1, (8 * size as i64).max(k as i64 + 2));
     let components = (0..k)
-        .map(|i| ComponentSpec {
-            name: format!("c{i}"),
-            model: PerfModel::amdahl(rng.f64_range(10.0, 2000.0), rng.f64_range(0.0, 8.0)),
-            allowed: AllowedNodes::Range { min: 1, max: total },
-        })
+        .map(|i| paper_component(rng, format!("c{i}"), (10.0, 2000.0), 8.0, 1, total))
         .collect();
     FlatSpec {
         components,
         total_nodes: total,
         objective: Objective::MinMax,
+    }
+}
+
+/// A component on the fitted model `a/n^c + b·n + d`: `a` in `a_range`,
+/// `c` off 1, and `b > 0` on half the draws, so the curve may turn upward
+/// inside a small machine. Its admissible counts are `1..=total` or, three
+/// times in ten, a set of "sweet spots" that always holds `floor`.
+fn paper_component(
+    rng: &mut Rng,
+    name: String,
+    (a_lo, a_hi): (f64, f64),
+    d_hi: f64,
+    floor: i64,
+    total: i64,
+) -> ComponentSpec {
+    let model = PerfModel::new(
+        rng.f64_range(a_lo, a_hi),
+        if rng.bool(0.5) {
+            rng.f64_range(0.01, 8.0)
+        } else {
+            0.0
+        },
+        rng.f64_range(0.6, 1.4),
+        rng.f64_range(0.0, d_hi),
+    );
+    let allowed = if rng.bool(0.3) {
+        let spots: Vec<i64> = (floor + 1..=total).filter(|_| rng.bool(0.4)).collect();
+        AllowedNodes::set(std::iter::once(floor).chain(spots))
+    } else {
+        AllowedNodes::Range { min: 1, max: total }
+    };
+    ComponentSpec {
+        name,
+        model,
+        allowed,
     }
 }
 
@@ -242,21 +272,20 @@ pub fn fit_dataset(rng: &mut Rng, size: u32) -> FitDataset {
     FitDataset { truth, data, sigma }
 }
 
-/// Random monotone CESM layout spec (Amdahl curves per component), always
-/// feasible under the layout-1 structure for `total >= 4`.
+/// Random CESM layout spec on [`paper_component`]s, always feasible under
+/// every layout for `total >= 4`: the atmosphere always admits 2 nodes,
+/// the others 1.
 pub fn cesm_spec(rng: &mut Rng, size: u32) -> CesmModelSpec {
     let size = clamp_size(size);
     let total = rng.i64_range(12, 12 + 16 * size as i64);
-    let comp = |rng: &mut Rng, name: &str, a_lo: f64, a_hi: f64, d_hi: f64| ComponentSpec {
-        name: name.to_string(),
-        model: PerfModel::amdahl(rng.f64_range(a_lo, a_hi), rng.f64_range(0.0, d_hi)),
-        allowed: AllowedNodes::Range { min: 1, max: total },
+    let mut comp = |name: &str, a_range, d_hi, floor| {
+        paper_component(rng, name.to_string(), a_range, d_hi, floor, total)
     };
     CesmModelSpec {
-        ice: comp(rng, "ice", 100.0, 5000.0, 10.0),
-        lnd: comp(rng, "lnd", 50.0, 2000.0, 5.0),
-        atm: comp(rng, "atm", 500.0, 20_000.0, 20.0),
-        ocn: comp(rng, "ocn", 200.0, 8000.0, 15.0),
+        ice: comp("ice", (100.0, 5000.0), 10.0, 1),
+        lnd: comp("lnd", (50.0, 2000.0), 5.0, 1),
+        atm: comp("atm", (500.0, 20_000.0), 20.0, 2),
+        ocn: comp("ocn", (200.0, 8000.0), 15.0, 1),
         total_nodes: total,
         tsync: None,
     }

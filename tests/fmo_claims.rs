@@ -1,8 +1,8 @@
 //! Title-paper (SC'12) claims on the FMO substrate.
 
 use hslb::{
-    build_flat_model, solve_minmax_waterfill, solve_model_with, AllowedNodes, ComponentSpec,
-    FlatSpec, Objective, SolverBackend,
+    build_flat_model, certify_flat, solve_model_with, AllowedNodes, ComponentSpec, FlatSpec,
+    Objective, SolverBackend,
 };
 use hslb_fmo_sim::{generate_cluster, FmoSimulator};
 use hslb_minlp::{MinlpOptions, MinlpStatus};
@@ -105,7 +105,7 @@ fn dimer_step_scales_with_machine() {
 #[test]
 fn oa_matches_waterfill_on_sparse_lu_masters() {
     // The LP/NLP-based branch-and-bound (OA) must land on the exact min-max
-    // optimum the waterfill computes, across the cluster sizes where the
+    // optimum (its answer certifies), across the cluster sizes where the
     // master grows from a few dozen rows to several hundred. Every master
     // LP runs on the sparse LU basis, so each solve records eta updates.
     for fragments in [32usize, 48, 64, 96] {
@@ -134,14 +134,8 @@ fn oa_matches_waterfill_on_sparse_lu_masters() {
             );
             let case = format!("{fragments} fragments, heterogeneity {het}");
             assert_eq!(sol.status, MinlpStatus::Optimal, "{case}");
-            let got = model.allocation(&spec, &sol).makespan();
-            let exact = solve_minmax_waterfill(&spec)
-                .expect("waterfill feasible")
-                .makespan();
-            assert!(
-                (got - exact).abs() <= 1e-6 * exact.abs(),
-                "{case}: OA makespan {got} vs waterfill {exact}"
-            );
+            let nodes = model.allocation(&spec, &sol).nodes;
+            certify_flat(&spec, &nodes).unwrap_or_else(|e| panic!("{case}: {e}"));
             assert!(
                 sol.stats.factor_updates > 0,
                 "{case}: master LPs recorded no eta updates ({:?})",

@@ -1,9 +1,9 @@
-//! Table-I layout model invariants, cross-checked against the monotone
-//! oracle on randomized component surfaces.
+//! Table-I layout model invariants, cross-checked against the exact
+//! optimum on randomized component surfaces.
 
 use hslb::{
-    build_layout_model, layout1_oracle, layout_predicted_times, solve_model, CesmModelSpec,
-    ComponentSpec, Layout, SolverBackend,
+    build_layout_model, certify_layout, layout_optimum, layout_predicted_times, solve_model,
+    CesmModelSpec, ComponentSpec, Layout, SolverBackend,
 };
 use hslb_minlp::MinlpStatus;
 use hslb_perfmodel::PerfModel;
@@ -109,43 +109,34 @@ fn ticelnd_epigraph_is_tight_at_optimum() {
     }
 }
 
-/// Random monotone component surfaces: branch-and-bound must match the
-/// independent monotone oracle on layout 1.
+/// Testkit's CESM specs: paper models, about half of them turning upward
+/// inside the machine (`b > 0`), and allowed sets. On every layout, OA's
+/// allocation must certify and its objective must match the exact optimum.
 #[test]
-fn bnb_matches_monotone_oracle() {
+fn oa_matches_exact_optimum_with_upward_models() {
     let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0xab);
-    for case in 0..10 {
-        let s = spec(
-            [
-                (rng.f64_range(100.0, 5000.0), rng.f64_range(0.0, 10.0)),
-                (rng.f64_range(50.0, 2000.0), rng.f64_range(0.0, 5.0)),
-                (rng.f64_range(500.0, 20_000.0), rng.f64_range(0.0, 20.0)),
-                (rng.f64_range(200.0, 8000.0), rng.f64_range(0.0, 15.0)),
-            ],
-            rng.i64_range(12, 79),
-        );
-        let (oracle_alloc, oracle_t) = layout1_oracle(&s).expect("monotone spec");
-        let model = build_layout_model(&s, Layout::Hybrid);
-        let sol = solve_model(&model.problem, SolverBackend::OuterApproximation);
-        assert_eq!(sol.status, MinlpStatus::Optimal, "case {case}");
-        assert!(
-            sol.objective <= oracle_t * (1.0 + 1e-4) + 1e-6,
-            "case {case}: bnb {} worse than oracle {} ({:?})",
-            sol.objective,
-            oracle_t,
-            oracle_alloc
-        );
-        // The oracle is optimal too, so the bound works both ways.
-        assert!(
-            oracle_t <= sol.objective * (1.0 + 1e-4) + 1e-6,
-            "case {case}: oracle {} worse than bnb {}",
-            oracle_t,
-            sol.objective
-        );
+    for case in 0..10u32 {
+        let s = hslb_testkit::gen::cesm_spec(&mut rng, 1 + case % 4);
+        for layout in Layout::ALL {
+            let (_, exact) = layout_optimum(&s, layout).expect("feasible spec");
+            let model = build_layout_model(&s, layout);
+            let sol = solve_model(&model.problem, SolverBackend::OuterApproximation);
+            assert_eq!(sol.status, MinlpStatus::Optimal, "case {case} {layout:?}");
+            let alloc = model.allocation(&sol);
+            let label = format!("case {case} {layout:?} {alloc:?}");
+            certify_layout(&s, layout, &alloc).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let gap = (sol.objective - exact).abs();
+            assert!(
+                gap <= 1e-6 * exact,
+                "{label}: OA {} vs {exact}",
+                sol.objective
+            );
+        }
     }
 }
 
-/// The solver's allocation always satisfies the structural constraints.
+/// The solver's allocation always satisfies the structural constraints,
+/// and certifies.
 #[test]
 fn allocations_satisfy_structure() {
     let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0xbb);
@@ -158,11 +149,6 @@ fn allocations_satisfy_structure() {
         let sol = solve_model(&model.problem, SolverBackend::OuterApproximation);
         assert_eq!(sol.status, MinlpStatus::Optimal, "case {case}");
         let a = model.allocation(&sol);
-        assert!(a.ice + a.lnd <= a.atm, "case {case}: {a:?}");
-        assert!(a.atm + a.ocn <= total as u64, "case {case}: {a:?}");
-        assert!(
-            a.ice >= 1 && a.lnd >= 1 && a.atm >= 1 && a.ocn >= 1,
-            "case {case}"
-        );
+        certify_layout(&s, Layout::Hybrid, &a).unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
 }

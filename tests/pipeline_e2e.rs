@@ -3,8 +3,8 @@
 
 use hslb::pipeline::run_hslb;
 use hslb::{
-    build_layout_model, fit_all, gather, solve_model_with, CesmModelSpec, ComponentSpec, Layout,
-    SolverBackend, Workload,
+    build_layout_model, certify_layout, fit_all, gather, solve_model_with, CesmModelSpec,
+    ComponentSpec, Layout, SolverBackend, Workload,
 };
 use hslb_cesm_sim::{manual_allocation, CesmSimulator, Scenario};
 use hslb_minlp::{MinlpOptions, MinlpStatus};
@@ -252,7 +252,8 @@ fn nlp_bnb_matches_oa_on_fitted_eighth_degree_layout2() {
 /// Regression: on this fitted 1° layout-1 model at 2,016 nodes the
 /// objective is nearly flat around the optimum, and OA that only branched
 /// at fractional master points opened 3,682 nodes where NLP-B&B needs 3.
-/// Integer secants cut those points off instead (48 nodes).
+/// Integer secants cut those points off instead (48 nodes), and the answer
+/// certifies against the exact optimum (79.3984379).
 #[test]
 fn oa_tree_stays_small_on_the_fitted_one_degree_2016_runaway() {
     let scenario = Scenario::one_degree(2016);
@@ -274,22 +275,14 @@ fn oa_tree_stays_small_on_the_fitted_one_degree_2016_runaway() {
         "OA opened {} nodes",
         oa.stats.nodes_opened
     );
-    let model = build_layout_model(&out.spec, Layout::Hybrid);
-    let nlp = solve_model_with(&model.problem, SolverBackend::NlpBnb, &opts);
-    assert_eq!(nlp.status, MinlpStatus::Optimal);
-    // Within the solvers' 1e-6 relative gap of NLP-B&B (79.3984379).
-    assert!(
-        (oa.objective - nlp.objective).abs() <= 1e-6 * nlp.objective.abs(),
-        "OA {} vs NLP-B&B {}",
-        oa.objective,
-        nlp.objective
-    );
+    certify_layout(&out.spec, Layout::Hybrid, &out.allocation).unwrap();
 }
 
 /// The seeded tree-size scan: 360 fitted CESM pipelines (1° at 2,048
 /// nodes, ⅛° at 32,768 and ⅛° with a free ocean at 32,768; layouts 1–3;
-/// 40 noise seeds each) must each end `Optimal` within 300 OA nodes. The
-/// largest tree was 337 nodes before integer secants and is 85 with them.
+/// 40 noise seeds each) must each end `Optimal` within 300 OA nodes, with
+/// an allocation that certifies against the exact optimum. The largest
+/// tree was 337 nodes before integer secants and is 85 with them.
 #[test]
 fn oa_trees_stay_bounded_across_360_fitted_pipelines() {
     let strata = [
@@ -320,6 +313,8 @@ fn oa_trees_stay_bounded_across_360_fitted_pipelines() {
                     "{label}: OA opened {} nodes",
                     out.solution.stats.nodes_opened
                 );
+                certify_layout(&out.spec, layout, &out.allocation)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
             }
         }
     }

@@ -9,7 +9,7 @@
 use hslb_testkit::{corpus_cases, run_case, run_suite, Layer};
 
 /// ≥500 seeded instances across every layer (LP duals, NLP KKT, MINLP
-/// backends vs oracle, flat waterfill, fits vs truth, CESM oracle,
+/// backends vs oracle, flat and CESM certificates, fits vs truth,
 /// end-to-end pipeline, metamorphic properties) with zero disagreements.
 #[test]
 fn suite_has_no_undocumented_disagreements() {

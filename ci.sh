@@ -45,8 +45,10 @@ echo "== certified optima =="
 # Answers of the numerical core, checked without a second solver: 260
 # seeded LPs (200 generated, 60 netlib-style) whose simplex optima must
 # certify from their own duals, 120 seeded NLPs whose barrier optima must
-# certify from their own multipliers, and a pinned pivot/Newton envelope
-# (see DESIGN.md § Sparse core).
+# certify from their own multipliers, the FMO-root battery (15 root
+# relaxations of 8 to 256 fragments and 12 synthetic min-max ones with
+# upward-turning models, each on the structured KKT factor), and a pinned
+# pivot/Newton envelope (see DESIGN.md § Sparse core).
 cargo test --release -q --test certified_optima
 
 echo "== serve equivalence =="

@@ -21,6 +21,7 @@
 //! boundary (e.g. a saturated capacity row), which the strict barrier
 //! interior would otherwise reject.
 
+use crate::mpc::structured::Pattern;
 use crate::problem::NlpProblem;
 use hslb_linalg::approx::exactly_zero;
 use hslb_linalg::{
@@ -123,9 +124,11 @@ const WARM_MU0_MIN: f64 = 1e-6;
 const WARM_MU0_SIGMA: f64 = 0.1;
 
 /// Barrier solver options. The tolerances and budgets are module consts,
-/// and so is the KKT path: a Newton system of fewer than
-/// [`SPARSE_CROSSOVER_DIM`] unknowns is factored dense, a larger one by
-/// the sparse Cholesky (no equalities) or LU (with equalities).
+/// and no option picks the KKT path: the problem's pattern does
+/// ([`kkt_path`]). A min–max relaxation's main loop runs on the structured
+/// factor; any other Newton system of fewer than [`SPARSE_CROSSOVER_DIM`]
+/// unknowns is factored dense, a larger one by the sparse Cholesky (no
+/// equalities) or LU (with equalities).
 #[derive(Debug, Clone)]
 pub struct BarrierOptions {
     /// Event trace (off by default; see `hslb-obs`). When enabled, every
@@ -196,11 +199,12 @@ pub struct NlpSolution {
     /// Whether a [`WarmStart`] seed was actually used (repair succeeded);
     /// `false` on cold solves and on warm calls that fell back cold.
     pub warm_started: bool,
-    /// Sparse numeric KKT/Hessian factorizations performed (zero on the
-    /// dense path, which solves in place).
+    /// Sparse numeric KKT/Hessian factorizations performed. The dense and
+    /// structured factorizations are not counted, so a solve that runs on
+    /// those paths alone reads zero.
     pub factorizations: u64,
     /// Cumulative nonzeros across all sparse factors (zero on the dense
-    /// path).
+    /// and structured paths).
     pub fill_nnz: u64,
     /// Affine-scaling predictor solves.
     pub predictor_steps: u64,
@@ -371,12 +375,7 @@ fn solve_inner(
     }
     let mut active_map = Vec::new(); // original index of kept inequalities
     for (ci, c) in p.constraints().iter().enumerate() {
-        let touches_free = c
-            .linear
-            .iter()
-            .any(|&(v, co)| is_free[v] && !exactly_zero(co))
-            || c.nonlinear.iter().any(|(v, f)| is_free[*v] && !f.is_zero());
-        if touches_free {
+        if c.touches_free(&is_free) {
             reduced.add_constraint(c.clone());
             active_map.push(ci);
         } else {
@@ -393,11 +392,7 @@ fn solve_inner(
         }
     }
     for e in p.equalities() {
-        let touches_free = e
-            .coeffs
-            .iter()
-            .any(|&(v, co)| is_free[v] && !exactly_zero(co));
-        if touches_free {
+        if e.touches_free(&is_free) {
             reduced.add_linear_eq(e.coeffs.clone(), e.rhs);
         } else {
             let scale = 1.0
@@ -481,6 +476,55 @@ fn free_vars(p: &NlpProblem) -> Vec<usize> {
     (0..p.num_vars())
         .filter(|&j| p.lowers()[j] < p.uppers()[j])
         .collect()
+}
+
+/// The factorization behind a system of Newton steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KktPath {
+    /// Dense Cholesky, or LU with equality rows: fewer than
+    /// [`SPARSE_CROSSOVER_DIM`] unknowns.
+    Dense,
+    /// Sparse Cholesky, or LU with equality rows: at least
+    /// [`SPARSE_CROSSOVER_DIM`] unknowns.
+    Sparse,
+    /// Diagonal plus hub columns plus bordered rows, factored in
+    /// O(k(h+r)²): min–max relaxations without equality rows (see
+    /// `mpc::structured`).
+    Structured,
+}
+
+/// The path on which the predictor-corrector loop of a solve of `p`
+/// factors its Newton systems, after phase 1. The problem's pattern alone
+/// decides it: the free columns, each constraint's free support and
+/// whether an equality row touches a free column. Phase 1 and the fixed-μ
+/// loop never take [`KktPath::Structured`]; a sparse analysis that fails
+/// degrades to dense.
+pub fn kkt_path(p: &NlpProblem) -> KktPath {
+    let free = free_vars(p);
+    let is_free: Vec<bool> = (0..p.num_vars())
+        .map(|j| p.lowers()[j] < p.uppers()[j])
+        .collect();
+    let col_of: std::collections::HashMap<usize, usize> =
+        free.iter().enumerate().map(|(c, &j)| (j, c)).collect();
+    let supports: Vec<Vec<usize>> = p
+        .constraints()
+        .iter()
+        .filter(|c| c.touches_free(&is_free))
+        .map(|c| c.free_support(&col_of))
+        .collect();
+    let m_eq = p
+        .equalities()
+        .iter()
+        .filter(|e| e.touches_free(&is_free))
+        .count();
+    let k = free.len();
+    if m_eq == 0 && Pattern::detect(k, supports.iter().map(Vec::as_slice)).is_some() {
+        KktPath::Structured
+    } else if k + m_eq >= SPARSE_CROSSOVER_DIM {
+        KktPath::Sparse
+    } else {
+        KktPath::Dense
+    }
 }
 
 /// Repairs a parent-node optimum into a strictly feasible start for this
@@ -890,15 +934,7 @@ impl<'a> SparseKkt<'a> {
         for c in p.constraints() {
             // The barrier Hessian of -μ·ln(-g) couples every pair of
             // variables in the constraint's support (∇g ∇gᵀ term).
-            let mut sup: Vec<usize> = c
-                .linear
-                .iter()
-                .map(|&(v, _)| v)
-                .chain(c.nonlinear.iter().map(|(v, _)| *v))
-                .filter_map(|v| col_of.get(&v).copied())
-                .collect();
-            sup.sort_unstable();
-            sup.dedup();
+            let sup = c.free_support(col_of);
             for &a in &sup {
                 for &b in &sup {
                     pos.insert((a, b));

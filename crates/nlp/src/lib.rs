@@ -22,9 +22,13 @@
 //! relaxes every constraint with one slack variable when needed. A fixed-μ
 //! log-barrier loop with damped Newton steps runs only where MPC cannot
 //! finish (its budget ran out, or the problem has no barrier terms); each
-//! solve that ran it sets [`NlpSolution::barrier_fallbacks`]. The Newton
-//! system is factored dense below `SPARSE_CROSSOVER_DIM` unknowns and by
-//! the sparse Cholesky or LU at or above it.
+//! solve that ran it sets [`NlpSolution::barrier_fallbacks`]. The problem's
+//! pattern picks how the Newton system is factored ([`kkt_path`]): a
+//! min–max relaxation without equality rows, whose condensed matrix is a
+//! diagonal plus a few hub columns and bordered rows, by an O(k) structured
+//! LDLᵀ in its main loop; every other system dense below
+//! `SPARSE_CROSSOVER_DIM` unknowns and by the sparse Cholesky or LU at or
+//! above it.
 //!
 //! Every optimum can be checked without trusting the barrier:
 //! [`NlpSolution::certify`] reads only the problem, the point, the
@@ -58,8 +62,8 @@ pub mod problem;
 pub mod term;
 
 pub use barrier::{
-    solve, solve_warm_with, solve_warm_with_workspace, solve_with, BarrierOptions, NlpError,
-    NlpSolution, NlpStatus, WarmStart,
+    kkt_path, solve, solve_warm_with, solve_warm_with_workspace, solve_with, BarrierOptions,
+    KktPath, NlpError, NlpSolution, NlpStatus, WarmStart,
 };
 pub use problem::{ConstraintFn, NlpProblem};
 pub use term::{ScalarFn, Term};

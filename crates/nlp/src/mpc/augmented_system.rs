@@ -10,10 +10,22 @@
 //! once and reuses the factorization for every right-hand side of the
 //! iteration: the affine-scaling predictor, the centering corrector, and
 //! (rarely) the pure-centering rescue — up to three solves per
-//! factorization instead of one factorization per solve. Backends mirror
-//! the fixed-μ loop: dense Cholesky/LU below the sparse crossover, the
-//! analyzed [`SparseKkt`] pattern above it (M has exactly the fixed-μ
-//! barrier Hessian's sparsity, so the symbolic analysis is shared).
+//! factorization instead of one factorization per solve. The path is
+//! chosen once per solve, by the problem's pattern alone:
+//!
+//! - **Structured.** A main-loop system without equalities whose `M` is
+//!   diagonal plus a few hub columns and bordered rows (a min–max
+//!   relaxation) is assembled in O(nnz) and factored by
+//!   [`StructuredKkt`] in O(k(h+r)²); see [`super::structured`].
+//! - **Sparse.** Any other system of at least [`SPARSE_CROSSOVER_DIM`]
+//!   unknowns uses the analyzed [`SparseKkt`] pattern (M has exactly the
+//!   fixed-μ barrier Hessian's sparsity, so the symbolic analysis is
+//!   shared): the sparse Cholesky without equalities, the sparse LU with.
+//! - **Dense.** Below the crossover, the dense Cholesky or LU, as in the
+//!   fixed-μ loop.
+//!
+//! Phase 1 and equality-constrained systems never take the structured
+//! path.
 //!
 //! Assembly and solves fail fast on non-finite input with a typed
 //! [`SystemError`]: hostile-but-valid coefficients (~1e17, reachable
@@ -22,8 +34,12 @@
 //! spin. This extends the non-finite fast-fail that
 //! `Cholesky::new_regularized` gained for the same reason.
 
+use super::structured::{Pattern, StructuredKkt};
+#[cfg(test)]
+use crate::barrier::KktPath;
 use crate::barrier::{FactorTally, SparseKkt, HESS_CHOL_REG, KKT_REG};
 use crate::problem::NlpProblem;
+use hslb_linalg::approx::exactly_zero;
 use hslb_linalg::{
     Cholesky, Lu, Matrix, SparseCholesky, SparseLu, SparseWorkspace, SPARSE_CROSSOVER_DIM,
 };
@@ -39,46 +55,118 @@ pub(crate) enum SystemError {
     Factorization,
 }
 
-/// The per-solve KKT structure: symbolic analysis (sparse path) done once,
-/// numeric factorization redone per iteration via [`factor`].
+/// One iteration's condensed matrix `M = diag(diag) + Σᵢ (λᵢ/sᵢ)∇gᵢ∇gᵢᵀ`,
+/// given by the values that define it: row `i`'s gradient has the entries
+/// `grad[start[i]..start[i + 1]]` on the free columns
+/// `col[start[i]..start[i + 1]]`. Each path assembles it in its own layout.
+pub(crate) struct Condensed<'a> {
+    pub(crate) diag: Vec<f64>,
+    pub(crate) lam: &'a [f64],
+    pub(crate) slack: &'a [f64],
+    pub(crate) start: &'a [usize],
+    pub(crate) col: &'a [usize],
+    pub(crate) grad: &'a [f64],
+}
+
+impl Condensed<'_> {
+    /// The dense k×k `M`: every row's outer product over its support, then
+    /// the diagonal.
+    fn dense(&self) -> Matrix {
+        let k = self.diag.len();
+        let mut m = Matrix::zeros(k, k);
+        let cells = m.as_mut_slice();
+        for (i, (&lam, &s)) in self.lam.iter().zip(self.slack).enumerate() {
+            let w = lam / s;
+            let span = self.start[i]..self.start[i + 1];
+            let (cols, grad) = (&self.col[span.clone()], &self.grad[span]);
+            for (at, (&a, &ga)) in cols.iter().zip(grad).enumerate() {
+                if exactly_zero(ga) {
+                    continue;
+                }
+                for (&b, &gb) in cols[at..].iter().zip(&grad[at..]) {
+                    if !exactly_zero(gb) {
+                        let v = w * ga * gb;
+                        cells[a * k + b] += v;
+                        if a != b {
+                            cells[b * k + a] += v;
+                        }
+                    }
+                }
+            }
+        }
+        for (c, &d) in self.diag.iter().enumerate() {
+            cells[c * k + c] += d;
+        }
+        m
+    }
+}
+
+/// The per-solve KKT structure: the structured pattern or the sparse
+/// symbolic analysis, found once; numeric factorization redone per
+/// iteration via [`factor`].
 ///
 /// [`factor`]: AugmentedSystem::factor
 pub(crate) struct AugmentedSystem<'a> {
+    structured: Option<StructuredKkt>,
     sparse: Option<SparseKkt<'a>>,
     k: usize,
     m_eq: usize,
 }
 
 impl<'a> AugmentedSystem<'a> {
-    /// Chooses the path by the KKT dimension (sparse at or above
-    /// [`SPARSE_CROSSOVER_DIM`]) and, on the sparse path, runs the symbolic
-    /// analysis once. A failed analysis silently degrades to dense,
-    /// matching the fixed-μ loop.
+    /// Chooses the path: `structured` when the caller found that pattern,
+    /// else by the KKT dimension (sparse at or above
+    /// [`SPARSE_CROSSOVER_DIM`], running the symbolic analysis once). A
+    /// failed analysis silently degrades to dense, matching the fixed-μ
+    /// loop.
     pub(crate) fn new(
         p: &NlpProblem,
         col_of: &std::collections::HashMap<usize, usize>,
         a_eq: &Matrix,
         k: usize,
         m_eq: usize,
+        structured: Option<Pattern>,
         scratch: &'a mut SparseWorkspace,
     ) -> AugmentedSystem<'a> {
         let dim = if m_eq == 0 { k } else { k + m_eq };
-        let sparse = if dim >= SPARSE_CROSSOVER_DIM {
+        let sparse = if structured.is_none() && dim >= SPARSE_CROSSOVER_DIM {
             SparseKkt::build(p, col_of, a_eq, k, m_eq, scratch)
         } else {
             None
         };
-        AugmentedSystem { sparse, k, m_eq }
+        AugmentedSystem {
+            structured: structured.map(StructuredKkt::new),
+            sparse,
+            k,
+            m_eq,
+        }
     }
 
-    /// Factors the current condensed matrix `m` once; the returned
-    /// [`KktFactor`] then serves every solve of the iteration.
+    #[cfg(test)]
+    pub(crate) fn path(&self) -> KktPath {
+        if self.structured.is_some() {
+            KktPath::Structured
+        } else if self.sparse.is_some() {
+            KktPath::Sparse
+        } else {
+            KktPath::Dense
+        }
+    }
+
+    /// Assembles and factors the current condensed matrix once; the
+    /// returned [`KktFactor`] then serves every solve of the iteration. The
+    /// structured factor, like the dense one, adds nothing to the tally.
     pub(crate) fn factor(
         &mut self,
-        m: &Matrix,
+        m: &Condensed,
         a_eq: &Matrix,
         tally: &mut FactorTally,
-    ) -> Result<KktFactor, SystemError> {
+    ) -> Result<KktFactor<'_>, SystemError> {
+        if let Some(kkt) = self.structured.as_mut() {
+            kkt.factor(m)?;
+            return Ok(KktFactor::Structured(kkt));
+        }
+        let m = &m.dense();
         if !m.as_slice().iter().all(|v| v.is_finite()) {
             return Err(SystemError::NonFinite("condensed KKT matrix"));
         }
@@ -139,14 +227,15 @@ impl<'a> AugmentedSystem<'a> {
 
 /// One iteration's factored KKT system; each solve is a cheap pair of
 /// triangular substitutions against the shared factorization.
-pub(crate) enum KktFactor {
+pub(crate) enum KktFactor<'a> {
     DenseChol(Cholesky),
     DenseLu(Lu),
     SparseChol(SparseCholesky),
     SparseLu(SparseLu),
+    Structured(&'a StructuredKkt),
 }
 
-impl KktFactor {
+impl KktFactor<'_> {
     /// Solves for `(Δx, Δν)`; fails fast when the right-hand side or the
     /// computed step carries a non-finite value.
     pub(crate) fn solve(
@@ -160,6 +249,7 @@ impl KktFactor {
         let (dx, dnu) = match self {
             KktFactor::DenseChol(ch) => (ch.solve(rhs_x), Vec::new()),
             KktFactor::SparseChol(ch) => (ch.solve(rhs_x), Vec::new()),
+            KktFactor::Structured(f) => (f.solve(rhs_x), Vec::new()),
             KktFactor::DenseLu(lu) => {
                 let mut rhs = rhs_x.to_vec();
                 rhs.extend_from_slice(rhs_eq);
@@ -188,8 +278,21 @@ fn split_primal_dual(mut sol: Vec<f64>, k: usize) -> (Vec<f64>, Vec<f64>) {
 mod tests {
     use super::*;
 
+    /// A condensed matrix with no constraint rows: just `diag`.
+    fn diagonal(diag: Vec<f64>) -> Condensed<'static> {
+        Condensed {
+            diag,
+            lam: &[],
+            slack: &[],
+            start: &[0],
+            col: &[],
+            grad: &[],
+        }
+    }
+
     fn dense_system(k: usize, m_eq: usize) -> AugmentedSystem<'static> {
         AugmentedSystem {
+            structured: None,
             sparse: None,
             k,
             m_eq,
@@ -199,9 +302,7 @@ mod tests {
     #[test]
     fn dense_cholesky_factor_solves_twice() {
         let mut sys = dense_system(2, 0);
-        let mut m = Matrix::zeros(2, 2);
-        m[(0, 0)] = 4.0;
-        m[(1, 1)] = 9.0;
+        let m = diagonal(vec![4.0, 9.0]);
         let a_eq = Matrix::zeros(0, 2);
         let mut tally = FactorTally::default();
         let f = sys.factor(&m, &a_eq, &mut tally).expect("SPD factors");
@@ -217,9 +318,7 @@ mod tests {
     fn dense_kkt_factor_returns_equality_duals() {
         // min-like system: M = I, one equality row [1 1].
         let mut sys = dense_system(2, 1);
-        let mut m = Matrix::zeros(2, 2);
-        m[(0, 0)] = 1.0;
-        m[(1, 1)] = 1.0;
+        let m = diagonal(vec![1.0, 1.0]);
         let mut a_eq = Matrix::zeros(1, 2);
         a_eq[(0, 0)] = 1.0;
         a_eq[(0, 1)] = 1.0;
@@ -234,8 +333,7 @@ mod tests {
     #[test]
     fn non_finite_matrix_is_a_typed_error() {
         let mut sys = dense_system(1, 0);
-        let mut m = Matrix::zeros(1, 1);
-        m[(0, 0)] = f64::INFINITY;
+        let m = diagonal(vec![f64::INFINITY]);
         let a_eq = Matrix::zeros(0, 1);
         let mut tally = FactorTally::default();
         let err = sys
@@ -249,8 +347,7 @@ mod tests {
     #[test]
     fn non_finite_rhs_is_a_typed_error() {
         let mut sys = dense_system(1, 0);
-        let mut m = Matrix::zeros(1, 1);
-        m[(0, 0)] = 1.0;
+        let m = diagonal(vec![1.0]);
         let a_eq = Matrix::zeros(0, 1);
         let mut tally = FactorTally::default();
         let f = sys.factor(&m, &a_eq, &mut tally).expect("factors");

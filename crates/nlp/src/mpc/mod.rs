@@ -55,16 +55,29 @@
 //!   is evaluated at its pin when the solve starts; the cached value
 //!   enters its constraint's value in the original term order, and never
 //!   a gradient or the Hessian diagonal (only free columns are read).
+//! - **The factorization the pattern allows.** A main loop without
+//!   equality rows whose condensed matrix is a diagonal plus h hub columns
+//!   and r bordered rows (a min–max relaxation: h = 1 for the epigraph
+//!   column, r = 1 for the node budget) assembles it in O(nnz) and factors
+//!   it in O(k(h+r)²) ([`structured`]); every other system assembles the
+//!   dense k×k matrix and factors it in O(k³), or sparse above the
+//!   crossover ([`augmented_system`]).
 //!
-//! The rule behind all three is bit-identity: every floating-point
-//! operation that reaches an iterate is the one the dense formulation
-//! (n-length gradients, every term evaluated at every point) performs,
-//! on the same values in the same order. Iterates, answers and work
-//! counters match it bit for bit; only the time differs.
+//! On the dense and sparse paths every floating-point operation that
+//! reaches an iterate is the one the dense formulation (n-length
+//! gradients, every term evaluated at every point) performs, on the same
+//! values in the same order, so iterates, answers and work counters match
+//! it bit for bit. The structured factor is a genuine LDLᵀ of the same
+//! matrix with the dense Cholesky's backward stability, but it rounds
+//! differently. On FMO roots its steps agree with the dense ones to about
+//! 1e-10 relative; on the far worse conditioned CESM layout-2 and -3 roots
+//! both are backward stable and the steps can differ in every digit, so
+//! those trees can differ.
 
 pub(crate) mod augmented_system;
 pub(crate) mod line_search;
 pub(crate) mod mu_update;
+pub(crate) mod structured;
 
 use std::collections::HashMap;
 
@@ -73,12 +86,12 @@ use crate::barrier::{
     GAP_TOL, MAX_NEWTON,
 };
 use crate::problem::NlpProblem;
-use augmented_system::{AugmentedSystem, KktFactor, SystemError};
-use hslb_linalg::approx::exactly_zero;
+use augmented_system::{AugmentedSystem, Condensed, KktFactor, SystemError};
 use hslb_linalg::{Matrix, SparseWorkspace};
 use hslb_obs::Event;
 use line_search::FRACTION_TO_BOUNDARY_TAU;
 use mu_update::Corrector;
+use structured::Pattern;
 
 /// Cap on the perfectly-centered initial duals `μ₀/s`: a slack at the
 /// strict-feasibility margin (~1e-8) would otherwise seed a ~1e9 dual and
@@ -169,15 +182,7 @@ impl Rows {
         let mut entry_of = vec![0; col_of.len()];
         for c in p.constraints() {
             let base = rows.col.len();
-            let mut support: Vec<usize> = c
-                .linear
-                .iter()
-                .map(|&(v, _)| v)
-                .chain(c.nonlinear.iter().map(|(v, _)| *v))
-                .filter_map(|v| col_of.get(&v).copied())
-                .collect();
-            support.sort_unstable();
-            support.dedup();
+            let support = c.free_support(col_of);
             for (offset, &col) in support.iter().enumerate() {
                 entry_of[col] = base + offset;
             }
@@ -478,48 +483,40 @@ impl<'p> Ctx<'p> {
             .sum()
     }
 
-    /// Condensed primal system matrix M (see module docs).
-    fn condensed_matrix(&self, st: &State, ev: &Eval) -> Matrix {
-        let k = self.free.len();
+    /// The diagonal part of M per free column: constraint curvature
+    /// `Σ λᵢ∇²gᵢ`, then the bound terms `zlo/dlo + zhi/dhi`.
+    fn diagonal(&self, st: &State, ev: &Eval) -> Vec<f64> {
         let rows = &self.rows;
-        let mut m = Matrix::zeros(k, k);
-        let cells = m.as_mut_slice();
-        let mut curv = vec![0.0; k];
+        let mut d = vec![0.0; self.free.len()];
         for (i, c) in self.p.constraints().iter().enumerate() {
-            let w = st.lam[i] / ev.slack[i];
-            let span = rows.range(i);
-            let (cols, grad) = (&rows.col[span.clone()], &ev.grad[span]);
-            for (at, (&a, &ga)) in cols.iter().zip(grad).enumerate() {
-                if exactly_zero(ga) {
-                    continue;
-                }
-                for (&b, &gb) in cols[at..].iter().zip(&grad[at..]) {
-                    if !exactly_zero(gb) {
-                        let v = w * ga * gb;
-                        cells[a * k + b] += v;
-                        if a != b {
-                            cells[b * k + a] += v;
-                        }
-                    }
-                }
-            }
             for ((v, f), term) in c.nonlinear.iter().zip(rows.terms(i)) {
                 if let NlTerm::Free(e) = *term {
-                    curv[rows.col[e]] += st.lam[i] * f.d2(st.x[*v]);
+                    d[rows.col[e]] += st.lam[i] * f.d2(st.x[*v]);
                 }
             }
         }
-        for c in 0..k {
-            let mut d = curv[c];
+        for (c, dc) in d.iter_mut().enumerate() {
             if self.lo[c].is_finite() {
-                d += st.zlo[c] / ev.dlo[c];
+                *dc += st.zlo[c] / ev.dlo[c];
             }
             if self.hi[c].is_finite() {
-                d += st.zhi[c] / ev.dhi[c];
+                *dc += st.zhi[c] / ev.dhi[c];
             }
-            cells[c * k + c] += d;
         }
-        m
+        d
+    }
+
+    /// Condensed primal system matrix M (see module docs), as the values
+    /// that define it; the KKT path assembles it.
+    fn condensed<'s>(&'s self, st: &'s State, ev: &'s Eval) -> Condensed<'s> {
+        Condensed {
+            diag: self.diagonal(st, ev),
+            lam: &st.lam,
+            slack: &ev.slack,
+            start: &self.rows.start,
+            col: &self.rows.col,
+            grad: &ev.grad,
+        }
     }
 
     /// Right-hand side of the condensed system at centering target
@@ -835,7 +832,18 @@ pub(crate) fn run(
         count,
         eq_scale,
     };
-    let mut sys = AugmentedSystem::new(p, &col_of, &ctx.a_eq, k, m_eq, scratch);
+    // Phase 1 (`early_exit`) and equality-constrained systems keep the
+    // dense or sparse path; any other system whose condensed matrix has
+    // the min–max shape takes the structured one.
+    let pattern = if m_eq == 0 && early_exit.is_none() {
+        let rows = &ctx.rows;
+        Pattern::detect(k, (0..m_in).map(|i| &rows.col[rows.range(i)]))
+    } else {
+        None
+    };
+    let mut sys = AugmentedSystem::new(p, &col_of, &ctx.a_eq, k, m_eq, pattern, scratch);
+    #[cfg(test)]
+    path_log::record(early_exit.is_none(), sys.path());
 
     // Perfectly centered initial duals: every complementarity product
     // starts at exactly μ₀ (capped), so the first predictor sees the true
@@ -908,8 +916,7 @@ pub(crate) fn run(
         let r_d_norm = r_d.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
 
         *newton_total += 1;
-        let m_mat = ctx.condensed_matrix(&st, &ev);
-        let factor = match sys.factor(&m_mat, &ctx.a_eq, tally) {
+        let factor = match sys.factor(&ctx.condensed(&st, &ev), &ctx.a_eq, tally) {
             Ok(f) => f,
             Err(err) => return bail(&ctx, st, *newton_total, err),
         };
@@ -990,4 +997,106 @@ pub(crate) fn run(
         out.status = NlpStatus::IterationLimit;
     }
     out
+}
+
+/// The KKT path each `run` of the current thread chose, for tests that
+/// observe it from inside the crate.
+#[cfg(test)]
+pub(crate) mod path_log {
+    use crate::barrier::KktPath;
+    use std::cell::RefCell;
+
+    thread_local! {
+        static PATHS: RefCell<Vec<(bool, KktPath)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(crate) fn record(main_loop: bool, path: KktPath) {
+        PATHS.with(|p| p.borrow_mut().push((main_loop, path)));
+    }
+
+    /// Drains the log: `(main loop, path)` per `run`, in call order; a
+    /// main loop is any run but phase 1's.
+    pub(crate) fn take() -> Vec<(bool, KktPath)> {
+        PATHS.with(|p| std::mem::take(&mut *p.borrow_mut()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::path_log;
+    use crate::{kkt_path, solve, ConstraintFn, KktPath, NlpProblem, NlpStatus, ScalarFn};
+
+    /// The shapes of `barrier_tests`' crossover battery: `min t` over
+    /// `groups` Amdahl curves `t ≥ wⱼ/nⱼ` and a node budget, optionally with
+    /// an equality pinning the total, or with rows `nⱼ − nⱼ₊₁ ≤ 10` that
+    /// couple neighbouring components.
+    fn minmax(groups: usize, with_eq: bool, neighbours: bool) -> NlpProblem {
+        let mut p = NlpProblem::new();
+        let vars: Vec<_> = (0..groups).map(|_| p.add_var(0.0, 0.5, 30.0)).collect();
+        let t = p.add_var(1.0, 0.0, 1e6);
+        for (j, &v) in vars.iter().enumerate() {
+            let work = 20.0 + (j * 37 % 280) as f64;
+            p.add_constraint(
+                ConstraintFn::new("curve")
+                    .nonlinear_term(v, ScalarFn::perf_model(work, 0.0, 1.0))
+                    .linear_term(t, -1.0),
+            );
+        }
+        let cap = 2.5 * groups as f64;
+        let mut budget = ConstraintFn::new("budget").with_constant(-cap);
+        for &v in &vars {
+            budget = budget.linear_term(v, 1.0);
+        }
+        p.add_constraint(budget);
+        if neighbours {
+            for pair in vars.windows(2) {
+                p.add_constraint(
+                    ConstraintFn::new("smooth")
+                        .linear_term(pair[0], 1.0)
+                        .linear_term(pair[1], -1.0)
+                        .with_constant(-10.0),
+                );
+            }
+        }
+        if with_eq {
+            p.add_linear_eq(vars.iter().map(|&v| (v, 1.0)).collect(), cap - 1.0);
+        }
+        p
+    }
+
+    /// Each main loop runs on the path `kkt_path` reports: min–max NLPs on
+    /// the structured factor on both sides of the crossover, the
+    /// neighbour-coupled ones (whose inner columns are all hubs) on the
+    /// dense Cholesky below it and the sparse one above it, and an
+    /// equality row on the dense LU. Phase 1 never runs on the structured
+    /// factor. `barrier_tests` certifies the same shapes at 320 components
+    /// and with equality rows above the crossover.
+    #[test]
+    fn each_main_loop_runs_on_the_path_its_pattern_picks() {
+        use KktPath::{Dense, Sparse, Structured};
+        for (groups, with_eq, neighbours, expect) in [
+            (100, false, false, Structured),
+            (200, false, false, Structured),
+            (100, false, true, Dense),
+            (200, false, true, Sparse),
+            (100, true, false, Dense),
+        ] {
+            let what = format!("{groups} components, equality {with_eq}, neighbours {neighbours}");
+            let p = minmax(groups, with_eq, neighbours);
+            path_log::take();
+            let sol = solve(&p).expect("valid problem");
+            assert_eq!(sol.status, NlpStatus::Optimal, "{what}");
+            if let Err(e) = sol.certify(&p) {
+                panic!("{what}: {e}");
+            }
+            let log = path_log::take();
+            let main: Vec<KktPath> = log.iter().filter(|e| e.0).map(|e| e.1).collect();
+            assert_eq!(main, [expect], "{what}");
+            assert_eq!(kkt_path(&p), expect, "{what}");
+            assert!(
+                log.iter().all(|e| e.0 || e.1 != KktPath::Structured),
+                "{what}: phase 1 took the structured path"
+            );
+        }
+    }
 }

@@ -45,6 +45,35 @@ impl ConstraintFn {
         self
     }
 
+    /// Whether a term with a nonzero coefficient sits on a free variable.
+    pub(crate) fn touches_free(&self, is_free: &[bool]) -> bool {
+        self.linear
+            .iter()
+            .any(|&(v, co)| is_free[v] && !hslb_linalg::approx::exactly_zero(co))
+            || self
+                .nonlinear
+                .iter()
+                .any(|(v, f)| is_free[*v] && !f.is_zero())
+    }
+
+    /// The free columns (`col_of` maps a free variable to its column) any
+    /// term sits on, increasing and distinct.
+    pub(crate) fn free_support(
+        &self,
+        col_of: &std::collections::HashMap<usize, usize>,
+    ) -> Vec<usize> {
+        let mut support: Vec<usize> = self
+            .linear
+            .iter()
+            .map(|&(v, _)| v)
+            .chain(self.nonlinear.iter().map(|(v, _)| *v))
+            .filter_map(|v| col_of.get(&v).copied())
+            .collect();
+        support.sort_unstable();
+        support.dedup();
+        support
+    }
+
     /// Evaluates `g(x)`.
     pub fn eval(&self, x: &[f64]) -> f64 {
         let lin: f64 = self.linear.iter().map(|&(v, c)| c * x[v]).sum();
@@ -116,6 +145,13 @@ pub struct LinearEq {
 }
 
 impl LinearEq {
+    /// Whether a nonzero coefficient sits on a free variable.
+    pub(crate) fn touches_free(&self, is_free: &[bool]) -> bool {
+        self.coeffs
+            .iter()
+            .any(|&(v, co)| is_free[v] && !hslb_linalg::approx::exactly_zero(co))
+    }
+
     /// Residual `Σ coeffs·x - rhs` (zero when satisfied).
     pub fn residual(&self, x: &[f64]) -> f64 {
         self.coeffs.iter().map(|&(v, c)| c * x[v]).sum::<f64>() - self.rhs

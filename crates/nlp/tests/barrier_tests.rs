@@ -312,15 +312,26 @@ mod property {
 mod certificate {
     use super::*;
     use hslb_linalg::SPARSE_CROSSOVER_DIM;
-    use hslb_nlp::NlpSolution;
+    use hslb_nlp::{kkt_path, KktPath, NlpSolution};
     use hslb_rng::Rng;
+
+    /// What a min–max NLP carries beside its curves and budget.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Extra {
+        None,
+        /// An equality pinning the total allocation: the KKT system gains
+        /// an equality block (the sparse LU above the crossover).
+        Equality,
+        /// Rows `n_j - n_{j+1} <= 10` coupling neighbouring components:
+        /// every inner column becomes a hub, so the structured factor
+        /// declines and the Cholesky runs dense or sparse.
+        Neighbours,
+    }
 
     /// Random min-max allocation NLP (the HSLB core shape): minimize the
     /// epigraph variable t over `groups` Amdahl curves and a node budget,
-    /// optionally with an equality pinning the total allocation so the
-    /// KKT system carries an equality block (the sparse LU path above the
-    /// crossover).
-    fn minmax_nlp(rng: &mut Rng, groups: usize, with_eq: bool) -> NlpProblem {
+    /// plus `extra`.
+    fn minmax_nlp(rng: &mut Rng, groups: usize, extra: Extra) -> NlpProblem {
         let mut p = NlpProblem::new();
         let vars: Vec<_> = (0..groups).map(|_| p.add_var(0.0, 0.5, 30.0)).collect();
         let t = p.add_var(1.0, 0.0, 1e6);
@@ -338,11 +349,24 @@ mod certificate {
             budget = budget.linear_term(v, 1.0);
         }
         p.add_constraint(budget);
-        if with_eq {
-            // Pin the total exactly at a feasible level (interior of the
-            // budget): Σ x = cap - 1.
-            let coeffs: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-            p.add_linear_eq(coeffs, cap - 1.0);
+        match extra {
+            Extra::None => {}
+            Extra::Equality => {
+                // Pin the total exactly at a feasible level (interior of
+                // the budget): Σ x = cap - 1.
+                let coeffs: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+                p.add_linear_eq(coeffs, cap - 1.0);
+            }
+            Extra::Neighbours => {
+                for pair in vars.windows(2) {
+                    p.add_constraint(
+                        ConstraintFn::new("neighbours")
+                            .linear_term(pair[0], 1.0)
+                            .linear_term(pair[1], -1.0)
+                            .with_constant(-10.0),
+                    );
+                }
+            }
         }
         p
     }
@@ -361,27 +385,52 @@ mod certificate {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x7d);
         for case in 0..40 {
             let groups = rng.usize_range(2, 6);
-            let p = minmax_nlp(&mut rng, groups, case % 2 == 1);
+            let extra = if case % 2 == 1 {
+                Extra::Equality
+            } else {
+                Extra::None
+            };
+            let p = minmax_nlp(&mut rng, groups, extra);
             certified(&p, &format!("case {case}"));
         }
     }
 
-    /// Both KKT paths certify on their own side of the crossover: 100
-    /// components factor dense, 200 and 320 sparse, each with and without
-    /// an equality row, so the sparse Cholesky and the sparse LU both run.
+    /// Every KKT path certifies on its own side of the crossover. At 100,
+    /// 200 and 320 components the min–max NLPs' main loops run on the
+    /// structured factor; with an equality row on the dense LU (100) or the
+    /// sparse LU (200, 320); with neighbour rows on the dense Cholesky (100)
+    /// or the sparse Cholesky (200, 320). `kkt_path` reports each main
+    /// loop's path, and `mpc::tests` watches the loops take it. Phase 1
+    /// never takes the structured path, so its sparse factorizations count
+    /// above the crossover whatever the main loop runs on.
     #[test]
     fn optima_on_both_sides_of_the_kkt_crossover_certify() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0xc0);
         for groups in [100, 200, 320] {
-            for with_eq in [false, true] {
-                let p = minmax_nlp(&mut rng, groups, with_eq);
-                let what = format!("{groups} components, equality {with_eq}");
+            for extra in [Extra::None, Extra::Equality, Extra::Neighbours] {
+                let p = minmax_nlp(&mut rng, groups, extra);
+                let what = format!("{groups} components, {extra:?}");
                 let sol = certified(&p, &what);
-                let kkt_dim = groups + 1 + usize::from(with_eq);
-                if kkt_dim < SPARSE_CROSSOVER_DIM {
-                    assert_eq!(sol.factorizations, 0, "{what}: dense path counted");
+                let kkt_dim = groups + 1 + usize::from(extra == Extra::Equality);
+                let expect = if extra == Extra::None {
+                    KktPath::Structured
+                } else if kkt_dim < SPARSE_CROSSOVER_DIM {
+                    KktPath::Dense
                 } else {
-                    assert!(sol.factorizations >= 1, "{what}: sparse path unused");
+                    KktPath::Sparse
+                };
+                assert_eq!(kkt_path(&p), expect, "{what}");
+                match expect {
+                    KktPath::Sparse => {
+                        assert!(sol.factorizations >= 1, "{what}: sparse path unused")
+                    }
+                    _ if kkt_dim < SPARSE_CROSSOVER_DIM => {
+                        assert_eq!(
+                            sol.factorizations, 0,
+                            "{what}: sparse factorization counted"
+                        );
+                    }
+                    _ => {}
                 }
             }
         }

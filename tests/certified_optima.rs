@@ -9,10 +9,18 @@
 //! pinned pivot/Newton-count envelope on fixed instances so silent work
 //! blowups fail loudly. `crates/nlp/tests/barrier_tests.rs` certifies
 //! optima on both sides of the barrier's dense/sparse KKT crossover.
+//!
+//! Min–max root relaxations (FMO clusters of 8 to 256 fragments, and
+//! synthetic ones with upward-turning models and binding caps) must run
+//! their main loop on the structured KKT factor (`hslb_nlp::kkt_path`),
+//! end `Optimal` without the fixed-μ fallback and certify.
 
+use hslb::{build_flat_model, AllowedNodes, ComponentSpec, FlatSpec, Objective};
+use hslb_bench::harness::fmo_cluster_spec;
 use hslb_lp::{LinearProgram, LpSolution, LpStatus};
-use hslb_nlp::NlpStatus;
-use hslb_rng::Rng;
+use hslb_nlp::{kkt_path, KktPath, NlpStatus};
+use hslb_perfmodel::PerfModel;
+use hslb_rng::{hash_mix, Rng};
 use hslb_testkit::check::{backend_diff_tol, lp_cond_scale};
 use hslb_testkit::gen;
 
@@ -65,6 +73,92 @@ fn nlp_optima_certify_across_120_generated_instances() {
             panic!("case {case}: {e}");
         }
     }
+}
+
+/// The root relaxation of a min–max flat spec: its main loop must take the
+/// structured KKT path, end `Optimal` and certify from its own
+/// multipliers. Returns whether the fixed-μ fallback ran.
+fn structured_root_certifies(what: &str, spec: &FlatSpec) -> bool {
+    let model = build_flat_model(spec);
+    let p = model.problem.relaxation();
+    assert_eq!(kkt_path(p), KktPath::Structured, "{what}");
+    let sol = hslb_nlp::solve(p).unwrap_or_else(|e| panic!("{what}: barrier error {e:?}"));
+    assert_eq!(sol.status, NlpStatus::Optimal, "{what}");
+    if let Err(e) = sol.certify(p) {
+        panic!("{what}: {e}");
+    }
+    sol.barrier_fallbacks > 0
+}
+
+/// FMO root relaxations at 8 nodes per fragment: 159 fragments put the
+/// Newton system at the sparse crossover (160 unknowns) and 256 past it,
+/// where the structured factor replaces a sparse Cholesky that the node
+/// budget's rank-one term fills in.
+#[test]
+fn fmo_root_relaxations_certify_on_the_structured_kkt() {
+    for fragments in [8, 32, 96, 159, 256] {
+        for heterogeneity in [0.5_f64, 0.75, 1.0] {
+            let seed = hash_mix(&[0x05BA_2F30, fragments as u64, heterogeneity.to_bits()]);
+            let spec = fmo_cluster_spec(fragments, heterogeneity, seed, 8 * fragments as i64);
+            let what = format!("{fragments} fragments, heterogeneity {heterogeneity}");
+            assert!(
+                !structured_root_certifies(&what, &spec),
+                "{what}: fixed-μ fallback ran"
+            );
+        }
+    }
+}
+
+/// Synthetic min–max relaxations of 97, 160 and 250 components: every
+/// third model turns upward inside its range (`b > 0`), and node caps
+/// bind on part of the components. Two of the twelve exhaust the
+/// predictor-corrector budget from the box midpoint and finish on the
+/// fixed-μ fallback in 291 and 297 Newton steps, the same counts as on the
+/// dense and sparse paths before the structured factor existed; the test
+/// pins which ones, so a fix or a new stall both show.
+#[test]
+fn upward_turning_min_max_relaxations_certify_on_the_structured_kkt() {
+    let mut rng = Rng::new(0x5BA2_0B0B);
+    let mut fell_back = Vec::new();
+    for components in [97, 160, 250] {
+        for case in 0..4 {
+            let specs = (0..components)
+                .map(|j| {
+                    let b = if j % 3 == 0 {
+                        rng.f64_range(0.5, 5.0)
+                    } else {
+                        0.0
+                    };
+                    let model = PerfModel::new(
+                        rng.f64_range(50.0, 5000.0),
+                        b,
+                        rng.f64_range(0.6, 1.2),
+                        rng.f64_range(0.0, 20.0),
+                    );
+                    let max = rng.i64_range(4, 64);
+                    ComponentSpec {
+                        name: format!("c{j}"),
+                        model,
+                        allowed: AllowedNodes::Range { min: 1, max },
+                    }
+                })
+                .collect();
+            let spec = FlatSpec {
+                components: specs,
+                total_nodes: rng.i64_range(8, 40) * components as i64,
+                objective: Objective::MinMax,
+            };
+            let what = format!("{components} components, case {case}");
+            if structured_root_certifies(&what, &spec) {
+                fell_back.push(what);
+            }
+        }
+    }
+    assert_eq!(
+        fell_back,
+        ["160 components, case 0", "160 components, case 3"],
+        "solves that ran the fixed-μ fallback"
+    );
 }
 
 /// Pinned work envelope on fixed instances: the simplex's pivot and

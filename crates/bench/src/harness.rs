@@ -463,7 +463,9 @@ impl SosArm {
         }
     }
 
-    /// Newton steps taken by the fixed-μ fallback loop rather than MPC.
+    /// Newton steps taken by the fixed-μ fallback's stages. Predictor
+    /// steps count every predictor-corrector iteration, the ones that
+    /// finish a fallback included.
     pub fn fixed_mu_steps(&self) -> u64 {
         self.stats.newton_iters - self.stats.predictor_steps
     }

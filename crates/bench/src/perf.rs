@@ -77,9 +77,10 @@ pub fn perf_suite() -> Vec<PerfCase> {
 
     // E8: native SOS branching vs explicit binary encoding. The binary
     // encoding lifts the barrier solves into a k-dimensional space, where
-    // MPC gives up and the fixed-μ fallback runs; the counters show it in
-    // `barrier_fallbacks` and `newton_iters − predictor_steps` (see
-    // `tests/perf_counters.rs`).
+    // the predictor-corrector KKT matrix stops factoring (a dense LU pivot
+    // below its absolute tolerance) and the fixed-μ fallback runs; the
+    // counters show it in `barrier_fallbacks` and
+    // `newton_iters − predictor_steps` (see `tests/perf_counters.rs`).
     for k in E8_SET_SIZES {
         let p = sos_test_problem(k);
         let opts = MinlpOptions::default();

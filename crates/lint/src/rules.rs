@@ -273,6 +273,29 @@ pub fn apply_suppressions(
     (active, suppressed)
 }
 
+/// A `suppression` finding for each of a file's suppressions that
+/// silenced none of its `suppressed` findings: a `lint:allow` whose
+/// finding is gone. Only a workspace run can tell, since the semantic
+/// rules need every file before they report.
+pub fn stale_suppressions(
+    path: &str,
+    suppressions: &[Suppression],
+    suppressed: &[Finding],
+) -> Vec<Finding> {
+    suppressions
+        .iter()
+        .filter(|s| !suppressed.iter().any(|f| s.allows(f.rule, f.line)))
+        .map(|s| Finding {
+            rule: SUPPRESSION,
+            path: path.to_string(),
+            line: s.line,
+            fn_name: None,
+            snippet: s.text.clone(),
+            message: "stale suppression: it silences no finding, so delete it".into(),
+        })
+        .collect()
+}
+
 /// Lints one Rust source file with the per-file (lexical) rules. Returns
 /// `(active, suppressed)` findings — suppressed ones carried a valid
 /// `lint:allow` and are reported only for accounting. Malformed
@@ -300,6 +323,8 @@ pub struct Suppression {
     /// tableau), where a per-line suppression on every indexing statement
     /// would outweigh the code.
     pub file_scope: bool,
+    /// The comment, as a finding's snippet.
+    pub text: String,
 }
 
 impl Suppression {
@@ -381,6 +406,7 @@ fn parse_suppressions(rel_path: &str, comments: &[Comment]) -> (Vec<Suppression>
             rules,
             line: c.line,
             file_scope,
+            text: c.text.trim_start_matches('/').trim().to_string(),
         });
     }
     (ok, bad)

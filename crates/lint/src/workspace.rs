@@ -127,7 +127,8 @@ pub fn crate_name_map(root: &Path) -> io::Result<BTreeMap<String, String>> {
 /// Lints the whole workspace under `root` against `baseline_set`: phase 1
 /// runs the lexical rules per file, phase 2 builds the symbol table and
 /// call graph and runs the semantic packs, then each file's suppressions
-/// are applied to the union and the baseline is folded in.
+/// are applied to the union (a suppression that silences nothing becomes
+/// a `suppression` finding) and the baseline is folded in.
 pub fn run(
     root: &Path,
     cfg: &LintConfig,
@@ -163,6 +164,11 @@ pub fn run(
         }
         let (active, suppressed) = rules::apply_suppressions(findings, &fa.suppressions);
         all_active.extend(active);
+        all_active.extend(rules::stale_suppressions(
+            &fa.path,
+            &fa.suppressions,
+            &suppressed,
+        ));
         res.suppressed.extend(suppressed);
     }
 
@@ -206,4 +212,37 @@ pub fn current_fingerprints(res: &RunResult) -> Vec<String> {
         (&a.path, a.line, a.rule, &a.snippet).cmp(&(&b.path, b.line, b.rule, &b.snippet))
     });
     baseline::fingerprints(&all)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A workspace run reports a `lint:allow` that silences nothing as a
+    /// `suppression` finding, next to one that still silences its finding.
+    #[test]
+    fn a_suppression_that_silences_nothing_is_a_finding() {
+        let root = std::env::temp_dir().join(format!("hslb-lint-stale-{}", std::process::id()));
+        let src = root.join("crates/x/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(
+            root.join("crates/x/Cargo.toml"),
+            "[package]\nname = \"x\"\n",
+        )
+        .unwrap();
+        let lib = "pub fn f(a: f64) -> bool {\n    // lint:allow(float-eq): exact zero test\n    a == 0.0\n}\n\n\
+                   pub fn g(a: f64) -> f64 {\n    // lint:allow(float-eq): nothing left to excuse\n    a + 1.0\n}\n";
+        std::fs::write(src.join("lib.rs"), lib).unwrap();
+        let res = run(&root, &LintConfig::default(), &BTreeSet::new());
+        std::fs::remove_dir_all(&root).unwrap();
+        let res = res.unwrap();
+        assert_eq!(res.suppressed.len(), 1);
+        let stale: Vec<(&str, u32)> = res
+            .active
+            .iter()
+            .filter(|f| f.rule == rules::SUPPRESSION)
+            .map(|f| (f.path.as_str(), f.line))
+            .collect();
+        assert_eq!(stale, [("crates/x/src/lib.rs", 7)]);
+    }
 }

@@ -1,58 +1,43 @@
 //! Interior-point solver for structured convex NLPs.
 //!
 //! Minimizes `cᵀx` subject to `g_i(x) <= 0`, linear equalities `A x = b`,
-//! and box bounds. The Mehrotra predictor-corrector loop in [`crate::mpc`]
-//! does the work; this module owns everything around it: the reduced
-//! problem, start points (warm repair, equality projection, phase 1), the
-//! shared multiplier refinement, and the fixed-μ barrier loop
-//!
-//! ```text
-//! min  cᵀx - μ Σ log(-g_i(x)) - μ Σ log(x_j - lo_j) - μ Σ log(hi_j - x_j)
-//! s.t. A x = b
-//! ```
-//!
-//! with damped equality-constrained Newton steps and geometric μ shrink.
-//! That loop runs only where MPC cannot finish: MPC exhausted its budget,
-//! or the problem has no barrier terms to center on. Each solve that ran
-//! it says so in [`NlpSolution::barrier_fallbacks`]. Fixed variables
-//! (`lo == hi`, produced when branch-and-bound pins an integer) are
-//! eliminated from the Newton system, and constraints that touch no free
-//! variable become plain feasibility checks — they may sit exactly on their
-//! boundary (e.g. a saturated capacity row), which the strict barrier
-//! interior would otherwise reject.
+//! and box bounds. The barrier loop in [`crate::mpc`] does the work: the
+//! predictor-corrector iterations, and behind them the fixed-μ fallback
+//! stages on the same machinery; each solve that ran the fallback says so
+//! in [`NlpSolution::barrier_fallbacks`]. This module owns everything
+//! around the loop: the reduced problem, start points (warm repair,
+//! equality projection, phase 1) and the sparse KKT pattern. Fixed
+//! variables (`lo == hi`, produced when branch-and-bound pins an integer)
+//! are eliminated from the Newton system, and constraints that touch no
+//! free variable become plain feasibility checks — they may sit exactly on
+//! their boundary (e.g. a saturated capacity row), which the strict
+//! barrier interior would otherwise reject.
 
 use crate::mpc::structured::Pattern;
 use crate::problem::NlpProblem;
 use hslb_linalg::approx::exactly_zero;
 use hslb_linalg::{
-    CholSymbolic, Cholesky, CscMatrix, Lu, LuSymbolic, Matrix, Qr, SparseCholesky, SparseLu,
-    SparseWorkspace, SPARSE_CROSSOVER_DIM,
+    CholSymbolic, Cholesky, CscMatrix, LuSymbolic, Matrix, SparseWorkspace, SPARSE_CROSSOVER_DIM,
 };
 use hslb_obs::{Event, SolveStats, Trace};
 
 /// Initial barrier weight of a cold solve (before `mu0_scale`), and the
 /// ceiling on warm ones.
 const MU0: f64 = 10.0;
-/// Multiplicative μ decrease per fixed-μ stage.
-const MU_SHRINK: f64 = 0.2;
 /// Duality-gap stopping tolerance: a solve is done once
 /// `μ·(#constraints + #finite bounds)` is at most this.
 pub(crate) const GAP_TOL: f64 = 1e-9;
-/// Fixed-μ stage convergence: the Newton step norm, relative to the
-/// iterate's scale, falls below this.
-const NEWTON_TOL: f64 = 1e-10;
-/// Newton budget: MPC iterations per solve, and fixed-μ Newton steps per
-/// μ stage. Epigraph formulations start far from the central path (t at
-/// the midpoint of a huge box) and need well over 60 steps to walk it in;
-/// stalling there costs more than converging.
+/// Newton budget: predictor-corrector iterations per run, and Newton
+/// steps per stage of the fixed-μ fallback. Epigraph formulations start
+/// far from the central path (t at the midpoint of a huge box) and need
+/// well over 60 steps to walk it in; stalling there costs more than
+/// converging.
 pub(crate) const MAX_NEWTON: usize = 200;
-/// Fixed-μ stages before the loop gives up.
-const MAX_OUTER: usize = 60;
 /// Strict-feasibility margin demanded of starting points.
 const INTERIOR_MARGIN: f64 = 1e-8;
 /// Relative feasibility tolerance for constraints whose variables are all
 /// pinned: they are checked once against this, not barrier-enforced.
-const PINNED_FEAS_TOL: f64 = 1e-7;
+pub(crate) const PINNED_FEAS_TOL: f64 = 1e-7;
 /// Relative equality-residual tolerance for an acceptable start point.
 const EQ_RESIDUAL_TOL: f64 = 1e-9;
 /// Looser residual bound accepted when projection rounds run out — the
@@ -64,16 +49,10 @@ const START_MARGIN_FRAC: f64 = 1e-4;
 const MIN_MARGIN_SCALE: f64 = 1e-6;
 /// Cholesky regularization when projecting onto the equality manifold.
 const PROJ_CHOL_REG: f64 = 1e-12;
-/// Cholesky regularization for the unconstrained Newton Hessian.
+/// Cholesky regularization of a condensed KKT matrix without equality rows.
 pub(crate) const HESS_CHOL_REG: f64 = 1e-10;
 /// Primal/dual regularization added to the KKT system diagonal.
 pub(crate) const KKT_REG: f64 = 1e-12;
-/// Relative threshold below which a fitted inequality dual counts as
-/// "clearly negative" (wrong active-set guess) rather than noise.
-const DUAL_NEG_TOL: f64 = 1e-6;
-/// Fraction-to-boundary factor: line searches stop just short of the
-/// inequality boundary so slacks never collapse to zero.
-const FRACTION_TO_BOUNDARY: f64 = 0.995;
 /// Armijo sufficient-decrease coefficient for the backtracking search.
 pub(crate) const ARMIJO_C1: f64 = 1e-4;
 /// Phase-1 interior-depth fraction: exit only once slacks are at least
@@ -85,12 +64,6 @@ const PHASE1_DEPTH_FRAC: f64 = 1e-3;
 /// wire coefficients reach ~1e17), which would start phase 1 exactly on
 /// the relaxed boundary instead of strictly inside it.
 const PHASE1_HEADROOM_REL: f64 = 1e-9;
-/// Relative magnitude above which a raw dual counts as active in the
-/// multiplier refinement least-squares fit.
-const ACTIVE_DUAL_REL: f64 = 1e-4;
-/// Relative distance-to-bound margin used to classify a coordinate as
-/// interior during multiplier refinement.
-const INTERIOR_REL_MARGIN: f64 = 1e-3;
 /// Blend weights toward the cold midpoint start tried when repairing a
 /// warm-start point; the first strictly feasible candidate wins. θ = 0 is
 /// the parent point itself (box-clamped); by convexity each θ shrinks every
@@ -190,9 +163,9 @@ pub struct NlpSolution {
     pub x: Vec<f64>,
     /// Objective `cᵀx` at `x`.
     pub objective: f64,
-    /// Inequality multipliers, one per constraint: barrier estimates
-    /// `μ / (-g_i(x))` refined by a least-squares stationarity fit (see
-    /// `refine_multipliers`), so active constraints carry KKT-accurate duals.
+    /// Inequality multipliers, one per constraint: the dual iterates the
+    /// barrier loop ended with. On `Optimal` they passed the loop's exit
+    /// test, which [`NlpSolution::certify`] checks from the problem alone.
     pub multipliers: Vec<f64>,
     /// Total Newton iterations.
     pub newton_iters: usize,
@@ -210,11 +183,12 @@ pub struct NlpSolution {
     pub predictor_steps: u64,
     /// Corrector solves, including pure-centering rescues.
     pub corrector_steps: u64,
-    /// Merit-search trial steps rejected before acceptance (the fixed-μ
-    /// loop's Armijo halvings are not counted here).
+    /// Merit-search trial steps rejected before acceptance, in the
+    /// predictor-corrector iterations and the fallback's stages alike.
     pub line_search_backtracks: u64,
-    /// 1 when the fixed-μ loop ran in this solve (phase 1 or main), else 0:
-    /// MPC exhausted its budget, or the problem had no barrier terms.
+    /// 1 when the fixed-μ fallback ran in this solve (phase 1 or main),
+    /// else 0: the predictor-corrector iterations ended unconverged, or the
+    /// problem had no barrier terms.
     pub barrier_fallbacks: u64,
 }
 
@@ -267,18 +241,6 @@ impl NlpSolution {
             barrier_fallbacks: self.barrier_fallbacks,
             ..SolveStats::default()
         }
-    }
-
-    /// Iterates left the divergence guard at `x`.
-    pub(crate) fn unbounded(p: &NlpProblem, x: Vec<f64>, newton_iters: usize) -> Self {
-        let multipliers = vec![0.0; p.num_constraints()];
-        NlpSolution::new(
-            NlpStatus::Unbounded,
-            x,
-            f64::NEG_INFINITY,
-            multipliers,
-            newton_iters,
-        )
     }
 }
 
@@ -344,6 +306,11 @@ pub fn solve_warm_with_workspace(
         opts.trace.emit(|| Event::NlpSolved {
             newton_iters: sol.newton_iters as u64,
         });
+        debug_assert!(
+            sol.status != NlpStatus::Optimal || !p.is_convex() || sol.certify(p).is_ok(),
+            "barrier optimum fails its certificate: {:?}",
+            sol.certify(p)
+        );
     }
     result
 }
@@ -425,7 +392,7 @@ fn solve_inner(
             .map(|x0| (x0, MU0 * opts.mu0_scale)),
     };
     let mut out = match start {
-        Ok((x0, mu0)) => barrier_loop(
+        Ok((x0, mu0)) => crate::mpc::run(
             &reduced,
             x0,
             mu0,
@@ -472,7 +439,7 @@ fn default_start(p: &NlpProblem) -> Vec<f64> {
 }
 
 /// Free-variable indices.
-fn free_vars(p: &NlpProblem) -> Vec<usize> {
+pub(crate) fn free_vars(p: &NlpProblem) -> Vec<usize> {
     (0..p.num_vars())
         .filter(|&j| p.lowers()[j] < p.uppers()[j])
         .collect()
@@ -493,12 +460,11 @@ pub enum KktPath {
     Structured,
 }
 
-/// The path on which the predictor-corrector loop of a solve of `p`
-/// factors its Newton systems, after phase 1. The problem's pattern alone
-/// decides it: the free columns, each constraint's free support and
-/// whether an equality row touches a free column. Phase 1 and the fixed-μ
-/// loop never take [`KktPath::Structured`]; a sparse analysis that fails
-/// degrades to dense.
+/// The path on which a solve of `p` factors its Newton systems after
+/// phase 1, fallback included. The problem's pattern alone decides it:
+/// the free columns, each constraint's free support and whether an
+/// equality row touches a free column. Phase 1 never takes
+/// [`KktPath::Structured`]; a failed sparse analysis degrades to dense.
 pub fn kkt_path(p: &NlpProblem) -> KktPath {
     let free = free_vars(p);
     let is_free: Vec<bool> = (0..p.num_vars())
@@ -831,7 +797,7 @@ fn phase_one(
     // the feasible region is too thin to reach this depth, phase 1 simply
     // runs to its own optimum, which is the deepest interior point anyway.
     let target = -(2.0 * INTERIOR_MARGIN).max(PHASE1_DEPTH_FRAC * (1.0 + viol));
-    let sol = barrier_loop(
+    let sol = crate::mpc::run(
         &aug,
         z0,
         MU0 * opts.mu0_scale,
@@ -841,30 +807,31 @@ fn phase_one(
         scratch,
         Some((s, target)),
     );
-    match sol.status {
-        NlpStatus::Optimal | NlpStatus::IterationLimit => {
-            if !sol.x.is_empty() && sol.x[s] < -INTERIOR_MARGIN {
-                let x: Vec<f64> = sol.x[..n].to_vec();
-                if strictly_feasible(p, &x, INTERIOR_MARGIN * 0.5) {
-                    return Ok(x);
-                }
-            }
-            Err(match sol.status {
-                NlpStatus::IterationLimit => NlpStatus::IterationLimit,
-                _ => NlpStatus::Infeasible,
-            })
+    // A point past the target, or left at the divergence guard, may start
+    // the solve; a phase 1 that stopped short says why.
+    let deep =
+        !sol.x.is_empty() && (sol.status == NlpStatus::Unbounded || sol.x[s] < -INTERIOR_MARGIN);
+    if sol.status != NlpStatus::Infeasible && deep {
+        if let Some(x) = interior_start(p, sol.x[..n].to_vec()) {
+            return Ok(x);
         }
-        NlpStatus::Unbounded => {
-            if !sol.x.is_empty() {
-                let x: Vec<f64> = sol.x[..n].to_vec();
-                if strictly_feasible(p, &x, INTERIOR_MARGIN * 0.5) {
-                    return Ok(x);
-                }
-            }
-            Err(NlpStatus::IterationLimit)
-        }
-        NlpStatus::Infeasible => Err(NlpStatus::Infeasible),
     }
+    Err(match sol.status {
+        NlpStatus::Optimal | NlpStatus::Infeasible => NlpStatus::Infeasible,
+        NlpStatus::IterationLimit | NlpStatus::Unbounded => NlpStatus::IterationLimit,
+    })
+}
+
+/// Phase 1's point as a start: `x` itself when strictly feasible, else
+/// `x` pulled inside the box by the start margin. Phase 1 runs to its own
+/// optimum when the depth target is deeper than the problem allows, and
+/// that optimum can sit on the box while every row is deep enough to
+/// absorb the move.
+fn interior_start(p: &NlpProblem, mut x: Vec<f64>) -> Option<Vec<f64>> {
+    if !strictly_feasible(p, &x, INTERIOR_MARGIN * 0.5) {
+        clamp_into_box(p, &mut x);
+    }
+    strictly_feasible(p, &x, INTERIOR_MARGIN * 0.5).then_some(x)
 }
 
 /// Running totals of factorization and predictor-corrector work across one
@@ -877,8 +844,8 @@ pub(crate) struct FactorTally {
     pub(crate) predictor_steps: u64,
     pub(crate) corrector_steps: u64,
     pub(crate) line_search_backtracks: u64,
-    /// Set once the fixed-μ loop runs, in phase 1 or the main solve.
-    fixed_mu_ran: bool,
+    /// Set once the fallback runs, in phase 1 or the main solve.
+    pub(crate) fell_back: bool,
 }
 
 impl FactorTally {
@@ -889,7 +856,7 @@ impl FactorTally {
         out.predictor_steps = self.predictor_steps;
         out.corrector_steps = self.corrector_steps;
         out.line_search_backtracks = self.line_search_backtracks;
-        out.barrier_fallbacks = u64::from(self.fixed_mu_ran);
+        out.barrier_fallbacks = u64::from(self.fell_back);
     }
 }
 
@@ -978,8 +945,9 @@ impl<'a> SparseKkt<'a> {
         })
     }
 
-    /// Rewrites the stored values from the current dense Hessian (and the
-    /// fixed equality matrix), preserving the analyzed storage layout.
+    /// Rewrites the stored values from the dense condensed matrix `hess`
+    /// (and the fixed equality matrix), preserving the analyzed storage
+    /// layout.
     pub(crate) fn fill(&mut self, hess: &Matrix, a_eq: &Matrix) {
         let (k, m_eq) = (self.k, self.m_eq);
         let positions = &self.positions;
@@ -1004,490 +972,4 @@ impl<'a> SparseKkt<'a> {
             };
         }
     }
-
-    /// Newton step for the unconstrained case: regularized sparse
-    /// Cholesky, mirroring the dense `Cholesky::new_regularized` fallback
-    /// semantics. Returns `None` on factorization failure.
-    fn cholesky_step(
-        &mut self,
-        hess: &Matrix,
-        a_eq: &Matrix,
-        grad: &[f64],
-        tally: &mut FactorTally,
-    ) -> Option<Vec<f64>> {
-        self.fill(hess, a_eq);
-        let sym = self.chol.as_ref()?;
-        let (ch, _) =
-            SparseCholesky::factorize_regularized(&self.mat, sym, HESS_CHOL_REG, self.ws).ok()?;
-        tally.factorizations += 1;
-        tally.fill_nnz += ch.fill_nnz() as u64;
-        let rhs: Vec<f64> = grad.iter().map(|v| -v).collect();
-        Some(ch.solve(&rhs))
-    }
-
-    /// Newton step for the equality-constrained KKT system via sparse LU.
-    /// Returns the primal part `d` (first `k` entries) or `None` on
-    /// factorization failure.
-    fn kkt_step(
-        &mut self,
-        hess: &Matrix,
-        a_eq: &Matrix,
-        rhs: &[f64],
-        tally: &mut FactorTally,
-    ) -> Option<Vec<f64>> {
-        self.fill(hess, a_eq);
-        let sym = self.lu.as_ref()?;
-        let f = SparseLu::factorize(&self.mat, sym, self.ws).ok()?;
-        tally.factorizations += 1;
-        tally.fill_nnz += f.fill_nnz() as u64;
-        Some(f.solve(rhs)[..self.k].to_vec())
-    }
-}
-
-/// Barrier solve from a strictly feasible start: the predictor-corrector
-/// loop, with the fixed-μ loop behind it.
-///
-/// `mu0` is the initial barrier weight (warm starts pass a reduced one);
-/// `early_exit`: optional `(var, threshold)` — stop as soon as `x[var]`
-/// drops below the threshold (used by phase 1).
-#[allow(clippy::too_many_arguments)] // problem + accumulators + scratch; a struct would just rename the list
-fn barrier_loop(
-    p: &NlpProblem,
-    mut x: Vec<f64>,
-    mu0: f64,
-    opts: &BarrierOptions,
-    newton_total: &mut usize,
-    tally: &mut FactorTally,
-    scratch: &mut SparseWorkspace,
-    early_exit: Option<(usize, f64)>,
-) -> NlpSolution {
-    let free = free_vars(p);
-    for ((xj, &lo), &hi) in x.iter_mut().zip(p.lowers()).zip(p.uppers()) {
-        if lo == hi {
-            *xj = lo;
-        }
-    }
-    if free.is_empty() {
-        let (status, objective) = if p.max_violation(&x) <= PINNED_FEAS_TOL {
-            (NlpStatus::Optimal, p.objective_value(&x))
-        } else {
-            (NlpStatus::Infeasible, f64::INFINITY)
-        };
-        let multipliers = vec![0.0; p.num_constraints()];
-        return NlpSolution::new(status, x, objective, multipliers, *newton_total);
-    }
-
-    // The predictor-corrector loop runs whenever there is at least one
-    // barrier term to center on. Pure equality-constrained problems (no
-    // inequalities, no finite bounds over the free coordinates) have no
-    // complementarity to drive and go straight to the fixed-μ loop.
-    let has_barrier_terms = p.num_constraints() > 0
-        || free
-            .iter()
-            .any(|&j| p.lowers()[j].is_finite() || p.uppers()[j].is_finite());
-    if has_barrier_terms {
-        let sol = crate::mpc::run(
-            p,
-            x.clone(),
-            &free,
-            mu0,
-            opts,
-            newton_total,
-            tally,
-            scratch,
-            early_exit,
-        );
-        // An instance whose long primal journey defeats the central-path
-        // neighborhood (a start far from the optimum in a wide box, or a
-        // warm seed under a μ₀ at its floor) can exhaust the budget
-        // off-center. The fixed-μ loop then restarts from the same point;
-        // the counters keep both halves and `barrier_fallbacks` records it.
-        if sol.status != NlpStatus::IterationLimit {
-            return sol;
-        }
-    }
-    tally.fixed_mu_ran = true;
-    fixed_mu_loop(p, x, &free, mu0, newton_total, tally, scratch, early_exit)
-}
-
-/// The fixed-μ barrier loop: damped Newton on each barrier subproblem,
-/// then μ shrinks geometrically. Reports `Optimal` only when the gap test
-/// passes *and* the last μ stage converged (its Newton step fell below
-/// [`NEWTON_TOL`]); a last stage that ended on the Newton cap or a stalled
-/// line search leaves the point short of the optimum, so that is an
-/// `IterationLimit`, and branch-and-bound does not trust it as a bound.
-#[allow(clippy::too_many_arguments)] // mirrors barrier_loop
-fn fixed_mu_loop(
-    p: &NlpProblem,
-    mut x: Vec<f64>,
-    free: &[usize],
-    mu0: f64,
-    newton_total: &mut usize,
-    tally: &mut FactorTally,
-    scratch: &mut SparseWorkspace,
-    early_exit: Option<(usize, f64)>,
-) -> NlpSolution {
-    // Equality matrix over the free subspace.
-    let m_eq = p.equalities().len();
-    let k = free.len();
-    let col_of: std::collections::HashMap<usize, usize> =
-        free.iter().enumerate().map(|(c, &j)| (j, c)).collect();
-    let mut a_eq = Matrix::zeros(m_eq, k);
-    for (r, e) in p.equalities().iter().enumerate() {
-        for &(v, co) in &e.coeffs {
-            if let Some(&c) = col_of.get(&v) {
-                a_eq[(r, c)] += co;
-            }
-        }
-    }
-
-    let barrier_count = (p.num_constraints()
-        + free
-            .iter()
-            .map(|&j| p.lowers()[j].is_finite() as usize + p.uppers()[j].is_finite() as usize)
-            .sum::<usize>())
-    .max(1);
-
-    // Sparse path: analyze the structural KKT pattern once per solve;
-    // every Newton iteration below only refactorizes numerically.
-    let kkt_dim = if m_eq == 0 { k } else { k + m_eq };
-    let mut sparse_kkt = if kkt_dim >= SPARSE_CROSSOVER_DIM {
-        SparseKkt::build(p, &col_of, &a_eq, k, m_eq, scratch)
-    } else {
-        None
-    };
-
-    let mut mu = mu0;
-    for _outer in 0..MAX_OUTER {
-        let mut stage_converged = false;
-        for _inner in 0..MAX_NEWTON {
-            *newton_total += 1;
-            let (grad, hess) = barrier_derivatives(p, &x, mu, free);
-
-            // KKT system: [H Âᵀ; Â 0] [d; λ] = [-g; r].
-            let step = if m_eq == 0 {
-                let sparse_step = sparse_kkt
-                    .as_mut()
-                    .and_then(|sk| sk.cholesky_step(&hess, &a_eq, &grad, tally));
-                match sparse_step {
-                    Some(s) => s,
-                    None if sparse_kkt.is_some() => grad.iter().map(|v| -v).collect(),
-                    None => match Cholesky::new_regularized(&hess, HESS_CHOL_REG) {
-                        Ok((ch, _)) => {
-                            let rhs: Vec<f64> = grad.iter().map(|v| -v).collect();
-                            ch.solve(&rhs)
-                        }
-                        Err(_) => grad.iter().map(|v| -v).collect(),
-                    },
-                }
-            } else {
-                let dim = k + m_eq;
-                let mut rhs = vec![0.0; dim];
-                for i in 0..k {
-                    rhs[i] = -grad[i];
-                }
-                for (r, e) in p.equalities().iter().enumerate() {
-                    rhs[k + r] = -e.residual(&x);
-                }
-                let sparse_step = sparse_kkt
-                    .as_mut()
-                    .and_then(|sk| sk.kkt_step(&hess, &a_eq, &rhs, tally));
-                match sparse_step {
-                    Some(s) => s,
-                    None if sparse_kkt.is_some() => grad.iter().map(|v| -v).collect(),
-                    None => {
-                        let mut kkt = Matrix::zeros(dim, dim);
-                        for i in 0..k {
-                            for j2 in 0..k {
-                                kkt[(i, j2)] = hess[(i, j2)];
-                            }
-                            // Tiny primal regularization keeps the system
-                            // solvable when H is singular on the null space
-                            // boundary.
-                            kkt[(i, i)] += KKT_REG * (1.0 + hess[(i, i)].abs());
-                        }
-                        for r in 0..m_eq {
-                            for c in 0..k {
-                                kkt[(k + r, c)] = a_eq[(r, c)];
-                                kkt[(c, k + r)] = a_eq[(r, c)];
-                            }
-                            // Small dual regularization for dependent rows.
-                            kkt[(k + r, k + r)] = -KKT_REG;
-                        }
-                        match Lu::new(&kkt) {
-                            Ok(lu) => lu.solve(&rhs)[..k].to_vec(),
-                            Err(_) => grad.iter().map(|v| -v).collect(),
-                        }
-                    }
-                }
-            };
-            if !step.iter().all(|v| v.is_finite()) {
-                break;
-            }
-            let xnorm = 1.0 + free.iter().map(|&j| x[j].abs()).fold(0.0, f64::max);
-            let step_norm = step.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            if step_norm < NEWTON_TOL * xnorm * (1.0 + mu) {
-                stage_converged = true;
-                break;
-            }
-
-            // Fraction-to-boundary: clamp the step so box bounds stay
-            // strictly satisfied. Without this, a near-singular direction in
-            // a weakly-curved coordinate (epigraph variables in huge boxes)
-            // forces dozens of Armijo halvings per iteration and the solve
-            // crawls.
-            let mut alpha_bound = f64::INFINITY;
-            for (c, &j) in free.iter().enumerate() {
-                let d = step[c];
-                if d < 0.0 && p.lowers()[j].is_finite() {
-                    alpha_bound = alpha_bound.min((x[j] - p.lowers()[j]) / (-d));
-                } else if d > 0.0 && p.uppers()[j].is_finite() {
-                    alpha_bound = alpha_bound.min((p.uppers()[j] - x[j]) / d);
-                }
-            }
-
-            // Backtracking line search: strict feasibility + descent.
-            let phi0 = barrier_value(p, &x, mu, free);
-            let slope: f64 = grad.iter().zip(&step).map(|(g, s)| g * s).sum();
-            let mut alpha = (FRACTION_TO_BOUNDARY * alpha_bound).min(1.0);
-            let mut accepted = false;
-            for _ in 0..60 {
-                let mut cand = x.clone();
-                for (c, &j) in free.iter().enumerate() {
-                    cand[j] += alpha * step[c];
-                }
-                if strictly_inside(p, &cand, free) {
-                    let phi = barrier_value(p, &cand, mu, free);
-                    // Accept on sufficient decrease, or on any decrease when
-                    // the model slope is unhelpful (KKT steps with equality
-                    // correction are not always descent directions for φ).
-                    if phi <= phi0 + ARMIJO_C1 * alpha * slope || phi < phi0 {
-                        x = cand;
-                        accepted = true;
-                        break;
-                    }
-                }
-                alpha *= 0.5;
-            }
-            if !accepted {
-                break;
-            }
-            if x.iter().any(|v| v.abs() > DIVERGENCE_LIMIT) {
-                return NlpSolution::unbounded(p, x, *newton_total);
-            }
-            if let Some((var, threshold)) = early_exit {
-                if x[var] < threshold {
-                    return finish(p, x, mu, *newton_total);
-                }
-            }
-        }
-
-        if mu * barrier_count as f64 <= GAP_TOL {
-            let mut out = finish(p, x, mu, *newton_total);
-            if !stage_converged {
-                out.status = NlpStatus::IterationLimit;
-            }
-            return out;
-        }
-        mu *= MU_SHRINK;
-    }
-    let mut out = finish(p, x, mu, *newton_total);
-    out.status = NlpStatus::IterationLimit;
-    out
-}
-
-fn finish(p: &NlpProblem, x: Vec<f64>, mu: f64, newton_iters: usize) -> NlpSolution {
-    let raw: Vec<f64> = p
-        .constraints()
-        .iter()
-        .map(|c| {
-            let g = c.eval(&x);
-            if g < 0.0 {
-                mu / (-g)
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    finish_with_duals(p, x, &raw, newton_iters)
-}
-
-/// Like `finish`, but starting from explicit raw inequality duals (the
-/// predictor-corrector loop carries true dual iterates rather than the
-/// `μ/(-g)` estimates); both paths share the least-squares refinement.
-pub(crate) fn finish_with_duals(
-    p: &NlpProblem,
-    x: Vec<f64>,
-    raw: &[f64],
-    newton_iters: usize,
-) -> NlpSolution {
-    let multipliers = refine_multipliers(p, &x, raw);
-    let objective = p.objective_value(&x);
-    NlpSolution::new(NlpStatus::Optimal, x, objective, multipliers, newton_iters)
-}
-
-/// Replaces the barrier dual estimates `μ/(-g_i)` with a stationarity fit.
-///
-/// The raw estimates degrade whenever the last barrier rounds stall: at tiny
-/// `μ` the per-step decrease of φ falls below f64 noise, the line search
-/// rejects every step, and `μ` keeps shrinking while the slacks stay at an
-/// older `μ`'s scale — deflating every active multiplier by the same factor
-/// even though the primal point is optimal to tolerance. Since `x` is good,
-/// recover duals from the KKT stationarity condition instead: least-squares
-/// solve `c + Σ λ_i ∇g_i + Aᵀν ≈ 0` over the apparently-active inequalities
-/// (and all equalities), restricted to coordinates away from their box
-/// bounds (bound multipliers are not modeled). Falls back to the raw
-/// estimates when the system is degenerate or produces negative duals.
-fn refine_multipliers(p: &NlpProblem, x: &[f64], raw: &[f64]) -> Vec<f64> {
-    let max_raw = raw.iter().fold(0.0_f64, |m, &l| m.max(l));
-    if max_raw <= 0.0 {
-        return raw.to_vec();
-    }
-    // Active set by *relative* magnitude: a stalled finish deflates all
-    // active multipliers by one common factor, so ratios remain reliable.
-    let active: Vec<usize> = (0..raw.len())
-        .filter(|&i| raw[i] > ACTIVE_DUAL_REL * max_raw)
-        .collect();
-    let lo = p.lowers();
-    let hi = p.uppers();
-    let interior: Vec<usize> = (0..p.num_vars())
-        .filter(|&j| {
-            let margin = INTERIOR_REL_MARGIN * (1.0 + x[j].abs());
-            x[j] > lo[j] + margin && x[j] < hi[j] - margin
-        })
-        .collect();
-    let cols = active.len() + p.equalities().len();
-    if cols == 0 || interior.len() < cols {
-        return raw.to_vec();
-    }
-    let mut a = Matrix::zeros(interior.len(), cols);
-    let mut grad = vec![0.0; p.num_vars()];
-    for (ci, &i) in active.iter().enumerate() {
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        p.constraints()[i].add_gradient(x, &mut grad, 1.0);
-        for (ri, &j) in interior.iter().enumerate() {
-            a[(ri, ci)] = grad[j];
-        }
-    }
-    for (ei, e) in p.equalities().iter().enumerate() {
-        for &(v, co) in &e.coeffs {
-            if let Some(ri) = interior.iter().position(|&j| j == v) {
-                a[(ri, active.len() + ei)] = co;
-            }
-        }
-    }
-    let rhs: Vec<f64> = interior.iter().map(|&j| -p.costs()[j]).collect();
-    let Ok(qr) = Qr::new(&a) else {
-        return raw.to_vec();
-    };
-    let Ok(fit) = qr.solve_least_squares(&rhs) else {
-        return raw.to_vec();
-    };
-    // Inequality duals must be nonnegative; a clearly negative fit means the
-    // active-set guess was wrong, so keep the raw estimates.
-    if active
-        .iter()
-        .enumerate()
-        .any(|(ci, _)| fit[ci] < -DUAL_NEG_TOL * (1.0 + max_raw))
-    {
-        return raw.to_vec();
-    }
-    let mut out = raw.to_vec();
-    for (ci, &i) in active.iter().enumerate() {
-        out[i] = fit[ci].max(0.0);
-    }
-    out
-}
-
-fn strictly_inside(p: &NlpProblem, x: &[f64], free: &[usize]) -> bool {
-    for &j in free {
-        let (lo, hi) = (p.lowers()[j], p.uppers()[j]);
-        if (lo.is_finite() && x[j] <= lo) || (hi.is_finite() && x[j] >= hi) {
-            return false;
-        }
-    }
-    p.constraints().iter().all(|c| c.eval(x) < 0.0)
-}
-
-/// Barrier objective value (assumes strict feasibility).
-fn barrier_value(p: &NlpProblem, x: &[f64], mu: f64, free: &[usize]) -> f64 {
-    let mut v = p.objective_value(x);
-    for c in p.constraints() {
-        v -= mu * (-c.eval(x)).ln();
-    }
-    for &j in free {
-        let (lo, hi) = (p.lowers()[j], p.uppers()[j]);
-        if lo.is_finite() {
-            v -= mu * (x[j] - lo).ln();
-        }
-        if hi.is_finite() {
-            v -= mu * (hi - x[j]).ln();
-        }
-    }
-    v
-}
-
-/// Gradient and Hessian of the barrier objective restricted to free vars.
-fn barrier_derivatives(p: &NlpProblem, x: &[f64], mu: f64, free: &[usize]) -> (Vec<f64>, Matrix) {
-    let n = p.num_vars();
-    let k = free.len();
-    let mut grad_full = p.costs().to_vec();
-    let mut hess_diag_full = vec![0.0; n];
-    let mut hess_full = Matrix::zeros(n, n);
-
-    for c in p.constraints() {
-        let g = c.eval(x);
-        // Strict feasibility is only a meaningful invariant for finite
-        // evaluations: hostile-but-valid coefficients (~1e17, reachable
-        // through the wire front) overflow c.eval to inf/NaN, and those
-        // flow through the derivatives into the regularized factorization,
-        // which fails fast on non-finite input and ends the solve cleanly.
-        debug_assert!(
-            g < 0.0 || !g.is_finite(),
-            "barrier derivative requested at infeasible point"
-        );
-        let inv = 1.0 / (-g);
-        c.add_gradient(x, &mut grad_full, mu * inv);
-        let cg = c.gradient(x);
-        for a in 0..n {
-            if exactly_zero(cg[a]) {
-                continue;
-            }
-            for b in a..n {
-                if !exactly_zero(cg[b]) {
-                    let v = mu * inv * inv * cg[a] * cg[b];
-                    hess_full[(a, b)] += v;
-                    if a != b {
-                        hess_full[(b, a)] += v;
-                    }
-                }
-            }
-        }
-        c.add_hessian_diag(x, &mut hess_diag_full, mu * inv);
-    }
-    for &j in free {
-        let (lo, hi) = (p.lowers()[j], p.uppers()[j]);
-        if lo.is_finite() {
-            let d = x[j] - lo;
-            grad_full[j] -= mu / d;
-            hess_diag_full[j] += mu / (d * d);
-        }
-        if hi.is_finite() {
-            let d = hi - x[j];
-            grad_full[j] += mu / d;
-            hess_diag_full[j] += mu / (d * d);
-        }
-    }
-    for j in 0..n {
-        hess_full[(j, j)] += hess_diag_full[j];
-    }
-
-    let grad: Vec<f64> = free.iter().map(|&j| grad_full[j]).collect();
-    let mut hess = Matrix::zeros(k, k);
-    for (ai, &a) in free.iter().enumerate() {
-        for (bi, &b) in free.iter().enumerate() {
-            hess[(ai, bi)] = hess_full[(a, b)];
-        }
-    }
-    (grad, hess)
 }

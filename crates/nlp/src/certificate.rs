@@ -5,7 +5,10 @@
 use crate::barrier::{NlpSolution, NlpStatus};
 use crate::problem::NlpProblem;
 use hslb_linalg::approx::{cert_check as check, cert_within as within, exactly_zero};
-use hslb_linalg::{Matrix, Qr};
+use hslb_linalg::{Cholesky, Matrix, Qr};
+
+/// Smallest ridge on the normal equations of a rank-deficient `ν` fit.
+const RIDGE: f64 = 1e-12;
 
 impl NlpSolution {
     /// Checks that this is an optimum of the convex problem `p`, reading
@@ -29,7 +32,10 @@ impl NlpSolution {
     ///
     /// The solution carries no equality multipliers, so `ν` is fitted by
     /// least squares on the stationarity rows of the coordinates strictly
-    /// inside their bounds (beyond the bound tolerance).
+    /// inside their bounds (beyond the bound tolerance). A coordinate at a
+    /// bound whose reduced gradient then fails check 4 joins the fit, until
+    /// none does; at a vertex, where no coordinate is interior, this finds
+    /// the multipliers the bound-active coordinates determine.
     ///
     /// Every check is relative, at the simplex's feasibility tolerance
     /// 1e-7: an inequality row scales by
@@ -131,14 +137,30 @@ impl NlpSolution {
         }
         let at_lo = |j: usize| lo[j].is_finite() && within(x[j] - lo[j], lo[j]);
         let at_hi = |j: usize| hi[j].is_finite() && within(hi[j] - x[j], hi[j]);
-        let interior: Vec<usize> = (0..n).filter(|&j| !at_lo(j) && !at_hi(j)).collect();
-        let nu = equality_multipliers(p, &interior, &d);
-        for ((eq, &nu_e), &r) in p.equalities().iter().zip(&nu).zip(&residuals) {
-            for &(v, a) in &eq.coeffs {
-                let t = nu_e * a;
-                d[v] += t;
-                size[v] += t.abs();
+        // ν is fitted on the interior columns, then also on each column at
+        // a bound whose reduced gradient under it fails check 4, until none
+        // does.
+        let mut rows: Vec<usize> = (0..n).filter(|&j| !at_lo(j) && !at_hi(j)).collect();
+        let nu = loop {
+            let nu = equality_multipliers(p, &rows, &d);
+            let (mut dn, mut sn) = (d.clone(), size.clone());
+            for (eq, &nu_e) in p.equalities().iter().zip(&nu) {
+                for &(v, a) in &eq.coeffs {
+                    dn[v] += nu_e * a;
+                    sn[v] += (nu_e * a).abs();
+                }
             }
+            let fits = |j: usize| {
+                within(dn[j].abs(), sn[j]) || (dn[j] > 0.0 && at_lo(j)) || (dn[j] < 0.0 && at_hi(j))
+            };
+            let misfits: Vec<usize> = (0..n).filter(|j| !rows.contains(j) && !fits(*j)).collect();
+            if misfits.is_empty() {
+                (d, size) = (dn, sn);
+                break nu;
+            }
+            rows.extend(misfits);
+        };
+        for (&nu_e, &r) in nu.iter().zip(&residuals) {
             lagrangian += nu_e * r;
         }
         for j in 0..n {
@@ -190,10 +212,10 @@ impl NlpSolution {
 }
 
 /// Least-squares equality multipliers `ν` from the stationarity rows
-/// `Σ_e ν_e·a_ej = −d_j` of the `interior` coordinates, where `d` holds
+/// `Σ_e ν_e·a_ej = −d_j` of the coordinates `interior`, where `d` holds
 /// the reduced gradient without its equality part. An equality that
-/// touches no interior coordinate gets `ν_e = 0`, and so does every
-/// equality when the fit is underdetermined or rank-deficient.
+/// touches none of them gets `ν_e = 0`. An underdetermined or
+/// rank-deficient fit solves the normal equations with a ridge.
 fn equality_multipliers(p: &NlpProblem, interior: &[usize], d: &[f64]) -> Vec<f64> {
     let eqs = p.equalities();
     let mut nu = vec![0.0; eqs.len()];
@@ -209,7 +231,7 @@ fn equality_multipliers(p: &NlpProblem, interior: &[usize], d: &[f64]) -> Vec<f6
                 .any(|&(v, a)| row_of[v].is_some() && !exactly_zero(a))
         })
         .collect();
-    if fitted.is_empty() || interior.len() < fitted.len() {
+    if fitted.is_empty() {
         return nu;
     }
     let mut a = Matrix::zeros(interior.len(), fitted.len());
@@ -221,8 +243,17 @@ fn equality_multipliers(p: &NlpProblem, interior: &[usize], d: &[f64]) -> Vec<f6
         }
     }
     let rhs: Vec<f64> = interior.iter().map(|&j| -d[j]).collect();
-    let fit = Qr::new(&a).and_then(|qr| qr.solve_least_squares(&rhs));
-    if let Ok(fit) = fit {
+    let full_rank = (interior.len() >= fitted.len())
+        .then(|| Qr::new(&a).and_then(|qr| qr.solve_least_squares(&rhs)).ok())
+        .flatten();
+    // Dependent or too few rows: the normal equations with a ridge give a
+    // least-squares fit of small norm instead.
+    let fit = full_rank.or_else(|| {
+        let ata = a.transpose().matmul(&a).ok()?;
+        let (ch, _) = Cholesky::new_regularized(&ata, RIDGE).ok()?;
+        Some(ch.solve(&a.matvec_transposed(&rhs)))
+    });
+    if let Some(fit) = fit {
         for (&e, v) in fitted.iter().zip(fit) {
             nu[e] = v;
         }

@@ -19,10 +19,14 @@
 //! interior-point method ([`mpc`]) on the condensed primal-dual KKT system.
 //! It starts from a strictly feasible point: a repaired parent optimum on
 //! warm starts, else the box midpoint, passed through a phase-1 solve that
-//! relaxes every constraint with one slack variable when needed. A fixed-μ
-//! log-barrier loop with damped Newton steps runs only where MPC cannot
-//! finish (its budget ran out, or the problem has no barrier terms); each
-//! solve that ran it sets [`NlpSolution::barrier_fallbacks`]. The problem's
+//! relaxes every constraint with one slack variable when needed. Where the
+//! predictor-corrector iterations cannot finish (or the problem has no
+//! barrier terms), a fixed-μ fallback on the same machinery restarts them:
+//! damped Newton stages on the log-barrier function with the duals slaved
+//! to `μ/s`, then the predictor-corrector iterations again from a centred
+//! point. Each solve that ran it sets [`NlpSolution::barrier_fallbacks`].
+//! Every `Optimal` passes one exit test at the duals it returns. The
+//! problem's
 //! pattern picks how the Newton system is factored ([`kkt_path`]): a
 //! min–max relaxation without equality rows, whose condensed matrix is a
 //! diagonal plus a few hub columns and bordered rows, by an O(k) structured

@@ -19,13 +19,13 @@
 //!   [`StructuredKkt`] in O(k(h+r)²); see [`super::structured`].
 //! - **Sparse.** Any other system of at least [`SPARSE_CROSSOVER_DIM`]
 //!   unknowns uses the analyzed [`SparseKkt`] pattern (M has exactly the
-//!   fixed-μ barrier Hessian's sparsity, so the symbolic analysis is
-//!   shared): the sparse Cholesky without equalities, the sparse LU with.
-//! - **Dense.** Below the crossover, the dense Cholesky or LU, as in the
-//!   fixed-μ loop.
+//!   barrier Hessian's sparsity, so the symbolic analysis is done once):
+//!   the sparse Cholesky without equalities, the sparse LU with.
+//! - **Dense.** Below the crossover, the dense Cholesky or LU.
 //!
 //! Phase 1 and equality-constrained systems never take the structured
-//! path.
+//! path. The fallback's fixed-μ stages factor through the same system as
+//! the predictor-corrector iterations of their solve.
 //!
 //! Assembly and solves fail fast on non-finite input with a typed
 //! [`SystemError`]: hostile-but-valid coefficients (~1e17, reachable
@@ -117,8 +117,7 @@ impl<'a> AugmentedSystem<'a> {
     /// Chooses the path: `structured` when the caller found that pattern,
     /// else by the KKT dimension (sparse at or above
     /// [`SPARSE_CROSSOVER_DIM`], running the symbolic analysis once). A
-    /// failed analysis silently degrades to dense, matching the fixed-μ
-    /// loop.
+    /// failed analysis silently degrades to dense.
     pub(crate) fn new(
         p: &NlpProblem,
         col_of: &std::collections::HashMap<usize, usize>,
@@ -190,7 +189,7 @@ impl<'a> AugmentedSystem<'a> {
                 }
             }
             // Numeric sparse failure: degrade to the dense factorization
-            // below, the same ladder the fixed-μ loop descends.
+            // below.
         }
         if self.m_eq == 0 {
             match Cholesky::new_regularized(m, HESS_CHOL_REG) {

@@ -1,13 +1,14 @@
 //! Fraction-to-boundary step limits and the barrier-merit backtracking
-//! search that replace the fixed-μ loop's fixed damping.
+//! search, shared by the predictor-corrector iterations and the fixed-μ
+//! fallback's stages.
 //!
 //! The fraction-to-boundary rule caps each step so every positivity
 //! quantity (slacks, bound distances, dual iterates) keeps at least a
 //! `1 − τ` fraction of its current value — iterates approach but never
 //! touch the boundary, which is what keeps the condensed KKT matrix
 //! finite. The primal block additionally backtracks against the barrier
-//! merit `Φ_μ̂` (objective plus μ̂-weighted log barriers, the same merit
-//! the fixed-μ loop descends): the corrected Mehrotra direction carries
+//! merit `Φ_μ̂` (objective plus μ̂-weighted log barriers, the function a
+//! fallback stage minimizes): the corrected Mehrotra direction carries
 //! second-order terms that are not a descent guarantee, and on nonlinear
 //! constraints the linearized slack prediction undershoots the true one,
 //! so trial points must re-prove both strict feasibility and progress.
@@ -18,9 +19,7 @@
 use crate::barrier::ARMIJO_C1;
 
 /// Fraction-to-boundary factor τ: steps stop just short of the positivity
-/// boundary so slacks and dual iterates never collapse to zero. Matches
-/// the fixed-μ loop's boundary damping so step geometry is comparable
-/// across schedules.
+/// boundary so slacks and dual iterates never collapse to zero.
 pub(crate) const FRACTION_TO_BOUNDARY_TAU: f64 = 0.995;
 /// Multiplicative shrink applied to the trial scale after each rejected
 /// step (an exact binary halving, so trial points are reproducible).
@@ -50,9 +49,9 @@ pub(crate) fn max_step(pairs: impl Iterator<Item = (f64, f64)>, tau: f64) -> f64
 /// insufficient decrease — counts one backtrack. `scale` is the
 /// fraction-to-boundary cap the caller folds into the trial step and
 /// `slope` the directional derivative `∇Φᵀd` of the merit along the raw
-/// direction, so the Armijo test sees the true step `θ·scale·d`. Like the
-/// fixed-μ search, any strict decrease is also accepted: equality-corrected
-/// KKT steps are not always descent directions for Φ. Returns the
+/// direction, so the Armijo test sees the true step `θ·scale·d`. Any
+/// strict decrease is also accepted: equality-corrected KKT steps are not
+/// always descent directions for Φ. Returns the
 /// accepted θ, or `None` when the budget runs out.
 pub(crate) fn backtrack(
     merit0: f64,

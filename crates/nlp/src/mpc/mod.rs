@@ -1,10 +1,10 @@
-//! Mehrotra predictor-corrector interior-point loop — barrier v2.
+//! The barrier loop: Mehrotra predictor-corrector iterations, with a
+//! fixed-μ fallback on the same machinery.
 //!
-//! The primary barrier path (the fixed-μ loop in [`crate::barrier`] only
-//! runs when this one cannot finish). A primal-dual method that holds the
-//! primal strictly feasible (slacks stay implicit, `s_i = −g_i(x)`) and
-//! carries explicit dual iterates: `λ` per inequality, `z` per finite
-//! bound, `ν` per equality. Each iteration:
+//! A primal-dual method that holds the primal strictly feasible (slacks
+//! stay implicit, `s_i = −g_i(x)`) and carries explicit dual iterates: `λ`
+//! per inequality, `z` per finite bound, `ν` per equality. Each
+//! predictor-corrector iteration:
 //!
 //! 1. factors the condensed KKT system once ([`augmented_system`]),
 //! 2. solves it for the affine-scaling predictor (μ̂ = 0),
@@ -25,10 +25,16 @@
 //! [ Â   0 ] [Δν] = rhs,             + diag(zlo/dlo + zhi/dhi)
 //! ```
 //!
-//! which has exactly the sparsity pattern of the fixed-μ barrier Hessian —
-//! the analyzed `SparseKkt` structure is reused verbatim. The dual
-//! components are recovered from the linearized complementarity rows
-//! after each solve.
+//! which has exactly the sparsity pattern of the barrier Hessian — the
+//! analyzed `SparseKkt` structure is reused verbatim. The dual components
+//! are recovered from the linearized complementarity rows after each
+//! solve.
+//!
+//! Every `Optimal` leaves through one exit test ([`Ctx::converged`]) at
+//! the duals it returns. When the predictor-corrector iterations cannot
+//! pass it, the fallback's fixed-μ stages ([`Loop::stages`]) restart from
+//! the start point on the same machinery, and the iterations finish from
+//! the point they centre.
 //!
 //! Warm starts compose unchanged: the repaired parent point and its
 //! Mehrotra-seeded μ₀ enter here as the initial primal and the
@@ -82,21 +88,30 @@ pub(crate) mod structured;
 use std::collections::HashMap;
 
 use crate::barrier::{
-    finish_with_duals, BarrierOptions, FactorTally, NlpSolution, NlpStatus, DIVERGENCE_LIMIT,
-    GAP_TOL, MAX_NEWTON,
+    free_vars, BarrierOptions, FactorTally, NlpSolution, NlpStatus, DIVERGENCE_LIMIT, GAP_TOL,
+    MAX_NEWTON, PINNED_FEAS_TOL,
 };
 use crate::problem::NlpProblem;
 use augmented_system::{AugmentedSystem, Condensed, KktFactor, SystemError};
 use hslb_linalg::{Matrix, SparseWorkspace};
 use hslb_obs::Event;
 use line_search::FRACTION_TO_BOUNDARY_TAU;
-use mu_update::Corrector;
+use mu_update::{Corrector, MU_LINEAR_SHRINK};
 use structured::Pattern;
 
 /// Cap on the perfectly-centered initial duals `μ₀/s`: a slack at the
 /// strict-feasibility margin (~1e-8) would otherwise seed a ~1e9 dual and
 /// a hopelessly ill-conditioned first system.
 const DUAL_INIT_CAP: f64 = 1e8;
+/// Centring test of a fallback stage: the Newton decrement `−∇Φ_μᵀΔx / μ`
+/// of the barrier function, free of the objective's units, at most this.
+const STAGE_DECREMENT: f64 = 1e-2;
+/// Gap `μ·count` at or below which a fallback stage hands its point to
+/// the predictor-corrector iterations: far enough above [`GAP_TOL`] that
+/// slacks `μ/λ` stay many ulps wide, near enough to the optimum that the
+/// iterations do not jam again (at gap 40 they do on the binary-encoded
+/// E8 root at k = 128).
+const HANDOFF_GAP: f64 = 1e-3;
 /// Relative equality-residual tolerance required at convergence. Warm
 /// starts may enter with the loose projection residual (1e-5·scale); the
 /// Newton corrections pull it under this within the first steps.
@@ -218,6 +233,7 @@ impl Rows {
 
 /// Problem evaluation at one primal point — built once per point (the
 /// start, then each line-search trial) and carried with the iterate.
+#[derive(Clone)]
 struct Eval {
     /// Slacks `s_i = −g_i(x)`, strictly positive.
     slack: Vec<f64>,
@@ -231,6 +247,18 @@ struct Eval {
     /// nothing anywhere.
     dlo: Vec<f64>,
     dhi: Vec<f64>,
+}
+
+/// The exit test's measures at one iterate, on its own duals.
+struct Residuals {
+    /// Average complementarity.
+    mu: f64,
+    /// Stationarity residual over the free columns ([`Ctx::r_dual`]).
+    r_d: Vec<f64>,
+    r_d_norm: f64,
+    r_eq_norm: f64,
+    /// Scale of the stationarity tests: `1 + max|c_j| + max dual`.
+    dual_scale: f64,
 }
 
 /// Problem-shape data fixed across the loop.
@@ -352,8 +380,11 @@ impl<'p> Ctx<'p> {
         v
     }
 
-    /// Average complementarity μ over all pairs.
+    /// Average complementarity μ over all pairs (zero when there are none).
     fn mu_of(&self, st: &State, ev: &Eval) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
         let mut sum = 0.0;
         for (lam, s) in st.lam.iter().zip(&ev.slack) {
             sum += lam * s;
@@ -376,8 +407,9 @@ impl<'p> Ctx<'p> {
     /// disagree with the barrier curvature `μ̂/s²`, and the Newton
     /// direction then rides tangentially along the constraint instead of
     /// lifting off it. The reset makes the next direction the exact
-    /// damped-Newton barrier direction — the fixed-μ loop's recovery — and
-    /// the untouched in-band duals resume Mehrotra stepping immediately.
+    /// damped-Newton barrier direction — what the fallback's stages step
+    /// along — and the untouched in-band duals resume Mehrotra stepping
+    /// immediately.
     fn recenter_duals(&self, st: &mut State, ev: &Eval, mu_hat: f64) -> bool {
         let mut changed = false;
         let mut recenter = |dual: &mut f64, dist: f64| {
@@ -399,6 +431,79 @@ impl<'p> Ctx<'p> {
             }
         }
         changed
+    }
+
+    /// Slaves every dual to the primal barrier multiplier at target `mu`,
+    /// capped at `cap`: `λ = μ/s` per inequality, `z = μ/d` per finite
+    /// bound. Uncapped, the condensed matrix is then the Hessian of the
+    /// barrier function, and the centring direction its damped Newton step.
+    fn slave_duals(&self, st: &mut State, ev: &Eval, mu: f64, cap: f64) {
+        for (lam, &s) in st.lam.iter_mut().zip(&ev.slack) {
+            *lam = (mu / s).min(cap);
+        }
+        for c in 0..self.free.len() {
+            if self.lo[c].is_finite() {
+                st.zlo[c] = (mu / ev.dlo[c]).min(cap);
+            }
+            if self.hi[c].is_finite() {
+                st.zhi[c] = (mu / ev.dhi[c]).min(cap);
+            }
+        }
+    }
+
+    /// The exit test's measures at the iterate, on its own duals.
+    fn residuals(&self, st: &State, ev: &Eval) -> Residuals {
+        let r_d = self.r_dual(st, ev);
+        let dual_scale = 1.0
+            + self.c_free.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
+            + st.lam
+                .iter()
+                .chain(&st.zlo)
+                .chain(&st.zhi)
+                .fold(0.0_f64, |m, &v| m.max(v));
+        Residuals {
+            mu: self.mu_of(st, ev),
+            r_d_norm: r_d.iter().fold(0.0_f64, |m, v| m.max(v.abs())),
+            r_eq_norm: ev.r_eq.iter().fold(0.0_f64, |m, v| m.max(v.abs())),
+            r_d,
+            dual_scale,
+        }
+    }
+
+    /// The exit test every `Optimal` passes, at the duals the answer
+    /// carries: the gap `μ·count ≤ GAP_TOL`, the equality residual, and
+    /// the stationarity residual, both against the largest cost and dual
+    /// and in each column against that column's own terms — the scale at
+    /// which `NlpSolution::certify` holds each reduced gradient.
+    fn converged(&self, st: &State, ev: &Eval, res: &Residuals) -> bool {
+        res.mu * self.count as f64 <= GAP_TOL
+            && res.r_eq_norm <= EQ_CONVERGENCE_TOL * self.eq_scale
+            && res.r_d_norm <= DUAL_CONVERGENCE_TOL * res.dual_scale
+            && self.stationary_by_column(st, ev, &res.r_d)
+    }
+
+    /// Whether every column's stationarity residual is within
+    /// [`DUAL_CONVERGENCE_TOL`] of one plus the sizes of its terms: the
+    /// cost, each `λᵢ·∂gᵢ`, each `νₑ·aₑ` and the bound duals.
+    fn stationary_by_column(&self, st: &State, ev: &Eval, r_d: &[f64]) -> bool {
+        let rows = &self.rows;
+        let mut scale: Vec<f64> = self.c_free.iter().map(|c| 1.0 + c.abs()).collect();
+        for (i, &lam) in st.lam.iter().enumerate() {
+            let span = rows.range(i);
+            for (&c, &g) in rows.col[span.clone()].iter().zip(&ev.grad[span]) {
+                scale[c] += (lam * g).abs();
+            }
+        }
+        for (r, &nu) in st.nu.iter().enumerate() {
+            for (c, sc) in scale.iter_mut().enumerate() {
+                *sc += (nu * self.a_eq[(r, c)]).abs();
+            }
+        }
+        scale
+            .iter()
+            .zip(st.zlo.iter().zip(&st.zhi))
+            .zip(r_d)
+            .all(|((sc, (zlo, zhi)), r)| r.abs() <= DUAL_CONVERGENCE_TOL * (sc + zlo + zhi))
     }
 
     /// Smallest and largest complementarity product across all pairs —
@@ -722,28 +827,26 @@ fn solve_direction(
 /// merit comparison: strict primal feasibility (the box, then one
 /// [`Ctx::eval`] that also feeds the other two tests), a finite barrier merit,
 /// and the wide central-path neighborhood — every *true* (nonlinear)
-/// complementarity product of the candidate stays above
-/// `μ̂/CENTRALITY_RATIO`. The last is the load-bearing one on curved
-/// constraints: the barrier merit alone happily trades a crushed slack for
-/// objective progress (the log penalty is weak), and a crushed product
-/// mis-scales the next condensed matrix so badly that the solver creeps
-/// along the constraint for hundreds of iterations.
+/// complementarity product of the candidate stays at or above `floor`.
+/// The last is the load-bearing one on curved constraints in the
+/// predictor-corrector loop: the barrier merit alone happily trades a
+/// crushed slack for objective progress (the log penalty is weak), and a
+/// crushed product mis-scales the next condensed matrix so badly that the
+/// solver creeps along the constraint for hundreds of iterations. The
+/// fallback's stages re-slave their duals after every step and pass a
+/// zero floor.
 fn attempt(
     ctx: &Ctx,
     st: &State,
     ev: &Eval,
     dir: &Direction,
     mu_hat: f64,
+    floor: f64,
     tally: &mut FactorTally,
 ) -> Option<(State, Eval)> {
     let (ap_max, ad_max) = ctx.step_lengths(st, ev, dir);
     let phi0 = ctx.merit(&st.x, ev, mu_hat);
     let slope = ctx.barrier_slope(ev, mu_hat, &dir.dx);
-    // Products may sit on the band edge (the loop-top recentering leaves
-    // in-band products untouched); halving headroom keeps a θ → 0 trial
-    // admissible so an edge state can never dead-lock the search.
-    let (cur_min, _) = ctx.prod_range(st, ev);
-    let floor = (mu_hat / CENTRALITY_RATIO).min(0.5 * cur_min);
     // The last admissible trial: `backtrack` accepts right after the trial
     // that produced it, so on success this is the accepted point.
     let mut last = None;
@@ -770,28 +873,233 @@ fn attempt(
     last
 }
 
-/// Wraps up at the current iterate: `λ` is the converged dual estimate.
-fn converged(ctx: &Ctx, st: State, newton_iters: usize) -> NlpSolution {
-    finish_with_duals(ctx.p, st.x, &st.lam, newton_iters)
+/// How one phase of the loop ended.
+enum Exit {
+    /// The exit test passed, or phase 1's early exit fired.
+    Converged,
+    /// The iterate left the divergence guard.
+    Unbounded,
+    /// Budget spent, line search stalled or KKT system failed.
+    Failed,
 }
 
-/// Typed-error exit: the augmented system saw a non-finite value or an
-/// unfactorable matrix. End the solve cleanly at the current iterate —
-/// never spin — reporting the cut-short budget.
-fn bail(ctx: &Ctx, st: State, newton_iters: usize, _err: SystemError) -> NlpSolution {
-    let mut out = finish_with_duals(ctx.p, st.x, &st.lam, newton_iters);
-    out.status = NlpStatus::IterationLimit;
-    out
+/// One solve's loop: the problem data, the KKT system and the work
+/// tallies that the predictor-corrector iterations and the fallback's
+/// stages share.
+struct Loop<'a, 'p> {
+    ctx: Ctx<'p>,
+    sys: AugmentedSystem<'a>,
+    opts: &'a BarrierOptions,
+    newton_total: &'a mut usize,
+    tally: &'a mut FactorTally,
+    /// Phase 1's `(var, threshold)` stop.
+    early_exit: Option<(usize, f64)>,
 }
 
-/// The predictor-corrector loop from a strictly feasible start. Arguments
-/// mirror `barrier_loop`; `mu0` seeds the perfectly-centered
-/// initial duals, and `early_exit` is phase 1's `(var, threshold)` stop.
-#[allow(clippy::too_many_arguments)] // mirrors barrier_loop: problem + accumulators + scratch
+impl Loop<'_, '_> {
+    /// The predictor-corrector iterations from `st` at the centring target
+    /// `mu_target`: at most [`MAX_NEWTON`] of them, leaving on the exit
+    /// test ([`Ctx::converged`]).
+    ///
+    /// The target is monotone non-increasing. Newton iterations chase a
+    /// fixed target until the iterate is centered and feasible enough, and
+    /// only then does the Mehrotra predictor ratchet it down — re-deriving
+    /// the target from the products every iteration lets an off-center
+    /// iterate drag it up and cycle.
+    fn predictor_corrector(&mut self, st: &mut State, ev: &mut Eval, mut mu_target: f64) -> Exit {
+        let ctx = &self.ctx;
+        // The target never needs to fall below the gap test's exit level: a
+        // μ within one centrality band of this floor already passes
+        // `μ·count ≤ GAP_TOL`. Chasing a deeper target is pure downside — it
+        // is unattainable once the primal has hit its strict-interior limit,
+        // and the band safeguard would fight stationarity forever over it.
+        let target_floor = GAP_TOL / (CENTRALITY_RATIO * ctx.count as f64);
+
+        for _iter in 0..MAX_NEWTON {
+            // `ev` evaluates `st.x`: the start's, then the accepted trial's.
+            // Convergence is judged on the raw iterate, before any dual
+            // safeguard: near the end the target can sit a band below the
+            // converged μ, and recentering first would wreck the (already
+            // acceptable) stationarity residual on the exit iteration.
+            let mut res = ctx.residuals(st, ev);
+            if ctx.converged(st, ev, &res) {
+                return Exit::Converged;
+            }
+            if ctx.recenter_duals(st, ev, mu_target) {
+                res = ctx.residuals(st, ev);
+            }
+
+            *self.newton_total += 1;
+            let Ok(factor) = self
+                .sys
+                .factor(&ctx.condensed(st, ev), &ctx.a_eq, self.tally)
+            else {
+                return Exit::Failed;
+            };
+
+            // Affine-scaling predictor: full Newton toward μ̂ = 0. Its step
+            // lengths price how much complementarity the pure Newton step
+            // can remove; its deltas feed the second-order corrector terms.
+            let Ok(aff) = solve_direction(ctx, &factor, st, ev, &res.r_d, 0.0, None) else {
+                return Exit::Failed;
+            };
+            self.tally.predictor_steps += 1;
+            let (ap_aff, ad_aff) = ctx.step_lengths(st, ev, &aff);
+            let mu_aff = ctx.predicted_mu(st, ev, &aff, ap_aff, ad_aff);
+            let sigma = mu_update::centering_sigma(res.mu, mu_aff);
+
+            // Ratchet the target down only from inside the central-path
+            // neighborhood: products within the centrality band and both
+            // infeasibilities commensurate with the target.
+            let (prod_min, prod_max) = ctx.prod_range(st, ev);
+            let leash = MU_GATE_RESIDUAL_FRAC * mu_target;
+            if prod_max <= CENTRALITY_RATIO * mu_target
+                && prod_min * CENTRALITY_RATIO >= mu_target
+                && res.r_d_norm <= (DUAL_CONVERGENCE_TOL + leash) * res.dual_scale
+                && res.r_eq_norm <= (EQ_CONVERGENCE_TOL + leash) * ctx.eq_scale
+            {
+                mu_target = mu_update::next_target(mu_target, res.mu, sigma)
+                    .max(target_floor.min(mu_target));
+            }
+            let mu_hat = mu_target;
+            self.opts
+                .trace
+                .emit(|| Event::BarrierMu { mu: mu_hat, sigma });
+
+            // Corrector: recenter to the target with the second-order
+            // terms, reusing the factorization.
+            let corr = mu_update::corrector_terms(&aff, ap_aff, ad_aff);
+            let Ok(dir) = solve_direction(ctx, &factor, st, ev, &res.r_d, mu_hat, Some(&corr))
+            else {
+                return Exit::Failed;
+            };
+            self.tally.corrector_steps += 1;
+
+            // Products may sit on the band edge (the loop-top recentering
+            // leaves in-band products untouched); halving headroom keeps a
+            // θ → 0 trial admissible so an edge state can never dead-lock
+            // the search.
+            let floor = (mu_hat / CENTRALITY_RATIO).min(0.5 * prod_min);
+            let mut next = attempt(ctx, st, ev, &dir, mu_hat, floor, self.tally);
+            if next.is_none() {
+                // The corrected direction can overshoot (its second-order
+                // terms are no descent guarantee); a pure centering solve on
+                // the same factorization is the exact Newton direction for
+                // the σμ KKT system and must locally decrease the merit.
+                let Ok(rescue) = solve_direction(ctx, &factor, st, ev, &res.r_d, mu_hat, None)
+                else {
+                    return Exit::Failed;
+                };
+                self.tally.corrector_steps += 1;
+                next = attempt(ctx, st, ev, &rescue, mu_hat, floor, self.tally);
+            }
+            // Stalled: both directions exhausted the backtracking budget.
+            let Some((accepted, accepted_ev)) = next else {
+                break;
+            };
+            *st = accepted;
+            *ev = accepted_ev;
+            if let Some(exit) = self.stop_early(st) {
+                return exit;
+            }
+        }
+        if ctx.converged(st, ev, &ctx.residuals(st, ev)) {
+            Exit::Converged
+        } else {
+            Exit::Failed
+        }
+    }
+
+    /// The fallback's fixed-μ stages, from `st` at `mu`. Each iteration
+    /// slaves the duals to the barrier multipliers `μ/s`, `μ/d`, so the
+    /// condensed matrix is the barrier Hessian and the centring direction
+    /// its damped Newton step. A stage ends once centred (decrement at most
+    /// [`STAGE_DECREMENT`]) or after [`MAX_NEWTON`] steps (far from the
+    /// optimum a stage at large μ crawls); the next aims
+    /// [`MU_LINEAR_SHRINK`] lower.
+    ///
+    /// Returns the target from which the predictor-corrector iterations
+    /// finish: the first stage to end at a gap `μ·count` of at most
+    /// [`HANDOFF_GAP`], or one whose line search stalls. Slaved duals cannot
+    /// finish themselves: near the optimum `μ/s` carries the rounding of a
+    /// slack a few ulps wide. `Err` carries an exit reached on the way.
+    fn stages(&mut self, st: &mut State, ev: &mut Eval, mut mu: f64) -> Result<f64, Exit> {
+        let ctx = &self.ctx;
+        let mut stage_steps = 0;
+        loop {
+            ctx.slave_duals(st, ev, mu, f64::INFINITY);
+            let res = ctx.residuals(st, ev);
+            if ctx.converged(st, ev, &res) {
+                return Err(Exit::Converged);
+            }
+            stage_steps += 1;
+            *self.newton_total += 1;
+            let Ok(factor) = self
+                .sys
+                .factor(&ctx.condensed(st, ev), &ctx.a_eq, self.tally)
+            else {
+                return Err(Exit::Failed);
+            };
+            let Ok(dir) = solve_direction(ctx, &factor, st, ev, &res.r_d, mu, None) else {
+                return Err(Exit::Failed);
+            };
+            let decrement = -ctx.barrier_slope(ev, mu, &dir.dx) / mu;
+            let centred =
+                decrement <= STAGE_DECREMENT && res.r_eq_norm <= EQ_CONVERGENCE_TOL * ctx.eq_scale;
+            if centred || stage_steps == MAX_NEWTON {
+                if mu * ctx.count as f64 <= HANDOFF_GAP {
+                    return Ok(mu);
+                }
+                mu *= MU_LINEAR_SHRINK;
+                stage_steps = 0;
+                continue;
+            }
+            let Some((mut next, next_ev)) = attempt(ctx, st, ev, &dir, mu, 0.0, self.tally) else {
+                return Ok(mu);
+            };
+            // The equality multipliers take the full Newton step whatever
+            // the primal step length: `ν + Δν` is the system's own estimate.
+            for ((nu, &old), &dnu) in next.nu.iter_mut().zip(&st.nu).zip(&dir.dnu) {
+                *nu = old + dnu;
+            }
+            *st = next;
+            *ev = next_ev;
+            if let Some(exit) = self.stop_early(st) {
+                return Err(exit);
+            }
+        }
+    }
+
+    /// The checks after an accepted step: the divergence guard, then
+    /// phase 1's early exit.
+    fn stop_early(&self, st: &State) -> Option<Exit> {
+        if st.x.iter().any(|v| v.abs() > DIVERGENCE_LIMIT) {
+            return Some(Exit::Unbounded);
+        }
+        match self.early_exit {
+            Some((var, threshold)) if st.x[var] < threshold => Some(Exit::Converged),
+            _ => None,
+        }
+    }
+}
+
+/// The barrier solve from a strictly feasible start `x`, whose pinned
+/// coordinates snap to their pins. `mu0` is the initial barrier weight
+/// (warm starts pass a reduced one) and seeds the perfectly-centered
+/// initial duals; `early_exit` is phase 1's `(var, threshold)` stop, which
+/// ends the solve as soon as `x[var]` drops below the threshold.
+///
+/// The predictor-corrector iterations run first. When they end
+/// unconverged, or when the problem has no barrier terms to centre on
+/// (no inequality and no finite bound on a free column), the fallback's
+/// [`Loop::stages`] restart from the start point at `mu0`, the
+/// iterations finish from the point they hand over, and the solve counts
+/// one fallback. Every `Optimal` passes the exit test at the duals it
+/// returns.
+#[allow(clippy::too_many_arguments)] // problem + accumulators + scratch; a struct would just rename the list
 pub(crate) fn run(
     p: &NlpProblem,
-    x: Vec<f64>,
-    free: &[usize],
+    mut x: Vec<f64>,
     mu0: f64,
     opts: &BarrierOptions,
     newton_total: &mut usize,
@@ -799,6 +1107,21 @@ pub(crate) fn run(
     scratch: &mut SparseWorkspace,
     early_exit: Option<(usize, f64)>,
 ) -> NlpSolution {
+    let free = &free_vars(p)[..];
+    for ((xj, &lo), &hi) in x.iter_mut().zip(p.lowers()).zip(p.uppers()) {
+        if lo == hi {
+            *xj = lo;
+        }
+    }
+    if free.is_empty() {
+        let (status, objective) = if p.max_violation(&x) <= PINNED_FEAS_TOL {
+            (NlpStatus::Optimal, p.objective_value(&x))
+        } else {
+            (NlpStatus::Infeasible, f64::INFINITY)
+        };
+        let multipliers = vec![0.0; p.num_constraints()];
+        return NlpSolution::new(status, x, objective, multipliers, *newton_total);
+    }
     let k = free.len();
     let m_in = p.num_constraints();
     let m_eq = p.equalities().len();
@@ -841,13 +1164,10 @@ pub(crate) fn run(
     } else {
         None
     };
-    let mut sys = AugmentedSystem::new(p, &col_of, &ctx.a_eq, k, m_eq, pattern, scratch);
+    let sys = AugmentedSystem::new(p, &col_of, &ctx.a_eq, k, m_eq, pattern, scratch);
     #[cfg(test)]
     path_log::record(early_exit.is_none(), sys.path());
 
-    // Perfectly centered initial duals: every complementarity product
-    // starts at exactly μ₀ (capped), so the first predictor sees the true
-    // μ₀ and parent complementarity enters purely through the warm μ₀.
     let mut st = State {
         x,
         lam: vec![0.0; m_in],
@@ -857,146 +1177,60 @@ pub(crate) fn run(
     };
     let mut ev = match ctx.eval(&st.x) {
         Ok(ev) => ev,
-        Err(err) => return bail(&ctx, st, *newton_total, err),
+        // No iterate to start from, for the fallback either; counted as one.
+        Err(_) => {
+            tally.fell_back = true;
+            let objective = p.objective_value(&st.x);
+            return NlpSolution::new(
+                NlpStatus::IterationLimit,
+                st.x,
+                objective,
+                st.lam,
+                *newton_total,
+            );
+        }
     };
-    for (lam, s) in st.lam.iter_mut().zip(&ev.slack) {
-        *lam = (mu0 / s).min(DUAL_INIT_CAP);
-    }
-    for c in 0..k {
-        if ctx.lo[c].is_finite() {
-            st.zlo[c] = (mu0 / ev.dlo[c]).min(DUAL_INIT_CAP);
-        }
-        if ctx.hi[c].is_finite() {
-            st.zhi[c] = (mu0 / ev.dhi[c]).min(DUAL_INIT_CAP);
-        }
-    }
-
-    // The centering target: monotone non-increasing. Newton iterations
-    // chase a FIXED target until the iterate is centered and feasible
-    // enough, and only then does the Mehrotra predictor ratchet it down —
-    // re-deriving the target from the products every iteration lets an
-    // off-center iterate drag it up and cycle.
-    let mut mu_target = mu0;
-    // The target never needs to fall below the gap test's exit level: a
-    // μ within one centrality band of this floor already passes
-    // `μ·count ≤ GAP_TOL`. Chasing a deeper target is pure downside — it
-    // is unattainable once the primal has hit its strict-interior limit,
-    // and the band safeguard would fight stationarity forever over it.
-    let target_floor = GAP_TOL / (CENTRALITY_RATIO * ctx.count as f64);
-
-    for _iter in 0..MAX_NEWTON {
-        // `ev` evaluates `st.x`: the start's, then the accepted trial's.
-        // Convergence is judged on the raw iterate, before any dual
-        // safeguard: near the end the target can sit a band below the
-        // converged μ, and recentering first would wreck the (already
-        // acceptable) stationarity residual on the exit iteration.
-        let mut mu = ctx.mu_of(&st, &ev);
-        let mut r_d = ctx.r_dual(&st, &ev);
-        let gap_ok = mu * ctx.count as f64 <= GAP_TOL;
-        let r_eq_norm = ev.r_eq.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        let eq_ok = r_eq_norm <= EQ_CONVERGENCE_TOL * ctx.eq_scale;
-        let dual_scale = |st: &State| {
-            1.0 + ctx.c_free.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-                + st.lam
-                    .iter()
-                    .chain(&st.zlo)
-                    .chain(&st.zhi)
-                    .fold(0.0_f64, |m, &v| m.max(v))
-        };
-        let r_d_norm = r_d.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-        let dual_ok = r_d_norm <= DUAL_CONVERGENCE_TOL * dual_scale(&st);
-        if gap_ok && eq_ok && dual_ok {
-            return converged(&ctx, st, *newton_total);
-        }
-        if ctx.recenter_duals(&mut st, &ev, mu_target) {
-            mu = ctx.mu_of(&st, &ev);
-            r_d = ctx.r_dual(&st, &ev);
-        }
-        let dual_scale = dual_scale(&st);
-        let r_d_norm = r_d.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-
-        *newton_total += 1;
-        let factor = match sys.factor(&ctx.condensed(&st, &ev), &ctx.a_eq, tally) {
-            Ok(f) => f,
-            Err(err) => return bail(&ctx, st, *newton_total, err),
-        };
-
-        // Affine-scaling predictor: full Newton toward μ̂ = 0. Its step
-        // lengths price how much complementarity the pure Newton step can
-        // remove; its deltas feed the second-order corrector terms.
-        let aff = match solve_direction(&ctx, &factor, &st, &ev, &r_d, 0.0, None) {
-            Ok(d) => d,
-            Err(err) => return bail(&ctx, st, *newton_total, err),
-        };
-        tally.predictor_steps += 1;
-        let (ap_aff, ad_aff) = ctx.step_lengths(&st, &ev, &aff);
-        let mu_aff = ctx.predicted_mu(&st, &ev, &aff, ap_aff, ad_aff);
-        let sigma = mu_update::centering_sigma(mu, mu_aff);
-
-        // Ratchet the target down only from inside the central-path
-        // neighborhood: products within the centrality band and both
-        // infeasibilities commensurate with the target.
-        let (prod_min, prod_max) = ctx.prod_range(&st, &ev);
-        let centered =
-            prod_max <= CENTRALITY_RATIO * mu_target && prod_min * CENTRALITY_RATIO >= mu_target;
-        let residuals_leashed = r_d_norm
-            <= (DUAL_CONVERGENCE_TOL + MU_GATE_RESIDUAL_FRAC * mu_target) * dual_scale
-            && r_eq_norm <= (EQ_CONVERGENCE_TOL + MU_GATE_RESIDUAL_FRAC * mu_target) * ctx.eq_scale;
-        if centered && residuals_leashed {
-            mu_target =
-                mu_update::next_target(mu_target, mu, sigma).max(target_floor.min(mu_target));
-        }
-        let mu_hat = mu_target;
-        opts.trace.emit(|| Event::BarrierMu { mu: mu_hat, sigma });
-
-        // Corrector: recenter to the target with the second-order terms,
-        // reusing the factorization.
-        let corr = mu_update::corrector_terms(&aff, ap_aff, ad_aff);
-        let dir = match solve_direction(&ctx, &factor, &st, &ev, &r_d, mu_hat, Some(&corr)) {
-            Ok(d) => d,
-            Err(err) => return bail(&ctx, st, *newton_total, err),
-        };
-        tally.corrector_steps += 1;
-
-        let mut next = attempt(&ctx, &st, &ev, &dir, mu_hat, tally);
-        if next.is_none() {
-            // The corrected direction can overshoot (its second-order
-            // terms are no descent guarantee); a pure centering solve on
-            // the same factorization is the exact Newton direction for the
-            // σμ KKT system and must locally decrease the merit.
-            let rescue = match solve_direction(&ctx, &factor, &st, &ev, &r_d, mu_hat, None) {
-                Ok(d) => d,
-                Err(err) => return bail(&ctx, st, *newton_total, err),
-            };
-            tally.corrector_steps += 1;
-            next = attempt(&ctx, &st, &ev, &rescue, mu_hat, tally);
-        }
-        let Some((accepted, accepted_ev)) = next else {
-            // Stalled: both directions exhausted the backtracking budget.
-            break;
-        };
-        st = accepted;
-        ev = accepted_ev;
-
-        if st.x.iter().any(|v| v.abs() > DIVERGENCE_LIMIT) {
-            return NlpSolution::unbounded(p, st.x, *newton_total);
-        }
-        if let Some((var, threshold)) = early_exit {
-            if st.x[var] < threshold {
-                return converged(&ctx, st, *newton_total);
-            }
+    let mut lp = Loop {
+        ctx,
+        sys,
+        opts,
+        newton_total,
+        tally,
+        early_exit,
+    };
+    let mut exit = Exit::Failed;
+    if count > 0 {
+        // Perfectly centered initial duals: every complementarity product
+        // starts at exactly μ₀ (capped), so the first predictor sees the
+        // true μ₀ and parent complementarity enters purely through the
+        // warm μ₀.
+        lp.ctx.slave_duals(&mut st, &ev, mu0, DUAL_INIT_CAP);
+        let start = (st.x.clone(), ev.clone());
+        exit = lp.predictor_corrector(&mut st, &mut ev, mu0);
+        if matches!(exit, Exit::Failed) {
+            // The fallback restarts from the start point: an iterate on
+            // which the predictor-corrector iterations failed can sit where
+            // the KKT system does not factor.
+            (st.x, ev) = start;
+            st.nu.fill(0.0);
         }
     }
-
-    // Stall or iteration cap: report Optimal only when the gap actually
-    // closed (the per-step merit noise at tiny μ can block the final dual
-    // cleanup; the least-squares refinement recovers the duals from x).
-    let gap_closed = ctx.mu_of(&st, &ev) * ctx.count as f64 <= GAP_TOL;
-    let mut out = converged(&ctx, st, *newton_total);
-    if !gap_closed {
-        out.status = NlpStatus::IterationLimit;
+    if matches!(exit, Exit::Failed) {
+        lp.tally.fell_back = true;
+        exit = match lp.stages(&mut st, &mut ev, mu0) {
+            Ok(mu) => lp.predictor_corrector(&mut st, &mut ev, mu),
+            Err(exit) => exit,
+        };
     }
-    out
+    let (status, objective) = match exit {
+        Exit::Converged => (NlpStatus::Optimal, p.objective_value(&st.x)),
+        Exit::Failed => (NlpStatus::IterationLimit, p.objective_value(&st.x)),
+        Exit::Unbounded => {
+            st.lam.fill(0.0);
+            (NlpStatus::Unbounded, f64::NEG_INFINITY)
+        }
+    };
+    NlpSolution::new(status, st.x, objective, st.lam, *lp.newton_total)
 }
 
 /// The KKT path each `run` of the current thread chose, for tests that

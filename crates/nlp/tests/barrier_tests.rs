@@ -439,12 +439,13 @@ mod certificate {
 
 /// A real 1° layout-1 root relaxation from the CESM pipeline (fitted
 /// models, 256 nodes): phase 1 exits with the ice and land nodes barely
-/// inside their boxes, the predictor-corrector loop spends its whole
-/// budget from there, and the fixed-μ loop finishes the solve (456 Newton
-/// steps: 203 predictor-corrector, then 253 fixed-μ). Pins that path, its
-/// verdict and its counter.
+/// inside their boxes, and the predictor-corrector loop spends its whole
+/// budget from there. The fallback's fixed-μ stages restart from that
+/// point, and the predictor-corrector iterations finish from the centred
+/// point they hand over. Pins that path, its verdict, its counter and a
+/// certificate from the duals the finishing iterations carried.
 #[test]
-fn exhausted_mpc_budget_falls_back_to_the_fixed_mu_loop() {
+fn exhausted_mpc_budget_falls_back_to_fixed_mu_stages() {
     let t_max = 165_921.027_706_537_72;
     let mut p = NlpProblem::new();
     let ice = p.add_var(0.0, 1.0, 253.0);
@@ -504,4 +505,44 @@ fn exhausted_mpc_budget_falls_back_to_the_fixed_mu_loop() {
     assert_eq!(sol.status, NlpStatus::Optimal);
     assert_close(sol.objective, 231.924725331, 1e-8 * 231.924725331);
     assert_eq!(sol.barrier_fallbacks, 1);
+    assert_eq!(sol.certify(&p), Ok(()));
+}
+
+/// Regression: phase 1 can run to its own optimum on the box. At 320
+/// components with neighbour rows `n_j − n_{j+1} ≤ 3`, its depth target
+/// (−1e-3 times one plus the midpoint's violation of 4,080) is deeper than
+/// the rows allow, and it ends at s = −3.01 with a column within 5e-9 of a
+/// bound, where the start check rejected it and the solve reported
+/// `Infeasible`. The point is pulled inside the box by the start margin,
+/// which the rows, 3 deep, absorb.
+#[test]
+fn phase_one_optimum_on_the_box_starts_the_solve() {
+    let groups = 320;
+    let mut p = NlpProblem::new();
+    let vars: Vec<_> = (0..groups).map(|_| p.add_var(0.0, 0.5, 30.0)).collect();
+    let t = p.add_var(1.0, 0.0, 1e6);
+    for (j, &v) in vars.iter().enumerate() {
+        let work = 20.0 + (j * 37 % 280) as f64;
+        p.add_constraint(
+            ConstraintFn::new("curve")
+                .nonlinear_term(v, ScalarFn::perf_model(work, 0.0, 1.0))
+                .linear_term(t, -1.0),
+        );
+    }
+    let mut budget = ConstraintFn::new("budget").with_constant(-2.5 * groups as f64);
+    for &v in &vars {
+        budget = budget.linear_term(v, 1.0);
+    }
+    p.add_constraint(budget);
+    for pair in vars.windows(2) {
+        p.add_constraint(
+            ConstraintFn::new("neighbours")
+                .linear_term(pair[0], 1.0)
+                .linear_term(pair[1], -1.0)
+                .with_constant(-3.0),
+        );
+    }
+    let sol = solve(&p).unwrap();
+    assert_eq!(sol.status, NlpStatus::Optimal);
+    assert_eq!(sol.certify(&p), Ok(()));
 }

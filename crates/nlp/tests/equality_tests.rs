@@ -42,6 +42,31 @@ fn equality_with_nonlinear_constraints() {
     assert_close(sol.x[n1] + sol.x[n2], 20.0, 1e-6);
 }
 
+/// No barrier terms: free columns, equality rows, no inequality and no
+/// finite bound. A cost in the row space of the equalities makes every
+/// feasible point optimal, and the solve returns one that certifies; any
+/// other cost is unbounded along the rows. Both run the fallback.
+#[test]
+fn problems_without_barrier_terms_have_a_defined_answer() {
+    let free = |p: &mut NlpProblem, cost: f64| p.add_var(cost, f64::NEG_INFINITY, f64::INFINITY);
+    // min x + y s.t. x + y = 4: optimal at 4 everywhere on the row.
+    let mut p = NlpProblem::new();
+    let (x, y) = (free(&mut p, 1.0), free(&mut p, 1.0));
+    p.add_linear_eq(vec![(x, 1.0), (y, 1.0)], 4.0);
+    let sol = solve(&p).unwrap();
+    assert_eq!(sol.status, NlpStatus::Optimal);
+    assert_close(sol.objective, 4.0, 1e-9);
+    assert_eq!(sol.certify(&p), Ok(()));
+    assert_eq!(sol.barrier_fallbacks, 1);
+    // min x s.t. x + y = 4: x runs to −∞ along the row.
+    let mut q = NlpProblem::new();
+    let (x, y) = (free(&mut q, 1.0), free(&mut q, 0.0));
+    q.add_linear_eq(vec![(x, 1.0), (y, 1.0)], 4.0);
+    let sol = solve(&q).unwrap();
+    assert_eq!(sol.status, NlpStatus::Unbounded);
+    assert_eq!(sol.barrier_fallbacks, 1);
+}
+
 #[test]
 fn inconsistent_equalities_detected() {
     let mut p = NlpProblem::new();

@@ -41,11 +41,12 @@ pub struct SolveStats {
     /// predictor-corrector iteration, plus pure-centering rescue solves).
     pub corrector_steps: u64,
     /// Merit-function backtracks: trial steps rejected by the barrier line
-    /// search before a step was accepted (the fixed-μ loop's Armijo damping
-    /// is not counted here).
+    /// search before a step was accepted, in the predictor-corrector
+    /// iterations and the fixed-μ fallback's stages alike.
     pub line_search_backtracks: u64,
-    /// Barrier solves in which the fixed-μ loop ran: the predictor-corrector
-    /// loop exhausted its budget, or the problem had no barrier terms.
+    /// Barrier solves in which the fixed-μ fallback ran: the
+    /// predictor-corrector iterations ended unconverged, or the problem had
+    /// no barrier terms.
     pub barrier_fallbacks: u64,
     /// Fit work: profile evaluations (one nonnegative least-squares solve
     /// at one decay exponent each) summed over all fits. The name dates

@@ -114,16 +114,12 @@ pub fn mu0_scale(layer: Layer) -> f64 {
     match layer {
         // Branch-and-bound trees: descendants seed from the parent
         // relaxation, so the barrier starts nearly centered at small μ.
-        // CESM layout models branch the same way and their warm seeds
-        // were measurably over-centered at the neutral μ₀ (warm Newton
-        // 28 148 vs cold 28 126 aggregate before the scale landed).
-        Layer::Minlp | Layer::Pipeline | Layer::Cesm => 0.5,
-        // Flat paper-model specs go the other way: at the neutral μ₀ one of
-        // the guard's 25 instances falls back to fixed μ three times when
-        // warm (warm Newton 9 187 vs cold 6 863 over all 25; 4 774 vs 7 266
-        // at 2.0).
-        Layer::Flat => 2.0,
-        // Everything else solves cold or never reaches the barrier.
+        Layer::Minlp | Layer::Pipeline => 0.5,
+        // Everything else runs at the neutral μ₀ the shipped paths use.
+        // CESM layout models and flat paper-model specs keep warm ≤ cold
+        // there (warm Newton 18 071 vs cold 19 991 and 6 363 vs 6 825 over
+        // the guard's 25 instances each) since the fallback finishes on
+        // the predictor-corrector iterations.
         _ => 1.0,
     }
 }

@@ -13,12 +13,18 @@
 //! Min–max root relaxations (FMO clusters of 8 to 256 fragments, and
 //! synthetic ones with upward-turning models and binding caps) must run
 //! their main loop on the structured KKT factor (`hslb_nlp::kkt_path`),
-//! end `Optimal` without the fixed-μ fallback and certify.
+//! end `Optimal` and certify; the test pins which of them run the fixed-μ
+//! fallback. Named roots whose answers once failed their certificate (⅛°
+//! layout-2 roots, the binary-encoded E8 roots) must certify too.
 
-use hslb::{build_flat_model, AllowedNodes, ComponentSpec, FlatSpec, Objective};
-use hslb_bench::harness::fmo_cluster_spec;
+use hslb::{
+    build_flat_model, build_layout_model, fit_all, gather, AllowedNodes, CesmModelSpec,
+    ComponentSpec, FlatSpec, Layout, Objective, Workload,
+};
+use hslb_bench::harness::{fmo_cluster_spec, sos_test_problem};
+use hslb_cesm_sim::{CesmSimulator, Scenario};
 use hslb_lp::{LinearProgram, LpSolution, LpStatus};
-use hslb_nlp::{kkt_path, KktPath, NlpStatus};
+use hslb_nlp::{kkt_path, KktPath, NlpProblem, NlpSolution, NlpStatus};
 use hslb_perfmodel::PerfModel;
 use hslb_rng::{hash_mix, Rng};
 use hslb_testkit::check::{backend_diff_tol, lp_cond_scale};
@@ -75,6 +81,17 @@ fn nlp_optima_certify_across_120_generated_instances() {
     }
 }
 
+/// Solves `p`, which must end `Optimal` and certify from its own
+/// multipliers.
+fn certified_nlp(what: &str, p: &NlpProblem) -> NlpSolution {
+    let sol = hslb_nlp::solve(p).unwrap_or_else(|e| panic!("{what}: barrier error {e:?}"));
+    assert_eq!(sol.status, NlpStatus::Optimal, "{what}");
+    if let Err(e) = sol.certify(p) {
+        panic!("{what}: {e}");
+    }
+    sol
+}
+
 /// The root relaxation of a min–max flat spec: its main loop must take the
 /// structured KKT path, end `Optimal` and certify from its own
 /// multipliers. Returns whether the fixed-μ fallback ran.
@@ -82,12 +99,7 @@ fn structured_root_certifies(what: &str, spec: &FlatSpec) -> bool {
     let model = build_flat_model(spec);
     let p = model.problem.relaxation();
     assert_eq!(kkt_path(p), KktPath::Structured, "{what}");
-    let sol = hslb_nlp::solve(p).unwrap_or_else(|e| panic!("{what}: barrier error {e:?}"));
-    assert_eq!(sol.status, NlpStatus::Optimal, "{what}");
-    if let Err(e) = sol.certify(p) {
-        panic!("{what}: {e}");
-    }
-    sol.barrier_fallbacks > 0
+    certified_nlp(what, p).barrier_fallbacks > 0
 }
 
 /// FMO root relaxations at 8 nodes per fragment: 159 fragments put the
@@ -113,9 +125,8 @@ fn fmo_root_relaxations_certify_on_the_structured_kkt() {
 /// third model turns upward inside its range (`b > 0`), and node caps
 /// bind on part of the components. Two of the twelve exhaust the
 /// predictor-corrector budget from the box midpoint and finish on the
-/// fixed-μ fallback in 291 and 297 Newton steps, the same counts as on the
-/// dense and sparse paths before the structured factor existed; the test
-/// pins which ones, so a fix or a new stall both show.
+/// fixed-μ fallback; the test pins which ones, so a fix or a new stall
+/// both show.
 #[test]
 fn upward_turning_min_max_relaxations_certify_on_the_structured_kkt() {
     let mut rng = Rng::new(0x5BA2_0B0B);
@@ -159,6 +170,68 @@ fn upward_turning_min_max_relaxations_certify_on_the_structured_kkt() {
         ["160 components, case 0", "160 components, case 3"],
         "solves that ran the fixed-μ fallback"
     );
+}
+
+/// The layout-2 (`SequentialAtmGroup`) root relaxation of a fitted CESM
+/// pipeline: 5 benchmark samples per component, noise seeded by `seed`.
+fn layout2_root(scenario: Scenario, seed: u64) -> NlpProblem {
+    let counts = scenario.benchmark_counts(5);
+    let mut sim = CesmSimulator::new(scenario.clone(), seed);
+    let fits = fit_all(&gather(&mut sim, &counts)).expect("benchmarks fit");
+    let names = ["ice", "lnd", "atm", "ocn"];
+    let [ice, lnd, atm, ocn] = std::array::from_fn(|c| ComponentSpec {
+        name: names[c].to_string(),
+        model: fits[c].model,
+        allowed: scenario.allowed(c),
+    });
+    let spec = CesmModelSpec {
+        ice,
+        lnd,
+        atm,
+        ocn,
+        total_nodes: sim.total_nodes() as i64,
+        tsync: None,
+    };
+    let model = build_layout_model(&spec, Layout::SequentialAtmGroup);
+    model.problem.relaxation().clone()
+}
+
+/// Three ⅛° layout-2 roots at 32,768 nodes whose `lnd_within_group` dual
+/// (about 7e-5) sits below 1e-4 of the largest: a least-squares refit of
+/// the duals that dropped such rows failed the certificate at the ocean
+/// column (d ≈ 7e-5). The predictor-corrector loop's own duals certify.
+#[test]
+fn eighth_degree_layout2_roots_certify_on_their_own_duals() {
+    for (what, scenario, seed) in [
+        ("⅛° 0x8ce5", Scenario::eighth_degree(32_768), 0x8ce5),
+        ("⅛° 0x8ce0", Scenario::eighth_degree(32_768), 0x8ce0),
+        (
+            "⅛° free ocean 0x8ce5",
+            Scenario::eighth_degree_unconstrained(32_768),
+            0x8ce5,
+        ),
+    ] {
+        let p = layout2_root(scenario, seed);
+        assert_eq!(certified_nlp(what, &p).barrier_fallbacks, 0, "{what}");
+    }
+}
+
+/// The binary-encoded E8 root relaxations at k = 32 and 128: the
+/// predictor-corrector KKT matrix stops factoring after a few steps, so
+/// they run the fixed-μ fallback, whose answer must certify from the
+/// duals its finishing iterations carry (its objective equals the native
+/// arm's: 784.25 and 198.3125).
+#[test]
+fn binary_encoded_e8_roots_certify_after_the_fallback() {
+    for (k, objective) in [(32, 784.25), (128, 198.3125)] {
+        let (enc, _) = hslb_minlp::encode_sets_as_binaries(&sos_test_problem(k));
+        let sol = certified_nlp(&format!("E8 binary root k={k}"), enc.relaxation());
+        assert_eq!(sol.barrier_fallbacks, 1, "k={k}");
+        assert!(
+            (sol.objective - objective).abs() <= 1e-6 * objective,
+            "k={k}"
+        );
+    }
 }
 
 /// Pinned work envelope on fixed instances: the simplex's pivot and

@@ -134,12 +134,15 @@ fn e7_parallel_t1_counters_golden() {
 /// carries the paper's claim. Both encodings reach the same optimum and the
 /// binary tree is never smaller than the native one, but on this synthetic
 /// instance the trees are the same size; the binary arm's cost is its
-/// lifted k-dimensional relaxation, on which the MPC barrier gives up and
-/// the fixed-μ fallback takes over. The native arm never falls back, and
-/// the binary arm's fixed-μ steps (`newton_iters − predictor_steps`) alone
-/// exceed the native arm's whole Newton count. A ratio on total Newton
-/// steps held only through those fallback steps, so this asserts the
-/// mechanism instead (EXPERIMENTS.md § E8).
+/// lifted k-dimensional relaxation, whose predictor-corrector KKT matrix
+/// stops factoring at Newton step 3 or 4 (a dense LU pivot below its
+/// absolute tolerance), so the fixed-μ fallback takes over. The native arm
+/// never falls back, and the binary arm's fallback stage steps
+/// (`newton_iters − predictor_steps`; the predictor-corrector iterations
+/// that finish the fallback count as predictor steps) alone exceed the
+/// native arm's whole Newton count. A ratio on total Newton steps held
+/// only through those fallback steps, so this asserts the mechanism
+/// instead (EXPERIMENTS.md § E8).
 #[test]
 fn e8_binary_encoding_runs_on_the_fixed_mu_fallback() {
     for k in [32usize, 128] {
@@ -164,7 +167,7 @@ fn e8_binary_encoding_runs_on_the_fixed_mu_fallback() {
         let fixed_mu = b.newton_iters - b.predictor_steps;
         assert!(
             fixed_mu > n.newton_iters,
-            "k={k}: binary fixed-μ steps {fixed_mu} vs native Newton steps {}",
+            "k={k}: binary fixed-μ stage steps {fixed_mu} vs native Newton steps {}",
             n.newton_iters
         );
     }

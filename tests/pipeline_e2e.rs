@@ -209,10 +209,10 @@ fn workload_trait_is_object_safe_enough_for_generic_use() {
 }
 
 /// Regression: on this fitted ⅛° layout-2 model two warm-started NLP-B&B
-/// node relaxations exhaust the predictor-corrector budget and fall back to
-/// the fixed-μ loop, whose last μ stage ends on the Newton cap at
-/// 3377.5079 and 3377.5082 (a cold solve of the same nodes reaches
-/// 3377.3182). Such a fallback must report `IterationLimit`: called
+/// node relaxations exhausted the predictor-corrector budget, and the
+/// fixed-μ fallback then stopped short of their optimum at 3377.5079 and
+/// 3377.5082 (a cold solve of the same nodes reaches 3377.3182). A
+/// fallback stuck short of the optimum must report `IterationLimit`: called
 /// `Optimal`, both nodes are pruned on the inflated bounds and NLP-B&B
 /// returns a worse allocation (3377.483, atm 5,272) as optimal.
 #[test]

@@ -15,6 +15,11 @@ echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings \
   -A clippy::float_cmp -A clippy::cast_possible_truncation -A clippy::indexing_slicing
 
+echo "== rustdoc =="
+# Every intra-doc link must resolve, private items included, so a deletion
+# cannot leave docs that name an item which no longer exists.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
+
 echo "== lint (hslb-lint) =="
 cargo run --release -q -p hslb-lint -- --workspace
 
@@ -47,8 +52,9 @@ echo "== certified optima =="
 # certify from their own duals, 120 seeded NLPs whose barrier optima must
 # certify from their own multipliers, the FMO-root battery (15 root
 # relaxations of 8 to 256 fragments and 12 synthetic min-max ones with
-# upward-turning models, each on the structured KKT factor), and a pinned
-# pivot/Newton envelope (see DESIGN.md § Sparse core).
+# upward-turning models, each on the structured KKT factor, and 3 MinSum
+# roots of 100 components on the dense one), and a pinned pivot/Newton
+# envelope (see DESIGN.md § Sparse core).
 cargo test --release -q --test certified_optima
 
 echo "== serve equivalence =="

@@ -1,10 +1,9 @@
 //! Linear-algebra substrate for the HSLB reproduction, with no external
 //! dependencies.
 //!
-//! The barrier's Newton steps at paper scale need only small dense systems
-//! (under [`SPARSE_CROSSOVER_DIM`] unknowns), so this crate provides
-//! straightforward row-major dense kernels for them; the simplex basis and
-//! larger KKT systems run on the sparse core:
+//! The barrier's Newton steps at paper scale need only small dense systems,
+//! so this crate provides straightforward row-major dense kernels for them;
+//! the simplex basis runs on the sparse core:
 //!
 //! * [`Matrix`] — row-major dense matrix with the usual arithmetic.
 //! * [`Cholesky`] — SPD factorization with a ridge-regularized fallback
@@ -14,10 +13,10 @@
 //! * [`vecops`] — the handful of BLAS-1 style vector helpers used everywhere.
 //! * [`approx`] — the workspace tolerance vocabulary: named comparisons,
 //!   fuzzy integer snaps, and intent-named float→int conversions.
-//! * [`sparse`] — the sparse core (CSC/CSR storage, fill-reducing
-//!   ordering, LU and Cholesky with a symbolic/numeric split). The simplex
-//!   basis is always a sparse LU; the barrier factors its KKT system dense
-//!   below [`SPARSE_CROSSOVER_DIM`] unknowns and sparse at or above it.
+//! * [`sparse`] — the sparse core (CSC/CSR storage and an LU with a
+//!   symbolic/numeric split). The simplex basis is always a sparse LU; the
+//!   barrier factors its KKT system with its own structured LDLᵀ or with
+//!   the dense kernels above.
 //!
 //! All factorizations report failure through [`LinalgError`] instead of
 //! panicking so callers (iterative solvers) can recover, e.g. by adding
@@ -36,10 +35,7 @@ pub use cholesky::Cholesky;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
-pub use sparse::{
-    CholSymbolic, CscMatrix, CsrMatrix, LuSymbolic, SparseCholesky, SparseLu, SparseWorkspace,
-    SPARSE_CROSSOVER_DIM,
-};
+pub use sparse::{CscMatrix, CsrMatrix, LuSymbolic, SparseLu, SparseWorkspace};
 
 /// Errors reported by factorizations and solves.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -137,20 +137,9 @@ impl CscMatrix {
         (&self.row_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// Column pointer array (length `ncols + 1`).
-    pub fn col_ptr(&self) -> &[usize] {
-        &self.col_ptr
-    }
-
     /// Value array, column-major.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Mutable value array — for callers that rewrite values in a fixed
-    /// sparsity pattern (the factorization-reuse contract).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// `y = A x`.

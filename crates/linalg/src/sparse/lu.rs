@@ -5,7 +5,7 @@
 // reach/scatter recurrences.
 
 use super::csc::CscMatrix;
-use super::{ordering, SparseWorkspace, NONE};
+use super::{SparseWorkspace, NONE};
 use crate::{LinalgError, Result};
 
 /// Pivot tolerance relative to the matrix scale, mirroring the dense
@@ -13,10 +13,9 @@ use crate::{LinalgError, Result};
 /// `SPARSE_PIVOT_TOL · max|A|` is reported singular.
 const SPARSE_PIVOT_TOL: f64 = 1e-13;
 
-/// Reusable symbolic analysis for [`SparseLu`]: the fill-reducing column
-/// elimination order. With partial pivoting the row permutation is a
-/// numeric decision, so the symbolic phase is exactly the part that is
-/// value-independent — analyze once per pattern, factorize per value set.
+/// Reusable symbolic analysis for [`SparseLu`]: the column elimination
+/// order. With partial pivoting the row permutation is a numeric decision,
+/// so the symbolic phase is exactly the part that is value-independent.
 #[derive(Debug, Clone)]
 pub struct LuSymbolic {
     n: usize,
@@ -25,15 +24,6 @@ pub struct LuSymbolic {
 }
 
 impl LuSymbolic {
-    /// Orders the columns of a square pattern by minimum degree on the
-    /// symmetrized pattern of `A` (for structurally symmetric systems such
-    /// as a barrier KKT matrix).
-    pub fn analyze(a: &CscMatrix) -> Result<LuSymbolic> {
-        let n = square_dim(a)?;
-        let col_order = ordering::min_degree(ordering::symmetric_adjacency(a));
-        Ok(LuSymbolic { n, col_order })
-    }
-
     /// Orders the columns of a square matrix by ascending nonzero count,
     /// ties by position: the singletons-first order of Suhl & Suhl (ORSA
     /// J. Computing, 1990) in its simplest form. A simplex basis is mostly
@@ -86,13 +76,6 @@ pub struct SparseLu {
 }
 
 impl SparseLu {
-    /// One-shot convenience: analyze + factorize with a local workspace.
-    pub fn new(a: &CscMatrix) -> Result<SparseLu> {
-        let sym = LuSymbolic::analyze(a)?;
-        let mut ws = SparseWorkspace::new();
-        SparseLu::factorize(a, &sym, &mut ws)
-    }
-
     /// Numeric factorization under a previously computed symbolic
     /// analysis. `a` must have the dimension `sym` was analyzed for; the
     /// sparsity pattern may differ (the column order is then merely a
@@ -310,6 +293,12 @@ mod tests {
     use super::*;
     use crate::Matrix;
 
+    /// Factors `a` in the simplex basis order with a fresh workspace.
+    fn factor(a: &CscMatrix) -> Result<SparseLu> {
+        let sym = LuSymbolic::by_column_count(a)?;
+        SparseLu::factorize(a, &sym, &mut SparseWorkspace::new())
+    }
+
     fn example() -> Matrix {
         Matrix::from_rows(&[
             &[2.0, 0.0, 0.0, 1.0],
@@ -323,7 +312,7 @@ mod tests {
     fn solve_matches_dense() {
         let d = example();
         let s = CscMatrix::from_dense(&d);
-        let lu = SparseLu::new(&s).unwrap();
+        let lu = factor(&s).unwrap();
         let x_true = vec![1.0, -2.0, 0.5, 3.0];
         let b = d.matvec(&x_true);
         let x = lu.solve(&b);
@@ -336,7 +325,7 @@ mod tests {
     fn solve_transposed_matches_dense() {
         let d = example();
         let s = CscMatrix::from_dense(&d);
-        let lu = SparseLu::new(&s).unwrap();
+        let lu = factor(&s).unwrap();
         let x_true = vec![0.25, 1.0, -1.5, 2.0];
         let b = d.matvec_transposed(&x_true);
         let x = lu.solve_transposed(&b);
@@ -350,10 +339,7 @@ mod tests {
         // Column 2 is a multiple of column 0.
         let d = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[3.0, 1.0, 6.0], &[-1.0, 0.0, -2.0]]);
         let s = CscMatrix::from_dense(&d);
-        assert!(matches!(
-            SparseLu::new(&s),
-            Err(LinalgError::Singular { .. })
-        ));
+        assert!(matches!(factor(&s), Err(LinalgError::Singular { .. })));
     }
 
     #[test]
@@ -384,7 +370,7 @@ mod tests {
     fn symbolic_reuse_across_value_sets() {
         let d = example();
         let s1 = CscMatrix::from_dense(&d);
-        let sym = LuSymbolic::analyze(&s1).unwrap();
+        let sym = LuSymbolic::by_column_count(&s1).unwrap();
         let mut ws = SparseWorkspace::new();
         let _ = SparseLu::factorize(&s1, &sym, &mut ws).unwrap();
         // Same pattern, different values — reuse symbolic + workspace.

@@ -7,7 +7,7 @@
 //! sum of artificials; Phase 2 minimizes the true objective with artificials
 //! frozen at zero.
 //!
-//! The basis lives in a [`BasisFactor`]: a sparse LU factorization with
+//! The basis lives in a `BasisFactor`: a sparse LU factorization with
 //! Bartels–Golub-style product-form eta updates per pivot, at every row
 //! count. Each refactorization orders the basis columns by nonzero count
 //! ([`LuSymbolic::by_column_count`]): one sort, slack singletons first, the

@@ -93,7 +93,7 @@ pub(crate) fn solve_relaxation(
         // Work accounting lives *here*, next to the solve, so every caller
         // (serial, OA polishing, parallel tasks) counts identically.
         stats.nlp_solves += 1;
-        hslb_nlp::solve_warm_with_workspace(&arena.relax, barrier, warm, &mut arena.sparse_ws)
+        hslb_nlp::solve_warm_with(&arena.relax, barrier, warm)
     });
     arena.put(plo);
     arena.put(phi);
@@ -175,12 +175,7 @@ pub(crate) fn polish_candidate(
     } else {
         None
     };
-    let res = hslb_nlp::solve_warm_with_workspace(
-        &arena.relax,
-        barrier,
-        seed.as_ref(),
-        &mut arena.sparse_ws,
-    );
+    let res = hslb_nlp::solve_warm_with(&arena.relax, barrier, seed.as_ref());
     if let Some(s) = seed {
         arena.put(s.x);
     }

@@ -188,12 +188,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
     // A non-optimal verdict (including Infeasible: the barrier cannot see
     // through empty-interior equality pairs) defers to the LP tree, which
     // detects genuine infeasibility exactly.
-    let root_points: Vec<Vec<f64>> = match hslb_nlp::solve_warm_with_workspace(
-        &arena.relax,
-        &barrier,
-        None,
-        &mut arena.sparse_ws,
-    ) {
+    let root_points: Vec<Vec<f64>> = match hslb_nlp::solve_warm_with(&arena.relax, &barrier, None) {
         Ok(s) => {
             stats.merge(&s.work());
             if s.status == NlpStatus::Optimal && !s.x.is_empty() {

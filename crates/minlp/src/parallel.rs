@@ -29,7 +29,7 @@
 //!    speculative or not, scores within one gap of the serial incumbent of
 //!    any later node, because its pruned ancestor's bound was itself within
 //!    one gap of the incumbent that pruned it).
-//! 3. Each node writes a [`NodeRecord`] of its intrinsic outcome (bound,
+//! 3. Each node writes a `NodeRecord` of its intrinsic outcome (bound,
 //!    relaxation work, feasibility, polish candidate). After the join, a
 //!    sequential **replay** walks the records in label order, re-derives
 //!    every prune/incumbent decision with serial semantics, skips subtrees

@@ -15,7 +15,6 @@
 //! node hot path and the `threads: 1` traversal stays bit-identical to the
 //! serial depth-first loop.
 
-use hslb_linalg::SparseWorkspace;
 use hslb_nlp::NlpProblem;
 
 /// Reusable per-worker solve state: one scratch relaxation whose bounds are
@@ -24,9 +23,6 @@ use hslb_nlp::NlpProblem;
 pub(crate) struct ScratchArena {
     /// The relaxation NLP mutated in place (`set_bounds`) for each solve.
     pub relax: NlpProblem,
-    /// Sparse factorization scratch shared by every barrier solve issued
-    /// from this worker; the dense path never touches it.
-    pub sparse_ws: SparseWorkspace,
     /// Free list of buffers, all sized for one variable box.
     bufs: Vec<Vec<f64>>,
 }
@@ -35,7 +31,6 @@ impl ScratchArena {
     pub fn new(relax: NlpProblem) -> Self {
         ScratchArena {
             relax,
-            sparse_ws: SparseWorkspace::new(),
             bufs: Vec::new(),
         }
     }

@@ -24,10 +24,10 @@ pub(crate) const INT_TOL: f64 = 1e-6;
 pub(crate) const FEAS_TOL: f64 = 1e-6;
 
 /// Options shared by all MINLP solvers. The gap, integrality and
-/// feasibility tolerances are the consts above. No option picks a linear
-/// algebra path: every master LP runs on the sparse-LU simplex, and every
-/// NLP subsolve factors its barrier KKT system by its dimension (see
-/// `hslb_linalg::SPARSE_CROSSOVER_DIM`).
+/// feasibility tolerances are the consts above, and the barrier's μ₀ is
+/// its own const. No option picks a linear algebra path: every master LP
+/// runs on the sparse-LU simplex, and every NLP subsolve factors its
+/// barrier KKT system by the problem's pattern (see `hslb_nlp::kkt_path`).
 #[derive(Debug, Clone)]
 pub struct MinlpOptions {
     /// Hard cap on explored nodes.
@@ -54,12 +54,6 @@ pub struct MinlpOptions {
     /// unchanged; only the work counters shrink. `hslb-cli` exposes
     /// `--no-warm-start` for A/B runs.
     pub warm_start: bool,
-    /// Multiplier on the barrier's initial centering target μ₀, forwarded
-    /// to every NLP subsolve (`BarrierOptions::mu0_scale`). Problem
-    /// families whose objective scale differs wildly from the unit-box
-    /// default can shift the whole search's starting centrality without
-    /// touching per-node options.
-    pub mu0_scale: f64,
 }
 
 impl MinlpOptions {
@@ -67,7 +61,6 @@ impl MinlpOptions {
     pub(crate) fn barrier(&self) -> BarrierOptions {
         BarrierOptions {
             trace: self.trace.clone(),
-            mu0_scale: self.mu0_scale,
         }
     }
 }
@@ -82,7 +75,6 @@ impl Default for MinlpOptions {
             node_selection: NodeSelection::BestBound,
             threads: 0,
             warm_start: true,
-            mu0_scale: 1.0,
         }
     }
 }

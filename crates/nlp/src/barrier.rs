@@ -6,23 +6,19 @@
 //! stages on the same machinery; each solve that ran the fallback says so
 //! in [`NlpSolution::barrier_fallbacks`]. This module owns everything
 //! around the loop: the reduced problem, start points (warm repair,
-//! equality projection, phase 1) and the sparse KKT pattern. Fixed
-//! variables (`lo == hi`, produced when branch-and-bound pins an integer)
-//! are eliminated from the Newton system, and constraints that touch no
-//! free variable become plain feasibility checks — they may sit exactly on
-//! their boundary (e.g. a saturated capacity row), which the strict
-//! barrier interior would otherwise reject.
+//! equality projection, phase 1) and the KKT path a problem's pattern
+//! picks ([`kkt_path`]). Fixed variables (`lo == hi`, produced when
+//! branch-and-bound pins an integer) are eliminated from the Newton system,
+//! and constraints that touch no free variable become plain feasibility
+//! checks — they may sit exactly on their boundary (e.g. a saturated
+//! capacity row), which the strict barrier interior would otherwise reject.
 
 use crate::mpc::structured::Pattern;
 use crate::problem::NlpProblem;
-use hslb_linalg::approx::exactly_zero;
-use hslb_linalg::{
-    CholSymbolic, Cholesky, CscMatrix, LuSymbolic, Matrix, SparseWorkspace, SPARSE_CROSSOVER_DIM,
-};
+use hslb_linalg::{Cholesky, Matrix};
 use hslb_obs::{Event, SolveStats, Trace};
 
-/// Initial barrier weight of a cold solve (before `mu0_scale`), and the
-/// ceiling on warm ones.
+/// Initial barrier weight of a cold solve, and the ceiling on warm ones.
 const MU0: f64 = 10.0;
 /// Duality-gap stopping tolerance: a solve is done once
 /// `μ·(#constraints + #finite bounds)` is at most this.
@@ -96,33 +92,17 @@ const WARM_MU0_MIN: f64 = 1e-6;
 /// already centered there, so re-solving at that μ wastes a round.
 const WARM_MU0_SIGMA: f64 = 0.1;
 
-/// Barrier solver options. The tolerances and budgets are module consts,
-/// and no option picks the KKT path: the problem's pattern does
+/// Barrier solver options. The tolerances, budgets and μ₀ are module
+/// consts, and no option picks the KKT path: the problem's pattern does
 /// ([`kkt_path`]). A min–max relaxation's main loop runs on the structured
-/// factor; any other Newton system of fewer than [`SPARSE_CROSSOVER_DIM`]
-/// unknowns is factored dense, a larger one by the sparse Cholesky (no
-/// equalities) or LU (with equalities).
-#[derive(Debug, Clone)]
+/// factor; any other Newton system is factored dense, by the Cholesky (no
+/// equalities) or the LU of the bordered system (with equalities).
+#[derive(Debug, Clone, Default)]
 pub struct BarrierOptions {
     /// Event trace (off by default; see `hslb-obs`). When enabled, every
     /// completed solve emits one `NlpSolved` event carrying its Newton
     /// iteration count.
     pub trace: Trace,
-    /// Multiplier applied to the initial barrier weight, cold and warm
-    /// alike (must be positive). A per-problem-family heuristic hook: a
-    /// family whose instances start far from the central path can raise
-    /// it, one whose warm seeds are reliably near-optimal can lower it,
-    /// without touching the shared μ₀. `1.0` is neutral.
-    pub mu0_scale: f64,
-}
-
-impl Default for BarrierOptions {
-    fn default() -> Self {
-        BarrierOptions {
-            trace: Trace::off(),
-            mu0_scale: 1.0,
-        }
-    }
 }
 
 /// Terminal status of an NLP solve.
@@ -172,13 +152,6 @@ pub struct NlpSolution {
     /// Whether a [`WarmStart`] seed was actually used (repair succeeded);
     /// `false` on cold solves and on warm calls that fell back cold.
     pub warm_started: bool,
-    /// Sparse numeric KKT/Hessian factorizations performed. The dense and
-    /// structured factorizations are not counted, so a solve that runs on
-    /// those paths alone reads zero.
-    pub factorizations: u64,
-    /// Cumulative nonzeros across all sparse factors (zero on the dense
-    /// and structured paths).
-    pub fill_nnz: u64,
     /// Affine-scaling predictor solves.
     pub predictor_steps: u64,
     /// Corrector solves, including pure-centering rescues.
@@ -209,8 +182,6 @@ impl NlpSolution {
             multipliers,
             newton_iters,
             warm_started: false,
-            factorizations: 0,
-            fill_nnz: 0,
             predictor_steps: 0,
             corrector_steps: 0,
             line_search_backtracks: 0,
@@ -233,8 +204,6 @@ impl NlpSolution {
         SolveStats {
             newton_iters: self.newton_iters as u64,
             warm_start_hits: u64::from(self.warm_started),
-            factorizations: self.factorizations,
-            fill_nnz: self.fill_nnz,
             predictor_steps: self.predictor_steps,
             corrector_steps: self.corrector_steps,
             line_search_backtracks: self.line_search_backtracks,
@@ -287,21 +256,7 @@ pub fn solve_warm_with(
     opts: &BarrierOptions,
     warm: Option<&WarmStart>,
 ) -> Result<NlpSolution, NlpError> {
-    let mut scratch = SparseWorkspace::new();
-    solve_warm_with_workspace(p, opts, warm, &mut scratch)
-}
-
-/// Like [`solve_warm_with`] but reusing a caller-held [`SparseWorkspace`]
-/// for the sparse factorizations — hot loops (branch-and-bound scratch
-/// arenas) keep one per worker so repeated solves never reallocate the
-/// scatter/mark buffers. A no-op cost on the dense path.
-pub fn solve_warm_with_workspace(
-    p: &NlpProblem,
-    opts: &BarrierOptions,
-    warm: Option<&WarmStart>,
-    scratch: &mut SparseWorkspace,
-) -> Result<NlpSolution, NlpError> {
-    let result = solve_inner(p, opts, warm, scratch);
+    let result = solve_inner(p, opts, warm);
     if let Ok(sol) = &result {
         opts.trace.emit(|| Event::NlpSolved {
             newton_iters: sol.newton_iters as u64,
@@ -322,7 +277,6 @@ fn solve_inner(
     p: &NlpProblem,
     opts: &BarrierOptions,
     warm: Option<&WarmStart>,
-    scratch: &mut SparseWorkspace,
 ) -> Result<NlpSolution, NlpError> {
     let n = p.num_vars();
     for j in 0..n {
@@ -375,33 +329,25 @@ fn solve_inner(
     }
 
     let mut newton_total = 0usize;
-    let mut tally = FactorTally::default();
+    let mut tally = WorkTally::default();
 
     // Warm path: repair the parent point into a strictly feasible start.
     // Only a *proven* strictly feasible repair is used, so the warm path can
     // never produce an infeasibility verdict the cold path wouldn't.
     let warm_seed = warm.filter(|ws| ws.x.len() == n).and_then(|ws| {
         let xw = repair_warm_point(&reduced, &ws.x, !ws.multipliers.is_empty())?;
-        let mu0 = warm_mu0(p, &xw, &ws.multipliers, opts);
+        let mu0 = warm_mu0(p, &xw, &ws.multipliers);
         Some((xw, mu0))
     });
     let warm_started = warm_seed.is_some();
     let start = match warm_seed {
         Some(seed) => Ok(seed),
-        None => cold_start(&reduced, opts, &mut newton_total, &mut tally, scratch)
-            .map(|x0| (x0, MU0 * opts.mu0_scale)),
+        None => cold_start(&reduced, opts, &mut newton_total, &mut tally).map(|x0| (x0, MU0)),
     };
     let mut out = match start {
-        Ok((x0, mu0)) => crate::mpc::run(
-            &reduced,
-            x0,
-            mu0,
-            opts,
-            &mut newton_total,
-            &mut tally,
-            scratch,
-            None,
-        ),
+        Ok((x0, mu0)) => {
+            crate::mpc::run(&reduced, x0, mu0, opts, &mut newton_total, &mut tally, None)
+        }
         Err(status) => NlpSolution::failed(status, newton_total),
     };
     out.warm_started = warm_started;
@@ -448,12 +394,9 @@ pub(crate) fn free_vars(p: &NlpProblem) -> Vec<usize> {
 /// The factorization behind a system of Newton steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KktPath {
-    /// Dense Cholesky, or LU with equality rows: fewer than
-    /// [`SPARSE_CROSSOVER_DIM`] unknowns.
+    /// Dense Cholesky, or LU of the bordered system with equality rows:
+    /// every system whose pattern the structured factor declines.
     Dense,
-    /// Sparse Cholesky, or LU with equality rows: at least
-    /// [`SPARSE_CROSSOVER_DIM`] unknowns.
-    Sparse,
     /// Diagonal plus hub columns plus bordered rows, factored in
     /// O(k(h+r)²): min–max relaxations without equality rows (see
     /// `mpc::structured`).
@@ -464,7 +407,7 @@ pub enum KktPath {
 /// phase 1, fallback included. The problem's pattern alone decides it:
 /// the free columns, each constraint's free support and whether an
 /// equality row touches a free column. Phase 1 never takes
-/// [`KktPath::Structured`]; a failed sparse analysis degrades to dense.
+/// [`KktPath::Structured`].
 pub fn kkt_path(p: &NlpProblem) -> KktPath {
     let free = free_vars(p);
     let is_free: Vec<bool> = (0..p.num_vars())
@@ -486,8 +429,6 @@ pub fn kkt_path(p: &NlpProblem) -> KktPath {
     let k = free.len();
     if m_eq == 0 && Pattern::detect(k, supports.iter().map(Vec::as_slice)).is_some() {
         KktPath::Structured
-    } else if k + m_eq >= SPARSE_CROSSOVER_DIM {
-        KktPath::Sparse
     } else {
         KktPath::Dense
     }
@@ -616,7 +557,7 @@ fn push_interior(p: &NlpProblem, mut x: Vec<f64>) -> Option<Vec<f64>> {
 
 /// Initial barrier weight for a warm-started solve: the parent's
 /// complementarity scale `max_i λ_i·(-g_i(x))`, clamped to a sane range.
-fn warm_mu0(p: &NlpProblem, x: &[f64], multipliers: &[f64], opts: &BarrierOptions) -> f64 {
+fn warm_mu0(p: &NlpProblem, x: &[f64], multipliers: &[f64]) -> f64 {
     let mut est = 0.0_f64;
     if multipliers.len() == p.num_constraints() {
         for (c, &lam) in p.constraints().iter().zip(multipliers) {
@@ -626,15 +567,11 @@ fn warm_mu0(p: &NlpProblem, x: &[f64], multipliers: &[f64], opts: &BarrierOption
             }
         }
     }
-    let base = if est > 0.0 {
+    if est > 0.0 {
         (WARM_MU0_SIGMA * est).clamp(WARM_MU0_MIN, MU0)
     } else {
         WARM_MU0_DEFAULT.min(MU0)
-    };
-    // The per-family scale applies to warm starts too (a family whose warm
-    // seeds need extra recentering raises it), floored so the first rounds
-    // still move.
-    (base * opts.mu0_scale).max(WARM_MU0_MIN)
+    }
 }
 
 /// Cold start: the box midpoint projected onto the equality manifold
@@ -645,14 +582,13 @@ fn cold_start(
     p: &NlpProblem,
     opts: &BarrierOptions,
     newton_total: &mut usize,
-    tally: &mut FactorTally,
-    scratch: &mut SparseWorkspace,
+    tally: &mut WorkTally,
 ) -> Result<Vec<f64>, NlpStatus> {
     let x0 = equality_project(p, default_start(p)).ok_or(NlpStatus::Infeasible)?;
     if strictly_feasible(p, &x0, INTERIOR_MARGIN) {
         return Ok(x0);
     }
-    phase_one(p, &x0, opts, newton_total, tally, scratch)
+    phase_one(p, &x0, opts, newton_total, tally)
 }
 
 /// Projects `x` onto the equality manifold strictly inside the bound box by
@@ -759,8 +695,7 @@ fn phase_one(
     x0: &[f64],
     opts: &BarrierOptions,
     newton_total: &mut usize,
-    tally: &mut FactorTally,
-    scratch: &mut SparseWorkspace,
+    tally: &mut WorkTally,
 ) -> Result<Vec<f64>, NlpStatus> {
     let n = p.num_vars();
     let mut aug = NlpProblem::new();
@@ -797,16 +732,7 @@ fn phase_one(
     // the feasible region is too thin to reach this depth, phase 1 simply
     // runs to its own optimum, which is the deepest interior point anyway.
     let target = -(2.0 * INTERIOR_MARGIN).max(PHASE1_DEPTH_FRAC * (1.0 + viol));
-    let sol = crate::mpc::run(
-        &aug,
-        z0,
-        MU0 * opts.mu0_scale,
-        opts,
-        newton_total,
-        tally,
-        scratch,
-        Some((s, target)),
-    );
+    let sol = crate::mpc::run(&aug, z0, MU0, opts, newton_total, tally, Some((s, target)));
     // A point past the target, or left at the divergence guard, may start
     // the solve; a phase 1 that stopped short says why.
     let deep =
@@ -834,13 +760,10 @@ fn interior_start(p: &NlpProblem, mut x: Vec<f64>) -> Option<Vec<f64>> {
     strictly_feasible(p, &x, INTERIOR_MARGIN * 0.5).then_some(x)
 }
 
-/// Running totals of factorization and predictor-corrector work across one
-/// solve (phase 1 plus the main loop); attached to the returned
-/// [`NlpSolution`].
+/// Running totals of predictor-corrector work across one solve (phase 1
+/// plus the main loop); attached to the returned [`NlpSolution`].
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FactorTally {
-    pub(crate) factorizations: u64,
-    pub(crate) fill_nnz: u64,
+pub(crate) struct WorkTally {
     pub(crate) predictor_steps: u64,
     pub(crate) corrector_steps: u64,
     pub(crate) line_search_backtracks: u64,
@@ -848,128 +771,12 @@ pub(crate) struct FactorTally {
     pub(crate) fell_back: bool,
 }
 
-impl FactorTally {
+impl WorkTally {
     /// Copies the solve's totals onto its result.
     fn attach(self, out: &mut NlpSolution) {
-        out.factorizations = self.factorizations;
-        out.fill_nnz = self.fill_nnz;
         out.predictor_steps = self.predictor_steps;
         out.corrector_steps = self.corrector_steps;
         out.line_search_backtracks = self.line_search_backtracks;
         out.barrier_fallbacks = u64::from(self.fell_back);
-    }
-}
-
-/// Sparse Newton/KKT system with its symbolic analysis done once per
-/// solve: the structural pattern (constraint-support cliques, barrier
-/// diagonal, equality blocks) is fixed for a given problem, so each
-/// iteration only rewrites the stored values and refactorizes numerically
-/// — re-analyze never.
-pub(crate) struct SparseKkt<'a> {
-    pub(crate) mat: CscMatrix,
-    /// `(row, col)` of each stored nonzero, in storage order.
-    positions: Vec<(usize, usize)>,
-    /// Symbolic Cholesky (unconstrained case, `m_eq == 0`).
-    pub(crate) chol: Option<CholSymbolic>,
-    /// Symbolic LU (equality-constrained KKT case).
-    pub(crate) lu: Option<LuSymbolic>,
-    /// Caller-held factorization scratch, reused across solves.
-    pub(crate) ws: &'a mut SparseWorkspace,
-    k: usize,
-    m_eq: usize,
-}
-
-impl<'a> SparseKkt<'a> {
-    /// Builds the structural pattern and runs the symbolic analysis.
-    /// Returns `None` when the analysis itself fails (degenerate inputs);
-    /// callers then stay on the dense path.
-    pub(crate) fn build(
-        p: &NlpProblem,
-        col_of: &std::collections::HashMap<usize, usize>,
-        a_eq: &Matrix,
-        k: usize,
-        m_eq: usize,
-        ws: &'a mut SparseWorkspace,
-    ) -> Option<SparseKkt<'a>> {
-        let dim = if m_eq == 0 { k } else { k + m_eq };
-        // Collect the structural pattern col-major so the triplet build
-        // below preserves iteration order.
-        let mut pos = std::collections::BTreeSet::new();
-        for i in 0..dim {
-            pos.insert((i, i));
-        }
-        for c in p.constraints() {
-            // The barrier Hessian of -μ·ln(-g) couples every pair of
-            // variables in the constraint's support (∇g ∇gᵀ term).
-            let sup = c.free_support(col_of);
-            for &a in &sup {
-                for &b in &sup {
-                    pos.insert((a, b));
-                }
-            }
-        }
-        for r in 0..m_eq {
-            for c in 0..k {
-                // Structural-pattern detection: an exactly-zero entry means
-                // "no edge" in the KKT sparsity graph; a tolerance here
-                // would drop small but real couplings from the symbolic
-                // factorization.
-                if !exactly_zero(a_eq[(r, c)]) {
-                    pos.insert((c, k + r));
-                    pos.insert((k + r, c));
-                }
-            }
-        }
-        let triplets: Vec<(usize, usize, f64)> =
-            pos.iter().map(|&(col, row)| (row, col, 1.0)).collect();
-        let mat = CscMatrix::from_triplets(dim, dim, &triplets).ok()?;
-        let positions: Vec<(usize, usize)> = (0..dim)
-            .flat_map(|j| {
-                let (rows, _) = mat.col(j);
-                rows.iter().map(move |&i| (i, j)).collect::<Vec<_>>()
-            })
-            .collect();
-        let (chol, lu) = if m_eq == 0 {
-            (Some(CholSymbolic::analyze(&mat).ok()?), None)
-        } else {
-            (None, Some(LuSymbolic::analyze(&mat).ok()?))
-        };
-        Some(SparseKkt {
-            mat,
-            positions,
-            chol,
-            lu,
-            ws,
-            k,
-            m_eq,
-        })
-    }
-
-    /// Rewrites the stored values from the dense condensed matrix `hess`
-    /// (and the fixed equality matrix), preserving the analyzed storage
-    /// layout.
-    pub(crate) fn fill(&mut self, hess: &Matrix, a_eq: &Matrix) {
-        let (k, m_eq) = (self.k, self.m_eq);
-        let positions = &self.positions;
-        for (s, v) in self.mat.values_mut().iter_mut().enumerate() {
-            let (i, j) = positions[s];
-            *v = if i < k && j < k {
-                if m_eq == 0 {
-                    hess[(i, j)]
-                } else if i == j {
-                    hess[(i, i)] + KKT_REG * (1.0 + hess[(i, i)].abs())
-                } else {
-                    hess[(i, j)]
-                }
-            } else if i >= k && j < k {
-                a_eq[(i - k, j)]
-            } else if i < k && j >= k {
-                a_eq[(j - k, i)]
-            } else if i == j {
-                -KKT_REG
-            } else {
-                0.0
-            };
-        }
     }
 }

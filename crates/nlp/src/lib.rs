@@ -26,13 +26,12 @@
 //! to `μ/s`, then the predictor-corrector iterations again from a centred
 //! point. Each solve that ran it sets [`NlpSolution::barrier_fallbacks`].
 //! Every `Optimal` passes one exit test at the duals it returns. The
-//! problem's
-//! pattern picks how the Newton system is factored ([`kkt_path`]): a
-//! min–max relaxation without equality rows, whose condensed matrix is a
-//! diagonal plus a few hub columns and bordered rows, by an O(k) structured
-//! LDLᵀ in its main loop; every other system dense below
-//! `SPARSE_CROSSOVER_DIM` unknowns and by the sparse Cholesky or LU at or
-//! above it.
+//! problem's pattern picks how the Newton system is factored
+//! ([`kkt_path`]): a min–max relaxation without equality rows, whose
+//! condensed matrix is a diagonal plus a few hub columns and bordered rows,
+//! by an O(k) structured LDLᵀ in its main loop; every other system densely,
+//! by the Cholesky without equality rows or the LU of the bordered system
+//! with them.
 //!
 //! Every optimum can be checked without trusting the barrier:
 //! [`NlpSolution::certify`] reads only the problem, the point, the
@@ -66,8 +65,8 @@ pub mod problem;
 pub mod term;
 
 pub use barrier::{
-    kkt_path, solve, solve_warm_with, solve_warm_with_workspace, solve_with, BarrierOptions,
-    KktPath, NlpError, NlpSolution, NlpStatus, WarmStart,
+    kkt_path, solve, solve_warm_with, solve_with, BarrierOptions, KktPath, NlpError, NlpSolution,
+    NlpStatus, WarmStart,
 };
 pub use problem::{ConstraintFn, NlpProblem};
 pub use term::{ScalarFn, Term};

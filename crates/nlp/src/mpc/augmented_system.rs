@@ -17,11 +17,9 @@
 //!   diagonal plus a few hub columns and bordered rows (a min–max
 //!   relaxation) is assembled in O(nnz) and factored by
 //!   [`StructuredKkt`] in O(k(h+r)²); see [`super::structured`].
-//! - **Sparse.** Any other system of at least [`SPARSE_CROSSOVER_DIM`]
-//!   unknowns uses the analyzed [`SparseKkt`] pattern (M has exactly the
-//!   barrier Hessian's sparsity, so the symbolic analysis is done once):
-//!   the sparse Cholesky without equalities, the sparse LU with.
-//! - **Dense.** Below the crossover, the dense Cholesky or LU.
+//! - **Dense.** Any other system assembles the dense k×k `M` and factors
+//!   it by the dense Cholesky without equalities, or the bordered system
+//!   by the dense LU with them.
 //!
 //! Phase 1 and equality-constrained systems never take the structured
 //! path. The fallback's fixed-μ stages factor through the same system as
@@ -37,12 +35,9 @@
 use super::structured::{Pattern, StructuredKkt};
 #[cfg(test)]
 use crate::barrier::KktPath;
-use crate::barrier::{FactorTally, SparseKkt, HESS_CHOL_REG, KKT_REG};
-use crate::problem::NlpProblem;
+use crate::barrier::{HESS_CHOL_REG, KKT_REG};
 use hslb_linalg::approx::exactly_zero;
-use hslb_linalg::{
-    Cholesky, Lu, Matrix, SparseCholesky, SparseLu, SparseWorkspace, SPARSE_CROSSOVER_DIM,
-};
+use hslb_linalg::{Cholesky, Lu, Matrix};
 
 /// Typed failure of the augmented system. Callers terminate the solve
 /// cleanly at their best iterate; they never retry the same system.
@@ -51,7 +46,7 @@ pub(crate) enum SystemError {
     /// A non-finite (or sign-invalid) value reached assembly, a residual,
     /// or a solved step; the label names which quantity.
     NonFinite(&'static str),
-    /// Both the sparse and the dense factorization failed numerically.
+    /// The structured or dense factorization failed numerically.
     Factorization,
 }
 
@@ -101,43 +96,21 @@ impl Condensed<'_> {
     }
 }
 
-/// The per-solve KKT structure: the structured pattern or the sparse
-/// symbolic analysis, found once; numeric factorization redone per
-/// iteration via [`factor`].
+/// The per-solve KKT path: the structured factor when the pattern allows
+/// it, else dense; numeric factorization redone per iteration via
+/// [`factor`].
 ///
 /// [`factor`]: AugmentedSystem::factor
-pub(crate) struct AugmentedSystem<'a> {
+pub(crate) struct AugmentedSystem {
     structured: Option<StructuredKkt>,
-    sparse: Option<SparseKkt<'a>>,
-    k: usize,
-    m_eq: usize,
 }
 
-impl<'a> AugmentedSystem<'a> {
+impl AugmentedSystem {
     /// Chooses the path: `structured` when the caller found that pattern,
-    /// else by the KKT dimension (sparse at or above
-    /// [`SPARSE_CROSSOVER_DIM`], running the symbolic analysis once). A
-    /// failed analysis silently degrades to dense.
-    pub(crate) fn new(
-        p: &NlpProblem,
-        col_of: &std::collections::HashMap<usize, usize>,
-        a_eq: &Matrix,
-        k: usize,
-        m_eq: usize,
-        structured: Option<Pattern>,
-        scratch: &'a mut SparseWorkspace,
-    ) -> AugmentedSystem<'a> {
-        let dim = if m_eq == 0 { k } else { k + m_eq };
-        let sparse = if structured.is_none() && dim >= SPARSE_CROSSOVER_DIM {
-            SparseKkt::build(p, col_of, a_eq, k, m_eq, scratch)
-        } else {
-            None
-        };
+    /// else dense.
+    pub(crate) fn new(structured: Option<Pattern>) -> AugmentedSystem {
         AugmentedSystem {
             structured: structured.map(StructuredKkt::new),
-            sparse,
-            k,
-            m_eq,
         }
     }
 
@@ -145,21 +118,18 @@ impl<'a> AugmentedSystem<'a> {
     pub(crate) fn path(&self) -> KktPath {
         if self.structured.is_some() {
             KktPath::Structured
-        } else if self.sparse.is_some() {
-            KktPath::Sparse
         } else {
             KktPath::Dense
         }
     }
 
-    /// Assembles and factors the current condensed matrix once; the
-    /// returned [`KktFactor`] then serves every solve of the iteration. The
-    /// structured factor, like the dense one, adds nothing to the tally.
+    /// Assembles and factors the current condensed matrix once, bordered
+    /// by `a_eq` when it has rows; the returned [`KktFactor`] then serves
+    /// every solve of the iteration.
     pub(crate) fn factor(
         &mut self,
         m: &Condensed,
         a_eq: &Matrix,
-        tally: &mut FactorTally,
     ) -> Result<KktFactor<'_>, SystemError> {
         if let Some(kkt) = self.structured.as_mut() {
             kkt.factor(m)?;
@@ -169,35 +139,13 @@ impl<'a> AugmentedSystem<'a> {
         if !m.as_slice().iter().all(|v| v.is_finite()) {
             return Err(SystemError::NonFinite("condensed KKT matrix"));
         }
-        if let Some(sk) = self.sparse.as_mut() {
-            sk.fill(m, a_eq);
-            if self.m_eq == 0 {
-                if let Some(sym) = sk.chol.as_ref() {
-                    if let Ok((f, _)) =
-                        SparseCholesky::factorize_regularized(&sk.mat, sym, HESS_CHOL_REG, sk.ws)
-                    {
-                        tally.factorizations += 1;
-                        tally.fill_nnz += f.fill_nnz() as u64;
-                        return Ok(KktFactor::SparseChol(f));
-                    }
-                }
-            } else if let Some(sym) = sk.lu.as_ref() {
-                if let Ok(f) = SparseLu::factorize(&sk.mat, sym, sk.ws) {
-                    tally.factorizations += 1;
-                    tally.fill_nnz += f.fill_nnz() as u64;
-                    return Ok(KktFactor::SparseLu(f));
-                }
-            }
-            // Numeric sparse failure: degrade to the dense factorization
-            // below.
-        }
-        if self.m_eq == 0 {
+        let (k, m_eq) = (m.rows(), a_eq.rows());
+        if m_eq == 0 {
             match Cholesky::new_regularized(m, HESS_CHOL_REG) {
                 Ok((ch, _)) => Ok(KktFactor::DenseChol(ch)),
                 Err(_) => Err(SystemError::Factorization),
             }
         } else {
-            let (k, m_eq) = (self.k, self.m_eq);
             let dim = k + m_eq;
             let mut kkt = Matrix::zeros(dim, dim);
             for i in 0..k {
@@ -229,8 +177,6 @@ impl<'a> AugmentedSystem<'a> {
 pub(crate) enum KktFactor<'a> {
     DenseChol(Cholesky),
     DenseLu(Lu),
-    SparseChol(SparseCholesky),
-    SparseLu(SparseLu),
     Structured(&'a StructuredKkt),
 }
 
@@ -247,14 +193,8 @@ impl KktFactor<'_> {
         }
         let (dx, dnu) = match self {
             KktFactor::DenseChol(ch) => (ch.solve(rhs_x), Vec::new()),
-            KktFactor::SparseChol(ch) => (ch.solve(rhs_x), Vec::new()),
             KktFactor::Structured(f) => (f.solve(rhs_x), Vec::new()),
             KktFactor::DenseLu(lu) => {
-                let mut rhs = rhs_x.to_vec();
-                rhs.extend_from_slice(rhs_eq);
-                split_primal_dual(lu.solve(&rhs), rhs_x.len())
-            }
-            KktFactor::SparseLu(lu) => {
                 let mut rhs = rhs_x.to_vec();
                 rhs.extend_from_slice(rhs_eq);
                 split_primal_dual(lu.solve(&rhs), rhs_x.len())
@@ -289,22 +229,16 @@ mod tests {
         }
     }
 
-    fn dense_system(k: usize, m_eq: usize) -> AugmentedSystem<'static> {
-        AugmentedSystem {
-            structured: None,
-            sparse: None,
-            k,
-            m_eq,
-        }
+    fn dense_system() -> AugmentedSystem {
+        AugmentedSystem::new(None)
     }
 
     #[test]
     fn dense_cholesky_factor_solves_twice() {
-        let mut sys = dense_system(2, 0);
+        let mut sys = dense_system();
         let m = diagonal(vec![4.0, 9.0]);
         let a_eq = Matrix::zeros(0, 2);
-        let mut tally = FactorTally::default();
-        let f = sys.factor(&m, &a_eq, &mut tally).expect("SPD factors");
+        let f = sys.factor(&m, &a_eq).expect("SPD factors");
         // Two solves against one factorization — the factor-once contract.
         let (dx1, dnu1) = f.solve(&[4.0, 9.0], &[]).expect("first solve");
         let (dx2, _) = f.solve(&[8.0, 18.0], &[]).expect("second solve");
@@ -316,13 +250,12 @@ mod tests {
     #[test]
     fn dense_kkt_factor_returns_equality_duals() {
         // min-like system: M = I, one equality row [1 1].
-        let mut sys = dense_system(2, 1);
+        let mut sys = dense_system();
         let m = diagonal(vec![1.0, 1.0]);
         let mut a_eq = Matrix::zeros(1, 2);
         a_eq[(0, 0)] = 1.0;
         a_eq[(0, 1)] = 1.0;
-        let mut tally = FactorTally::default();
-        let f = sys.factor(&m, &a_eq, &mut tally).expect("KKT factors");
+        let f = sys.factor(&m, &a_eq).expect("KKT factors");
         let (dx, dnu) = f.solve(&[1.0, 1.0], &[0.0]).expect("solve");
         assert_eq!(dnu.len(), 1);
         // Symmetric system: Δx components match, Â Δx = 0.
@@ -331,25 +264,22 @@ mod tests {
 
     #[test]
     fn non_finite_matrix_is_a_typed_error() {
-        let mut sys = dense_system(1, 0);
+        let mut sys = dense_system();
         let m = diagonal(vec![f64::INFINITY]);
         let a_eq = Matrix::zeros(0, 1);
-        let mut tally = FactorTally::default();
         let err = sys
-            .factor(&m, &a_eq, &mut tally)
+            .factor(&m, &a_eq)
             .err()
             .expect("non-finite matrix must be rejected");
         assert_eq!(err, SystemError::NonFinite("condensed KKT matrix"));
-        assert_eq!(tally.factorizations, 0);
     }
 
     #[test]
     fn non_finite_rhs_is_a_typed_error() {
-        let mut sys = dense_system(1, 0);
+        let mut sys = dense_system();
         let m = diagonal(vec![1.0]);
         let a_eq = Matrix::zeros(0, 1);
-        let mut tally = FactorTally::default();
-        let f = sys.factor(&m, &a_eq, &mut tally).expect("factors");
+        let f = sys.factor(&m, &a_eq).expect("factors");
         assert_eq!(
             f.solve(&[f64::NAN], &[]),
             Err(SystemError::NonFinite("KKT right-hand side"))

@@ -6,14 +6,14 @@
 //! per inequality, `z` per finite bound, `ν` per equality. Each
 //! predictor-corrector iteration:
 //!
-//! 1. factors the condensed KKT system once ([`augmented_system`]),
+//! 1. factors the condensed KKT system once (`augmented_system`),
 //! 2. solves it for the affine-scaling predictor (μ̂ = 0),
 //! 3. picks σ = (μ_aff/μ)³ from the predicted complementarity
-//!    ([`mu_update`]),
+//!    (`mu_update`),
 //! 4. re-solves the *same factorization* for the corrector (μ̂ = σμ plus
 //!    Mehrotra's second-order terms), and
 //! 5. takes the longest fraction-to-boundary step that also decreases a
-//!    squared-KKT-residual merit ([`line_search`]), falling back to a
+//!    squared-KKT-residual merit (`line_search`), falling back to a
 //!    pure centering solve when the corrected direction overshoots.
 //!
 //! Condensing: with diagonal constraint curvature (every `g` here is
@@ -25,14 +25,13 @@
 //! [ Â   0 ] [Δν] = rhs,             + diag(zlo/dlo + zhi/dhi)
 //! ```
 //!
-//! which has exactly the sparsity pattern of the barrier Hessian — the
-//! analyzed `SparseKkt` structure is reused verbatim. The dual components
-//! are recovered from the linearized complementarity rows after each
-//! solve.
+//! which has exactly the sparsity pattern of the barrier Hessian. The dual
+//! components are recovered from the linearized complementarity rows after
+//! each solve.
 //!
-//! Every `Optimal` leaves through one exit test ([`Ctx::converged`]) at
+//! Every `Optimal` leaves through one exit test (`Ctx::converged`) at
 //! the duals it returns. When the predictor-corrector iterations cannot
-//! pass it, the fallback's fixed-μ stages ([`Loop::stages`]) restart from
+//! pass it, the fallback's fixed-μ stages (`Loop::stages`) restart from
 //! the start point on the same machinery, and the iterations finish from
 //! the point they centre.
 //!
@@ -65,11 +64,10 @@
 //!   equality rows whose condensed matrix is a diagonal plus h hub columns
 //!   and r bordered rows (a min–max relaxation: h = 1 for the epigraph
 //!   column, r = 1 for the node budget) assembles it in O(nnz) and factors
-//!   it in O(k(h+r)²) ([`structured`]); every other system assembles the
-//!   dense k×k matrix and factors it in O(k³), or sparse above the
-//!   crossover ([`augmented_system`]).
+//!   it in O(k(h+r)²) (`structured`); every other system assembles the
+//!   dense k×k matrix and factors it in O(k³) (`augmented_system`).
 //!
-//! On the dense and sparse paths every floating-point operation that
+//! On the dense path every floating-point operation that
 //! reaches an iterate is the one the dense formulation (n-length
 //! gradients, every term evaluated at every point) performs, on the same
 //! values in the same order, so iterates, answers and work counters match
@@ -88,12 +86,12 @@ pub(crate) mod structured;
 use std::collections::HashMap;
 
 use crate::barrier::{
-    free_vars, BarrierOptions, FactorTally, NlpSolution, NlpStatus, DIVERGENCE_LIMIT, GAP_TOL,
+    free_vars, BarrierOptions, NlpSolution, NlpStatus, WorkTally, DIVERGENCE_LIMIT, GAP_TOL,
     MAX_NEWTON, PINNED_FEAS_TOL,
 };
 use crate::problem::NlpProblem;
 use augmented_system::{AugmentedSystem, Condensed, KktFactor, SystemError};
-use hslb_linalg::{Matrix, SparseWorkspace};
+use hslb_linalg::Matrix;
 use hslb_obs::Event;
 use line_search::FRACTION_TO_BOUNDARY_TAU;
 use mu_update::{Corrector, MU_LINEAR_SHRINK};
@@ -842,7 +840,7 @@ fn attempt(
     dir: &Direction,
     mu_hat: f64,
     floor: f64,
-    tally: &mut FactorTally,
+    tally: &mut WorkTally,
 ) -> Option<(State, Eval)> {
     let (ap_max, ad_max) = ctx.step_lengths(st, ev, dir);
     let phi0 = ctx.merit(&st.x, ev, mu_hat);
@@ -888,10 +886,10 @@ enum Exit {
 /// stages share.
 struct Loop<'a, 'p> {
     ctx: Ctx<'p>,
-    sys: AugmentedSystem<'a>,
+    sys: AugmentedSystem,
     opts: &'a BarrierOptions,
     newton_total: &'a mut usize,
-    tally: &'a mut FactorTally,
+    tally: &'a mut WorkTally,
     /// Phase 1's `(var, threshold)` stop.
     early_exit: Option<(usize, f64)>,
 }
@@ -930,10 +928,7 @@ impl Loop<'_, '_> {
             }
 
             *self.newton_total += 1;
-            let Ok(factor) = self
-                .sys
-                .factor(&ctx.condensed(st, ev), &ctx.a_eq, self.tally)
-            else {
+            let Ok(factor) = self.sys.factor(&ctx.condensed(st, ev), &ctx.a_eq) else {
                 return Exit::Failed;
             };
 
@@ -1034,10 +1029,7 @@ impl Loop<'_, '_> {
             }
             stage_steps += 1;
             *self.newton_total += 1;
-            let Ok(factor) = self
-                .sys
-                .factor(&ctx.condensed(st, ev), &ctx.a_eq, self.tally)
-            else {
+            let Ok(factor) = self.sys.factor(&ctx.condensed(st, ev), &ctx.a_eq) else {
                 return Err(Exit::Failed);
             };
             let Ok(dir) = solve_direction(ctx, &factor, st, ev, &res.r_d, mu, None) else {
@@ -1096,15 +1088,13 @@ impl Loop<'_, '_> {
 /// iterations finish from the point they hand over, and the solve counts
 /// one fallback. Every `Optimal` passes the exit test at the duals it
 /// returns.
-#[allow(clippy::too_many_arguments)] // problem + accumulators + scratch; a struct would just rename the list
 pub(crate) fn run(
     p: &NlpProblem,
     mut x: Vec<f64>,
     mu0: f64,
     opts: &BarrierOptions,
     newton_total: &mut usize,
-    tally: &mut FactorTally,
-    scratch: &mut SparseWorkspace,
+    tally: &mut WorkTally,
     early_exit: Option<(usize, f64)>,
 ) -> NlpSolution {
     let free = &free_vars(p)[..];
@@ -1156,15 +1146,15 @@ pub(crate) fn run(
         eq_scale,
     };
     // Phase 1 (`early_exit`) and equality-constrained systems keep the
-    // dense or sparse path; any other system whose condensed matrix has
-    // the min–max shape takes the structured one.
+    // dense path; any other system whose condensed matrix has the min–max
+    // shape takes the structured one.
     let pattern = if m_eq == 0 && early_exit.is_none() {
         let rows = &ctx.rows;
         Pattern::detect(k, (0..m_in).map(|i| &rows.col[rows.range(i)]))
     } else {
         None
     };
-    let sys = AugmentedSystem::new(p, &col_of, &ctx.a_eq, k, m_eq, pattern, scratch);
+    let sys = AugmentedSystem::new(pattern);
     #[cfg(test)]
     path_log::record(early_exit.is_none(), sys.path());
 
@@ -1260,7 +1250,7 @@ mod tests {
     use super::path_log;
     use crate::{kkt_path, solve, ConstraintFn, KktPath, NlpProblem, NlpStatus, ScalarFn};
 
-    /// The shapes of `barrier_tests`' crossover battery: `min t` over
+    /// The shapes of `barrier_tests`' two-path battery: `min t` over
     /// `groups` Amdahl curves `t ≥ wⱼ/nⱼ` and a node budget, optionally with
     /// an equality pinning the total, or with rows `nⱼ − nⱼ₊₁ ≤ 10` that
     /// couple neighbouring components.
@@ -1299,20 +1289,19 @@ mod tests {
     }
 
     /// Each main loop runs on the path `kkt_path` reports: min–max NLPs on
-    /// the structured factor on both sides of the crossover, the
-    /// neighbour-coupled ones (whose inner columns are all hubs) on the
-    /// dense Cholesky below it and the sparse one above it, and an
+    /// the structured factor at every size, the neighbour-coupled ones
+    /// (whose inner columns are all hubs) on the dense Cholesky, and an
     /// equality row on the dense LU. Phase 1 never runs on the structured
     /// factor. `barrier_tests` certifies the same shapes at 320 components
-    /// and with equality rows above the crossover.
+    /// and with equality rows at 200 and 320.
     #[test]
     fn each_main_loop_runs_on_the_path_its_pattern_picks() {
-        use KktPath::{Dense, Sparse, Structured};
+        use KktPath::{Dense, Structured};
         for (groups, with_eq, neighbours, expect) in [
             (100, false, false, Structured),
             (200, false, false, Structured),
             (100, false, true, Dense),
-            (200, false, true, Sparse),
+            (200, false, true, Dense),
             (100, true, false, Dense),
         ] {
             let what = format!("{groups} components, equality {with_eq}, neighbours {neighbours}");

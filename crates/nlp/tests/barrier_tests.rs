@@ -311,8 +311,7 @@ mod property {
 
 mod certificate {
     use super::*;
-    use hslb_linalg::SPARSE_CROSSOVER_DIM;
-    use hslb_nlp::{kkt_path, KktPath, NlpSolution};
+    use hslb_nlp::{kkt_path, KktPath};
     use hslb_rng::Rng;
 
     /// What a min–max NLP carries beside its curves and budget.
@@ -320,11 +319,11 @@ mod certificate {
     enum Extra {
         None,
         /// An equality pinning the total allocation: the KKT system gains
-        /// an equality block (the sparse LU above the crossover).
+        /// an equality block, which the dense LU factors.
         Equality,
         /// Rows `n_j - n_{j+1} <= 10` coupling neighbouring components:
         /// every inner column becomes a hub, so the structured factor
-        /// declines and the Cholesky runs dense or sparse.
+        /// declines and the dense Cholesky runs.
         Neighbours,
     }
 
@@ -371,13 +370,12 @@ mod certificate {
         p
     }
 
-    fn certified(p: &NlpProblem, what: &str) -> NlpSolution {
+    fn certified(p: &NlpProblem, what: &str) {
         let sol = solve(p).unwrap();
         assert_eq!(sol.status, NlpStatus::Optimal, "{what}");
         if let Err(e) = sol.certify(p) {
             panic!("{what}: {e}");
         }
-        sol
     }
 
     #[test]
@@ -395,43 +393,25 @@ mod certificate {
         }
     }
 
-    /// Every KKT path certifies on its own side of the crossover. At 100,
-    /// 200 and 320 components the min–max NLPs' main loops run on the
-    /// structured factor; with an equality row on the dense LU (100) or the
-    /// sparse LU (200, 320); with neighbour rows on the dense Cholesky (100)
-    /// or the sparse Cholesky (200, 320). `kkt_path` reports each main
-    /// loop's path, and `mpc::tests` watches the loops take it. Phase 1
-    /// never takes the structured path, so its sparse factorizations count
-    /// above the crossover whatever the main loop runs on.
+    /// Both KKT paths certify at every size. At 100, 200 and 320
+    /// components the min–max NLPs' main loops run on the structured
+    /// factor, with an equality row on the dense LU and with neighbour rows
+    /// on the dense Cholesky. `kkt_path` reports each main loop's path, and
+    /// `mpc::tests` watches the loops take it.
     #[test]
-    fn optima_on_both_sides_of_the_kkt_crossover_certify() {
+    fn optima_on_the_structured_and_dense_kkt_paths_certify() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0xc0);
         for groups in [100, 200, 320] {
             for extra in [Extra::None, Extra::Equality, Extra::Neighbours] {
                 let p = minmax_nlp(&mut rng, groups, extra);
                 let what = format!("{groups} components, {extra:?}");
-                let sol = certified(&p, &what);
-                let kkt_dim = groups + 1 + usize::from(extra == Extra::Equality);
+                certified(&p, &what);
                 let expect = if extra == Extra::None {
                     KktPath::Structured
-                } else if kkt_dim < SPARSE_CROSSOVER_DIM {
-                    KktPath::Dense
                 } else {
-                    KktPath::Sparse
+                    KktPath::Dense
                 };
                 assert_eq!(kkt_path(&p), expect, "{what}");
-                match expect {
-                    KktPath::Sparse => {
-                        assert!(sol.factorizations >= 1, "{what}: sparse path unused")
-                    }
-                    _ if kkt_dim < SPARSE_CROSSOVER_DIM => {
-                        assert_eq!(
-                            sol.factorizations, 0,
-                            "{what}: sparse factorization counted"
-                        );
-                    }
-                    _ => {}
-                }
             }
         }
     }

@@ -60,15 +60,13 @@ pub struct SolveStats {
     /// Dual-simplex pivots spent restoring primal feasibility from reused
     /// bases (a subset of `simplex_pivots`).
     pub dual_pivots: u64,
-    /// Numeric factorizations: simplex basis refactorizations (both
-    /// backends) plus sparse KKT/Hessian factorizations in the barrier
-    /// solver (sparse path only — the dense barrier solves in place).
+    /// Simplex basis refactorizations (sparse LU). The barrier's
+    /// structured and dense KKT factorizations are not counted here.
     pub factorizations: u64,
-    /// Product-form eta updates appended to sparse basis factors between
-    /// refactorizations (zero on the dense path).
+    /// Product-form eta updates appended to the sparse basis factor
+    /// between refactorizations.
     pub factor_updates: u64,
-    /// Cumulative nonzeros across all sparse factors produced (zero on the
-    /// dense path).
+    /// Cumulative nonzeros across all simplex basis factors produced.
     pub fill_nnz: u64,
 }
 

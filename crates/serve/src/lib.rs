@@ -5,7 +5,7 @@
 //! * [`frame`] — length-prefixed framing over any byte stream;
 //! * [`protocol`] — the JSON request/response envelope (built on
 //!   `hslb_json`, no external dependencies);
-//! * [`fingerprint`] — two-level instance hashes (structure vs
+//! * [`fingerprint`](mod@fingerprint) — two-level instance hashes (structure vs
 //!   coefficients) that key sharding, caching and warm-start reuse;
 //! * [`cache`] — the per-shard LRU of `{incumbent, warm seed}` state;
 //! * [`shard`] — one worker's state and request handlers (cold /

@@ -1,6 +1,6 @@
 //! TCP front for the daemon: a nonblocking acceptor loop that hands each
 //! connection to its own thread running
-//! [`serve_connection`](crate::wire::serve_connection) against a cloned
+//! [`serve_connection`] against a cloned
 //! [`Handle`]. No per-connection state beyond the stream itself — all
 //! serving state lives behind the handle.
 

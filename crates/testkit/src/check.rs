@@ -86,7 +86,7 @@ fn agree(a: f64, b: f64, rel: f64) -> bool {
 /// dual feasibility, complementary slackness, zero duality gap), primal
 /// feasibility within the instance tolerance, and optimality against the
 /// known feasible point. Then the dual-simplex path against the cold solve
-/// (see [`check_lp_warm`]).
+/// (see `check_lp_warm`).
 pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
     let sol = hslb_lp::solve(&inst.lp);
     if sol.status != LpStatus::Optimal {
@@ -251,7 +251,7 @@ type MinlpSolver = fn(&hslb_minlp::MinlpProblem, &MinlpOptions) -> hslb_minlp::M
 
 /// All three branch-and-bound backends vs the exhaustive oracle.
 pub fn check_minlp(inst: &MinlpInstance) -> Result<(), String> {
-    let opts = crate::family_options(crate::Layer::Minlp);
+    let opts = MinlpOptions::default();
     let oracle = solve_exhaustive(&inst.problem, 2_000_000)
         .ok_or_else(|| "instance too large for oracle (generator bug)".to_string())?;
     if oracle.status != MinlpStatus::Optimal {
@@ -327,7 +327,7 @@ pub fn check_flat(spec: &FlatSpec) -> Result<(), String> {
     let sol = hslb::solve_model_with(
         &model.problem,
         SolverBackend::OuterApproximation,
-        &crate::family_options(crate::Layer::Flat),
+        &MinlpOptions::default(),
     );
     if sol.status != MinlpStatus::Optimal {
         return Err(format!("bnb returned {:?}", sol.status));
@@ -381,8 +381,11 @@ pub fn check_fit(ds: &FitDataset) -> Result<(), String> {
 /// its allocation's total.
 pub fn check_cesm(spec: &CesmModelSpec, layout: Layout) -> Result<(), String> {
     let model = build_layout_model(spec, layout);
-    let opts = crate::family_options(crate::Layer::Cesm);
-    let sol = hslb::solve_model_with(&model.problem, SolverBackend::OuterApproximation, &opts);
+    let sol = hslb::solve_model_with(
+        &model.problem,
+        SolverBackend::OuterApproximation,
+        &MinlpOptions::default(),
+    );
     let label = format!("layout {} bnb", layout.index());
     if sol.status != MinlpStatus::Optimal {
         return Err(format!("{label} returned {:?}", sol.status));
@@ -415,7 +418,7 @@ pub fn check_pipeline(total_nodes: u64, seed: u64) -> Result<(), String> {
         &counts,
         Layout::Hybrid,
         SolverBackend::OuterApproximation,
-        &crate::family_options(crate::Layer::Pipeline),
+        &MinlpOptions::default(),
     )
     .map_err(|e| format!("pipeline failed: {e}"))?;
     let predicted = outcome.predicted.total;

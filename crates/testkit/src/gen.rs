@@ -209,7 +209,7 @@ pub fn flat_spec(rng: &mut Rng, size: u32) -> FlatSpec {
 /// `c` off 1, and `b > 0` on half the draws, so the curve may turn upward
 /// inside a small machine. Its admissible counts are `1..=total` or, three
 /// times in ten, a set of "sweet spots" that always holds `floor`.
-fn paper_component(
+pub fn paper_component(
     rng: &mut Rng,
     name: String,
     (a_lo, a_hi): (f64, f64),

@@ -99,40 +99,6 @@ impl Layer {
     }
 }
 
-/// Per-family μ₀ heuristic: the `BarrierOptions::mu0_scale` testkit runs
-/// apply to a family's MINLP solves (closes the ROADMAP watch item on
-/// warm-start regressions for new problem families).
-///
-/// Tree-search families re-enter child NLPs from warm parent points that
-/// are already near the central path's tail, so a reduced μ₀ skips
-/// re-centering work the seed has already paid for; single-solve and
-/// non-barrier families keep the neutral default. The per-family
-/// warm-vs-cold Newton assertion in `tests/warm_cold_equivalence.rs`
-/// guards these values: a family whose scale makes warm solves pay *more*
-/// Newton iterations than cold fails there, not in production.
-pub fn mu0_scale(layer: Layer) -> f64 {
-    match layer {
-        // Branch-and-bound trees: descendants seed from the parent
-        // relaxation, so the barrier starts nearly centered at small μ.
-        Layer::Minlp | Layer::Pipeline => 0.5,
-        // Everything else runs at the neutral μ₀ the shipped paths use.
-        // CESM layout models and flat paper-model specs keep warm ≤ cold
-        // there (warm Newton 18 071 vs cold 19 991 and 6 363 vs 6 825 over
-        // the guard's 25 instances each) since the fallback finishes on
-        // the predictor-corrector iterations.
-        _ => 1.0,
-    }
-}
-
-/// [`hslb_minlp::MinlpOptions`] as testkit runs configure them for one
-/// family: the defaults plus the per-family μ₀ scale from [`mu0_scale`].
-pub fn family_options(layer: Layer) -> hslb_minlp::MinlpOptions {
-    hslb_minlp::MinlpOptions {
-        mu0_scale: mu0_scale(layer),
-        ..hslb_minlp::MinlpOptions::default()
-    }
-}
-
 /// Runs a single case — a pure function of `(layer, seed, size)`.
 pub fn run_case(layer: Layer, seed: u64, size: u32) -> Result<(), String> {
     let mut rng = Rng::new(hslb_rng::hash_mix(&[seed, layer as u64]));

@@ -8,13 +8,14 @@
 //! pins both over 380 seeded instances (260 LPs and 120 NLPs), plus a
 //! pinned pivot/Newton-count envelope on fixed instances so silent work
 //! blowups fail loudly. `crates/nlp/tests/barrier_tests.rs` certifies
-//! optima on both sides of the barrier's dense/sparse KKT crossover.
+//! optima on both of the barrier's KKT paths, structured and dense.
 //!
 //! Min–max root relaxations (FMO clusters of 8 to 256 fragments, and
 //! synthetic ones with upward-turning models and binding caps) must run
 //! their main loop on the structured KKT factor (`hslb_nlp::kkt_path`),
 //! end `Optimal` and certify; the test pins which of them run the fixed-μ
-//! fallback. Named roots whose answers once failed their certificate (⅛°
+//! fallback. `MinSum` roots of 100 components must do the same on the
+//! dense path. Named roots whose answers once failed their certificate (⅛°
 //! layout-2 roots, the binary-encoded E8 roots) must certify too.
 
 use hslb::{
@@ -102,9 +103,9 @@ fn structured_root_certifies(what: &str, spec: &FlatSpec) -> bool {
     certified_nlp(what, p).barrier_fallbacks > 0
 }
 
-/// FMO root relaxations at 8 nodes per fragment: 159 fragments put the
-/// Newton system at the sparse crossover (160 unknowns) and 256 past it,
-/// where the structured factor replaces a sparse Cholesky that the node
+/// FMO root relaxations at 8 nodes per fragment, up to 256 fragments
+/// (257 unknowns): the structured factor keeps their Newton steps O(k),
+/// where a dense or sparse Cholesky would factor a matrix that the node
 /// budget's rank-one term fills in.
 #[test]
 fn fmo_root_relaxations_certify_on_the_structured_kkt() {
@@ -170,6 +171,33 @@ fn upward_turning_min_max_relaxations_certify_on_the_structured_kkt() {
         ["160 components, case 0", "160 components, case 3"],
         "solves that ran the fixed-μ fallback"
     );
+}
+
+/// `MinSum` flat models (one epigraph column per component plus the node
+/// budget) on seeded paper models at 100 components: 200 unknowns, whose
+/// condensed matrix the structured factor declines. It is the largest
+/// shipped shape on the dense KKT path; each root relaxation must end
+/// `Optimal` there and certify.
+#[test]
+fn min_sum_roots_of_100_components_certify_on_the_dense_kkt() {
+    for seed in [0x5BA2_5C01_u64, 0x5BA2_5C02, 0x5BA2_5C03] {
+        let mut rng = Rng::new(seed);
+        let total = 800;
+        let components = (0..100)
+            .map(|j| gen::paper_component(&mut rng, format!("c{j}"), (10.0, 2000.0), 8.0, 1, total))
+            .collect();
+        let spec = FlatSpec {
+            components,
+            total_nodes: total,
+            objective: Objective::MinSum,
+        };
+        let what = format!("MinSum seed {seed:#x}");
+        let model = build_flat_model(&spec);
+        let p = model.problem.relaxation();
+        assert_eq!(p.num_vars(), 200, "{what}");
+        assert_eq!(kkt_path(p), KktPath::Dense, "{what}");
+        certified_nlp(&what, p);
+    }
 }
 
 /// The layout-2 (`SequentialAtmGroup`) root relaxation of a fitted CESM

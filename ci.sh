@@ -90,9 +90,11 @@ echo "== differential fuzz (capped) =="
 
 echo "== lp and flat fuzz =="
 # The simplex warm path gets a deeper sweep. Every lp case also re-solves
-# through solve_warm from an empty basis, with a variable pinned and with
-# the pin released, against the cold solve; every flat case is a min-max OA
-# solve (its masters on the dual simplex) on paper models and allowed sets,
+# one owned WarmLp as a cut loop does: from the slack basis, with a
+# variable pinned, with the pin released, and after appending a cut the
+# cold optimum violates (bordering the kept factor), each answer against
+# the cold solve; every flat case is a min-max OA solve (its masters on the
+# dual simplex over a kept tableau) on paper models and allowed sets,
 # whose answer and the waterfill's must pass the exact structure
 # certificate. The flat layer runs on every fourth round, so the second
 # command is 1,000 OA solves; the pair takes about a second.

@@ -13,7 +13,7 @@
 //! * [`vecops`] — the handful of BLAS-1 style vector helpers used everywhere.
 //! * [`approx`] — the workspace tolerance vocabulary: named comparisons,
 //!   fuzzy integer snaps, and intent-named float→int conversions.
-//! * [`sparse`] — the sparse core (CSC/CSR storage and an LU with a
+//! * [`sparse`] — the sparse core (CSC storage and an LU with a
 //!   symbolic/numeric split). The simplex basis is always a sparse LU; the
 //!   barrier factors its KKT system with its own structured LDLᵀ or with
 //!   the dense kernels above.
@@ -35,7 +35,7 @@ pub use cholesky::Cholesky;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
-pub use sparse::{CscMatrix, CsrMatrix, LuSymbolic, SparseLu, SparseWorkspace};
+pub use sparse::{CscMatrix, LuSymbolic, SparseLu, SparseWorkspace};
 
 /// Errors reported by factorizations and solves.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! Compressed sparse column / row matrix storage.
+//! Compressed sparse column matrix storage.
 // lint:allow-file(slice-index): sparse storage kernel — indices are column
 // pointers and row ids validated at construction; iterator forms would
 // obscure the compressed-layout walks.
@@ -170,89 +170,6 @@ impl CscMatrix {
         }
         y
     }
-
-    /// Transposed copy (also the CSC view of the CSR form).
-    pub fn transpose(&self) -> CscMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for j in 0..self.ncols {
-            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                triplets.push((j, self.row_idx[p], self.values[p]));
-            }
-        }
-        // Pattern is valid by construction; unwrap via expect is avoided.
-        match CscMatrix::from_triplets(self.ncols, self.nrows, &triplets) {
-            Ok(t) => t,
-            Err(_) => CscMatrix::from_dense(&Matrix::zeros(self.ncols, self.nrows)),
-        }
-    }
-
-    /// Converts to compressed sparse row form.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let t = self.transpose();
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr: t.col_ptr,
-            col_idx: t.row_idx,
-            values: t.values,
-        }
-    }
-}
-
-/// Compressed sparse row matrix — the transpose-friendly dual of
-/// [`CscMatrix`], used where row access dominates (constraint scans).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
-    nrows: usize,
-    ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CsrMatrix {
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Column indices and values of row `i`.
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        (&self.col_idx[lo..hi], &self.values[lo..hi])
-    }
-
-    /// `y = A x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x.len(), self.ncols);
-        (0..self.nrows)
-            .map(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum()
-            })
-            .collect()
-    }
-
-    /// Converts back to compressed sparse column form.
-    pub fn to_csc(&self) -> CscMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for i in 0..self.nrows {
-            for p in self.row_ptr[i]..self.row_ptr[i + 1] {
-                triplets.push((i, self.col_idx[p], self.values[p]));
-            }
-        }
-        match CscMatrix::from_triplets(self.nrows, self.ncols, &triplets) {
-            Ok(c) => c,
-            Err(_) => CscMatrix::from_dense(&Matrix::zeros(self.nrows, self.ncols)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -293,15 +210,5 @@ mod tests {
         assert_eq!(s.matvec(&x), d.matvec(&x));
         let y = [1.0, -1.0];
         assert_eq!(s.matvec_transposed(&y), d.matvec_transposed(&y));
-    }
-
-    #[test]
-    fn csr_round_trip() {
-        let d = Matrix::from_rows(&[&[1.0, 0.0], &[4.0, 5.0], &[0.0, -2.0]]);
-        let s = CscMatrix::from_dense(&d);
-        let r = s.to_csr();
-        assert_eq!(r.nnz(), 4);
-        assert_eq!(r.matvec(&[2.0, 1.0]), d.matvec(&[2.0, 1.0]));
-        assert_eq!(r.to_csc(), s);
     }
 }

@@ -37,10 +37,6 @@ impl LuSymbolic {
         col_order.sort_by_key(|&j| a.col(j).0.len());
         Ok(LuSymbolic { n, col_order })
     }
-
-    pub fn n(&self) -> usize {
-        self.n
-    }
 }
 
 /// The dimension of a square `a`, or the mismatch error.
@@ -217,6 +213,8 @@ impl SparseLu {
         Ok(lu)
     }
 
+    /// Dimension of the factored matrix: the rows of a simplex basis
+    /// factor that the LU covers, before any bordered rows.
     pub fn n(&self) -> usize {
         self.n
     }

@@ -1,7 +1,7 @@
-//! Sparse numerical core: CSC/CSR storage and the simplex basis's LU with
+//! Sparse numerical core: CSC storage and the simplex basis's LU with
 //! a symbolic/numeric split (see DESIGN.md § Sparse core).
 //!
-//! * [`CscMatrix`] / [`CsrMatrix`] — compressed column/row storage.
+//! * [`CscMatrix`] — compressed column storage.
 //! * [`LuSymbolic`] / [`SparseLu`] — left-looking LU with partial
 //!   pivoting; the symbolic column order is ascending column count, one
 //!   sort per refactorization.
@@ -15,7 +15,7 @@
 pub mod csc;
 pub mod lu;
 
-pub use csc::{CscMatrix, CsrMatrix};
+pub use csc::CscMatrix;
 pub use lu::{LuSymbolic, SparseLu};
 
 /// Sentinel for "no index" in permutation arrays.

@@ -15,12 +15,15 @@
 //!   sparse LU basis factorization with product-form eta updates; each
 //!   refactorization orders the basis columns by nonzero count, slack
 //!   singletons first.
-//! * [`solve_warm`] — the dual simplex OA cut loops re-solve with. It
-//!   starts from the basis a [`WarmBasis`] saved at the previous optimum,
-//!   or from the slack basis when there is none, moves boxed nonbasic
-//!   variables to the bound their reduced costs ask for, and falls back to
-//!   the two-phase solve only when the start stays dual infeasible, on
-//!   numerical trouble, or to certify `Infeasible`.
+//! * [`WarmLp`] — the program an OA cut loop re-solves. It owns the
+//!   [`LinearProgram`] and keeps the tableau and basis factor of its last
+//!   solve; appended rows border the factor and moved bounds move their
+//!   nonbasic variables, so [`WarmLp::solve`] re-enters the dual simplex
+//!   without rebuilding or refactorizing. The first solve starts from the
+//!   slack basis. Each solve moves boxed nonbasic variables to the bound
+//!   their reduced costs ask for, and falls back to the two-phase solve
+//!   only when the start stays dual infeasible, on numerical trouble, or to
+//!   certify `Infeasible`.
 //! * [`LpSolution`] / [`LpStatus`] — primal values, objective, duals, and
 //!   infeasible/unbounded outcomes. [`LpSolution::certify`] checks an
 //!   optimum from the LP, its point and its duals alone: primal and dual
@@ -52,5 +55,5 @@ pub mod simplex;
 pub mod solution;
 
 pub use model::{LinearProgram, RowSense, VarId};
-pub use simplex::{solve, solve_warm, solve_with, SimplexOptions, WarmBasis};
+pub use simplex::{solve, solve_with, SimplexOptions, WarmLp};
 pub use solution::{LpSolution, LpStatus};

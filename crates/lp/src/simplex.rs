@@ -7,32 +7,34 @@
 //! sum of artificials; Phase 2 minimizes the true objective with artificials
 //! frozen at zero.
 //!
-//! The basis lives in a `BasisFactor`: a sparse LU factorization with
-//! Bartels–Golub-style product-form eta updates per pivot, at every row
-//! count. Each refactorization orders the basis columns by nonzero count
-//! ([`LuSymbolic::by_column_count`]): one sort, slack singletons first, the
-//! epigraph hub of an OA master last. The factorization is rebuilt every
-//! `REFACTOR_EVERY` pivots for numerical hygiene. Every optimum can be
-//! checked without trusting this module: [`LpSolution::certify`] reads only
-//! the LP, the point, the duals and the objective.
+//! The basis lives in a `BasisFactor`: a sparse LU factorization followed
+//! by its updates — a product-form eta per pivot (Bartels–Golub style) and
+//! a border per batch of appended rows. Each refactorization orders the
+//! basis columns by nonzero count ([`LuSymbolic::by_column_count`]): one
+//! sort, slack singletons first, the epigraph hub of an OA master last. The
+//! factorization is rebuilt once `REFACTOR_EVERY` etas have accumulated, for
+//! numerical hygiene. Every optimum can be checked without trusting this
+//! module: [`LpSolution::certify`] reads only the LP, the point, the duals
+//! and the objective.
 //!
-//! [`solve_warm`] runs the dual simplex from the basis saved by a previous
-//! solve, or from the slack basis when there is none. Neither appending a
-//! `<=` cut row nor moving variable bounds changes the cost vector, so the
-//! reduced costs of the saved basis keep their values. Their signs can
-//! still be wrong for a boxed nonbasic variable whose box widened (a pin
-//! `lo == hi` released); such a variable moves to its other bound, which
-//! restores dual feasibility. The new cut's slack enters the basis,
-//! out-of-bound nonbasic variables snap to their moved bounds, and a
-//! handful of dual pivots restore primal feasibility — no Phase 1
-//! artificials, no cold Phase 2. Only a start that stays dual infeasible,
-//! numerical trouble or an infeasibility verdict falls back to the cold
-//! two-phase solve, which is the one source of `Infeasible`.
+//! [`WarmLp`] owns a program and keeps the tableau of its last solve, so a
+//! cut loop re-solves it on the dual simplex without rebuilding or
+//! refactorizing. Neither appending a `<=` cut row nor moving variable
+//! bounds changes the cost vector, so the reduced costs of the kept basis
+//! keep their values. Their signs can still be wrong for a boxed nonbasic
+//! variable whose box widened (a pin `lo == hi` released); such a variable
+//! moves to its other bound, which restores dual feasibility. Each appended
+//! cut's slack enters the basis, out-of-bound nonbasic variables snap to
+//! their moved bounds, and a handful of dual pivots restore primal
+//! feasibility — no Phase 1 artificials, no cold Phase 2. Only a start that
+//! stays dual infeasible, numerical trouble or an infeasibility verdict
+//! falls back to the cold two-phase solve, which is the one source of
+//! `Infeasible`.
 // lint:allow-file(slice-index): the tableau kernel indexes basis/column
 // arrays end to end; every index is derived from tableau dimensions fixed
 // at construction, and iterator forms would obscure the pivot algebra.
 
-use crate::model::{LinearProgram, RowSense};
+use crate::model::{LinearProgram, Row, RowSense, VarId};
 use crate::solution::{LpSolution, LpStatus};
 use hslb_linalg::{CscMatrix, LuSymbolic, SparseLu, SparseWorkspace};
 use hslb_obs::{Event, Trace};
@@ -47,7 +49,8 @@ const OPT_TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-7;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGENERACY_LIMIT: usize = 200;
-/// Pivots between basis refactorizations.
+/// Etas (pivots) the basis factor accumulates before it is rebuilt. The
+/// count runs across the solves of a [`WarmLp`].
 const REFACTOR_EVERY: usize = 100;
 /// Ratio-test pivots smaller than this are numerically unusable.
 const PIVOT_TOL: f64 = 1e-9;
@@ -59,9 +62,10 @@ const RATIO_TIE_TOL: f64 = 1e-12;
 const DEGENERATE_STEP_TOL: f64 = 1e-10;
 /// Reduced-cost sign tolerance when validating a dual-simplex start (and
 /// the margin past which a boxed nonbasic variable moves to its other
-/// bound). Looser than `OPT_TOL` because the saved optimum was itself only
-/// tolerance-optimal and the basis is refactorized on reload; any residual
-/// drift is repaired by the primal clean-up phase after the dual pivots.
+/// bound). Looser than `OPT_TOL` because the kept optimum was itself only
+/// tolerance-optimal and its duals are recomputed through the factor's
+/// updates; any residual drift is repaired by the primal clean-up phase
+/// after the dual pivots.
 const WARM_DUAL_TOL: f64 = 1e-7;
 
 /// Simplex options. The tolerances and pivot budgets are module consts
@@ -85,76 +89,115 @@ enum VarStatus {
 /// Sparse column: (row, coefficient) pairs.
 type Column = Vec<(usize, f64)>;
 
-/// Basis saved at a previous optimum for reuse by [`solve_warm`].
+/// A linear program that keeps its simplex state between solves, for cut
+/// loops that re-solve it after appending rows and moving bounds.
 ///
-/// Opaque to callers; keep one per cut loop (the OA master keeps one per
-/// tree) and pass it to every `solve_warm` call. The reuse contract is that
-/// successive LPs only *append* rows and *move* variable bounds — existing
-/// rows and the cost vector must not change between solves. Bound moves
-/// may widen a box as well as narrow it: a nonbasic variable released from
-/// a pin moves to whichever bound keeps the basis dual feasible. Both paths
-/// through `solve_warm` (dual pivots or cold fallback) refresh the saved
-/// basis, so staleness is self-healing.
-#[derive(Debug, Clone, Default)]
-pub struct WarmBasis {
-    /// Status of every structural and slack column at the saved optimum.
-    status: Vec<VarStatus>,
-    /// Variable occupying each basis row.
-    basis: Vec<usize>,
-    num_vars: usize,
-    num_rows: usize,
-    saved: bool,
+/// It owns the program, so the kept tableau always describes it: rows are
+/// appended through [`WarmLp::add_row`] and bounds moved through
+/// [`WarmLp::set_bounds`], which update both. Between solves it keeps the
+/// column lists, bounds, statuses, basis and the basis factor with its
+/// updates. An appended row's slack enters the basis and borders the
+/// factor; a moved bound moves its nonbasic variable. [`WarmLp::solve`]
+/// then recomputes the basic values through the kept factor and re-enters
+/// the dual simplex: nothing is rebuilt, and the basis is refactorized only
+/// when the eta chain reaches `REFACTOR_EVERY` or an optimum drifts off a
+/// row. The OA master keeps one per tree.
+#[derive(Debug)]
+pub struct WarmLp {
+    lp: LinearProgram,
+    /// The tableau of the last solve that left a usable basis; `None`
+    /// before the first solve, which starts from the slack basis.
+    kept: Option<Tableau>,
 }
 
-impl WarmBasis {
-    /// An empty basis; the first `solve_warm` call starts from the slack
-    /// basis and fills it in.
-    pub fn new() -> Self {
-        WarmBasis::default()
+impl WarmLp {
+    /// Takes ownership of `lp`; the first solve starts from its slack basis.
+    pub fn new(lp: LinearProgram) -> WarmLp {
+        WarmLp { lp, kept: None }
     }
 
-    /// Whether the saved basis can seed a solve of `lp` (same columns, row
-    /// set grown by appending only).
-    fn usable_for(&self, lp: &LinearProgram) -> bool {
-        self.saved && self.num_vars == lp.num_vars() && self.num_rows <= lp.num_rows()
+    /// The program as it stands.
+    pub fn lp(&self) -> &LinearProgram {
+        &self.lp
     }
 
-    /// The saved statuses and basis, extended to `lp`'s rows: each appended
-    /// cut row's slack starts basic in its own row (an OA cut is violated
-    /// by the incumbent vertex, so that slack is out of bounds and the dual
-    /// pivots drive it out again).
-    fn reload(&self, lp: &LinearProgram) -> (Vec<VarStatus>, Vec<usize>) {
-        let mut status = self.status.clone();
-        let mut basis = self.basis.clone();
-        for r in self.num_rows..lp.num_rows() {
-            status.push(VarStatus::Basic(r));
-            basis.push(self.num_vars + r);
+    /// Appends a constraint row ([`LinearProgram::add_row`]); returns its
+    /// index. With a kept basis, the row's slack enters it in the new row.
+    ///
+    /// # Panics
+    /// As [`LinearProgram::add_row`].
+    pub fn add_row(&mut self, coeffs: Vec<(VarId, f64)>, sense: RowSense, rhs: f64) -> usize {
+        let r = self.lp.add_row(coeffs, sense, rhs);
+        if let Some(tab) = &mut self.kept {
+            tab.append_row(&self.lp.rows()[r]);
         }
-        (status, basis)
+        r
     }
 
-    /// Records the basis of an optimal tableau. A degenerate optimum can
-    /// leave a Phase-1 artificial basic at zero; such a basis is not
-    /// reusable and is dropped.
-    fn save_from(&mut self, tab: &Tableau, num_vars: usize) {
-        let nm = num_vars + tab.m;
-        if tab.basis.iter().any(|&b| b >= nm) {
-            self.saved = false;
-            return;
+    /// Overwrites the bounds of a variable ([`LinearProgram::set_bounds`]).
+    /// The box may widen as well as narrow: a nonbasic variable released
+    /// from a pin moves to whichever bound keeps the basis dual feasible.
+    ///
+    /// # Panics
+    /// As [`LinearProgram::set_bounds`].
+    pub fn set_bounds(&mut self, var: VarId, lo: f64, hi: f64) {
+        self.lp.set_bounds(var, lo, hi);
+        if let Some(tab) = &mut self.kept {
+            tab.lo[var.0] = lo;
+            tab.hi[var.0] = hi;
         }
-        self.status.clear();
-        self.status.extend_from_slice(&tab.status[..nm]);
-        self.basis.clear();
-        self.basis.extend_from_slice(&tab.basis);
-        self.num_vars = num_vars;
-        self.num_rows = tab.m;
-        self.saved = true;
+    }
+
+    /// Solves the program on the dual simplex from the kept basis, or from
+    /// the slack basis on the first solve: structurals at a finite bound,
+    /// every slack basic in its own row. Either start first moves each
+    /// boxed nonbasic variable to the bound its reduced cost asks for. A
+    /// start that is still dual infeasible, any numerical trouble and any
+    /// infeasibility verdict fall back to the cold two-phase solve, so
+    /// results never depend on the start being good and `Infeasible` always
+    /// comes from the cold path. `dual_pivots`/`warm_used` in the solution
+    /// report what happened; the counters are this solve's and include the
+    /// work of an abandoned dual attempt.
+    ///
+    /// The kept tableau afterwards is this solve's: the dual path's, or the
+    /// cold solve's optimum. After an infeasibility verdict that the cold
+    /// solve confirms, it is the dual attempt's last basis, which is still
+    /// dual feasible. After numerical trouble with no cold optimum, none is
+    /// kept and the next solve starts from the slack basis.
+    pub fn solve(&mut self, opts: &SimplexOptions) -> LpSolution {
+        let warm_used = self.kept.is_some();
+        let mut tab = self
+            .kept
+            .take()
+            .unwrap_or_else(|| Tableau::slack_basis(&self.lp));
+        tab.work = FactorWork::default();
+        let (sol, kept) = match dual_solve(&self.lp, &mut tab) {
+            DualEnd::Done(sol) => (LpSolution { warm_used, ..sol }, Some(tab)),
+            DualEnd::Abandoned { attempt, usable } => {
+                let (cold, cold_tab) = solve_inner(&self.lp);
+                let sol = LpSolution {
+                    iterations: cold.iterations + attempt.iterations,
+                    dual_pivots: cold.dual_pivots + attempt.dual_pivots,
+                    factorizations: cold.factorizations + attempt.factorizations,
+                    factor_updates: cold.factor_updates + attempt.factor_updates,
+                    fill_nnz: cold.fill_nnz + attempt.fill_nnz,
+                    ..cold
+                };
+                (sol, cold_tab.or(usable.then_some(tab)))
+            }
+        };
+        self.kept = kept;
+        opts.trace.emit(|| Event::LpSolved {
+            pivots: sol.iterations as u64,
+        });
+        sol
     }
 }
 
 /// One product-form update recorded by a pivot. The update matrix `E⁻¹`
 /// applies to a vector as `v[r] /= pivot; v[i] -= w_i·v[r]` (`i ≠ r`): the
 /// elementary row operation of the pivot.
+#[derive(Debug)]
 struct Eta {
     r: usize,
     /// Off-pivot rows of the ftran column (`i ≠ r`, structural zeros
@@ -163,18 +206,72 @@ struct Eta {
     pivot: f64,
 }
 
-/// The basis representation behind the simplex: a `SparseLu` plus the etas
-/// appended since the last refactorization (Bartels–Golub-style product
-/// form). ftran applies the LU solve then the etas in order; btran applies
-/// the transposed etas in reverse then the transposed LU solve.
-#[derive(Default)]
+/// Rows appended to a factored basis, whose slacks entered it: the basis
+/// grows from `B` to `B′ = [B 0; R I]`, where row `start + k` of `R` holds
+/// the appended row's coefficients on the basic columns, keyed by basis
+/// position. Then `B′⁻¹ = [B⁻¹ 0; −R B⁻¹ I]`: ftran subtracts `R w` from
+/// the new rows after solving with `B`, btran subtracts `Rᵀ y` from the
+/// old ones before (the basis-augmentation update of Bisschop & Meeraus,
+/// Math. Programming 13, 1977). A row's coefficients on the other new
+/// slacks are zero, so every position in `R` lies below `start`.
+#[derive(Debug)]
+struct Border {
+    start: usize,
+    rows: Vec<Column>,
+}
+
+/// An update of the basis factor since its last refactorization.
+#[derive(Debug)]
+enum Update {
+    Eta(Eta),
+    Border(Border),
+}
+
+/// The basis representation behind the simplex: a `SparseLu` of the basis
+/// at the last refactorization, then the updates recorded since, in order.
+/// ftran applies the LU solve then the updates in recording order; btran
+/// applies the transposed updates in reverse then the transposed LU solve.
+/// With no LU yet the basis started as the slack basis, the identity.
+#[derive(Debug, Default)]
 struct BasisFactor {
     /// `None` until the first refactorization.
     lu: Option<SparseLu>,
-    etas: Vec<Eta>,
+    updates: Vec<Update>,
+    /// Etas among `updates`: the refactorization trigger.
+    etas: usize,
     ws: SparseWorkspace,
 }
 
+impl BasisFactor {
+    /// Borders the factor with appended row `r`, whose slack entered the
+    /// basis at position `r`; `coeffs` are the row's coefficients on the
+    /// basic columns by position. Consecutive rows share one border.
+    fn border(&mut self, r: usize, coeffs: Column) {
+        match self.updates.last_mut() {
+            Some(Update::Border(b)) => {
+                debug_assert_eq!(b.start + b.rows.len(), r);
+                b.rows.push(coeffs);
+            }
+            _ => self.updates.push(Update::Border(Border {
+                start: r,
+                rows: vec![coeffs],
+            })),
+        }
+    }
+}
+
+/// Factor work of one solve: the per-solve counters of [`LpSolution`].
+#[derive(Debug, Default, Clone, Copy)]
+struct FactorWork {
+    /// Basis (re)factorizations performed.
+    factorizations: u64,
+    /// Product-form eta updates appended.
+    factor_updates: u64,
+    /// Cumulative factor nonzeros across refactorizations.
+    fill_nnz: u64,
+}
+
+#[derive(Debug)]
 struct Tableau {
     /// All columns: structurals, then slacks, then artificials.
     cols: Vec<Column>,
@@ -183,7 +280,7 @@ struct Tableau {
     status: Vec<VarStatus>,
     /// Variable occupying each basis row.
     basis: Vec<usize>,
-    /// Basis factorization (sparse LU + etas).
+    /// Basis factorization (sparse LU + updates).
     factor: BasisFactor,
     /// Values of the basic variables, row-aligned with `basis`.
     xb: Vec<f64>,
@@ -193,15 +290,112 @@ struct Tableau {
     /// Phase 2).
     can_enter: Vec<bool>,
     m: usize,
-    /// Basis (re)factorizations performed.
-    factorizations: u64,
-    /// Product-form eta updates appended.
-    factor_updates: u64,
-    /// Cumulative factor nonzeros across refactorizations.
-    fill_nnz: u64,
+    work: FactorWork,
 }
 
 impl Tableau {
+    /// The structural and slack columns of `lp` with their bounds and
+    /// right-hand sides; no statuses, basis or factor yet.
+    fn columns_of(lp: &LinearProgram) -> Tableau {
+        let n = lp.num_vars();
+        let mut tab = Tableau {
+            cols: vec![Vec::new(); n],
+            lo: lp.lowers().to_vec(),
+            hi: lp.uppers().to_vec(),
+            status: Vec::new(),
+            basis: Vec::new(),
+            factor: BasisFactor::default(),
+            xb: Vec::new(),
+            rhs: Vec::with_capacity(lp.num_rows()),
+            can_enter: vec![true; n],
+            m: 0,
+            work: FactorWork::default(),
+        };
+        for row in lp.rows() {
+            tab.push_row(row);
+        }
+        tab
+    }
+
+    /// The slack basis of `lp`: structurals nonbasic at [`initial_status`],
+    /// every slack basic in its own row. The basis is the identity, so the
+    /// factor needs no LU.
+    fn slack_basis(lp: &LinearProgram) -> Tableau {
+        let n = lp.num_vars();
+        let mut tab = Tableau::columns_of(lp);
+        tab.status = (0..n)
+            .map(|j| initial_status(tab.lo[j], tab.hi[j]))
+            .chain((0..tab.m).map(VarStatus::Basic))
+            .collect();
+        tab.basis = (n..n + tab.m).collect();
+        tab.xb = vec![0.0; tab.m];
+        tab
+    }
+
+    /// Appends `row`'s coefficients to the structural columns (a variable
+    /// repeated within the row is summed) and its slack column, slack
+    /// bounds and right-hand side. Must precede any artificial column.
+    fn push_row(&mut self, row: &Row) {
+        let r = self.m;
+        for &(v, c) in &row.coeffs {
+            // Rows are pushed in order, so a repeat of `v` within this row
+            // can only be the column's last entry.
+            match self.cols[v.0].last_mut() {
+                Some(entry) if entry.0 == r => entry.1 += c,
+                _ if !exactly_zero(c) => self.cols[v.0].push((r, c)),
+                _ => {}
+            }
+        }
+        self.cols.push(vec![(r, 1.0)]);
+        let (lo, hi) = match row.sense {
+            RowSense::Le => (0.0, f64::INFINITY),
+            RowSense::Ge => (f64::NEG_INFINITY, 0.0),
+            RowSense::Eq => (0.0, 0.0),
+        };
+        self.lo.push(lo);
+        self.hi.push(hi);
+        self.rhs.push(row.rhs);
+        self.can_enter.push(true);
+        self.m += 1;
+    }
+
+    /// Appends `row` to a tableau that holds a basis: its slack enters the
+    /// basis in the new row and borders the factor. The basic values are
+    /// left for the next solve to recompute.
+    fn append_row(&mut self, row: &Row) {
+        let r = self.m;
+        let mut coeffs: Column = Vec::new();
+        for &(v, c) in &row.coeffs {
+            if let VarStatus::Basic(k) = self.status[v.0] {
+                match coeffs.iter_mut().find(|entry| entry.0 == k) {
+                    Some(entry) => entry.1 += c,
+                    None => coeffs.push((k, c)),
+                }
+            }
+        }
+        coeffs.retain(|&(_, a)| !exactly_zero(a));
+        self.push_row(row);
+        self.status.push(VarStatus::Basic(r));
+        self.basis.push(self.cols.len() - 1);
+        self.xb.push(0.0);
+        self.factor.border(r, coeffs);
+    }
+
+    /// The tableau without its artificial columns, once none is basic: the
+    /// end of a cold solve, kept for the next warm one. `None` when a
+    /// degenerate optimum left an artificial basic at zero.
+    fn without_artificials(mut self, nm: usize) -> Option<Tableau> {
+        if self.basis.iter().any(|&b| b >= nm) {
+            return None;
+        }
+        self.cols.truncate(nm);
+        self.lo.truncate(nm);
+        self.hi.truncate(nm);
+        self.status.truncate(nm);
+        self.can_enter.truncate(nm);
+        Some(self)
+    }
+
     fn nonbasic_value(&self, j: usize) -> f64 {
         match self.status[j] {
             VarStatus::AtLower => self.lo[j],
@@ -229,21 +423,36 @@ impl Tableau {
         self.btran(e)
     }
 
-    /// y = B⁻ᵀ v: transposed etas in reverse order, then the transposed LU
-    /// solve.
+    /// y = B⁻ᵀ v: transposed updates in reverse order, then the transposed
+    /// LU solve on the rows the LU covers.
     fn btran(&self, mut v: Vec<f64>) -> Vec<f64> {
-        let BasisFactor { lu, etas, .. } = &self.factor;
-        for eta in etas.iter().rev() {
-            let mut s = v[eta.r];
-            for &(i, wi) in &eta.w {
-                s -= wi * v[i];
+        let BasisFactor { lu, updates, .. } = &self.factor;
+        for update in updates.iter().rev() {
+            match update {
+                Update::Eta(eta) => {
+                    let mut s = v[eta.r];
+                    for &(i, wi) in &eta.w {
+                        s -= wi * v[i];
+                    }
+                    v[eta.r] = s / eta.pivot;
+                }
+                Update::Border(border) => {
+                    for (k, row) in border.rows.iter().enumerate() {
+                        let yk = v[border.start + k];
+                        if !exactly_zero(yk) {
+                            for &(p, a) in row {
+                                v[p] -= a * yk;
+                            }
+                        }
+                    }
+                }
             }
-            v[eta.r] = s / eta.pivot;
         }
-        match lu {
-            Some(f) => f.solve_transposed(&v),
-            None => v,
+        if let Some(f) = lu {
+            let head = f.solve_transposed(&v[..f.n()]);
+            v[..f.n()].copy_from_slice(&head);
         }
+        v
     }
 
     /// Reduced cost of column `j` given duals `y`.
@@ -264,20 +473,30 @@ impl Tableau {
         self.ftran_vec(v)
     }
 
-    /// w = B⁻¹ v for a dense right-hand side: LU solve then the etas in
-    /// recording order.
-    fn ftran_vec(&self, v: Vec<f64>) -> Vec<f64> {
-        let BasisFactor { lu, etas, .. } = &self.factor;
-        let mut w = match lu {
-            Some(f) => f.solve(&v),
-            None => v,
-        };
-        for eta in etas {
-            let vr = w[eta.r] / eta.pivot;
-            w[eta.r] = vr;
-            if !exactly_zero(vr) {
-                for &(i, wi) in &eta.w {
-                    w[i] -= wi * vr;
+    /// w = B⁻¹ v for a dense right-hand side: the LU solve on the rows it
+    /// covers, then the updates in recording order.
+    fn ftran_vec(&self, mut w: Vec<f64>) -> Vec<f64> {
+        let BasisFactor { lu, updates, .. } = &self.factor;
+        if let Some(f) = lu {
+            let head = f.solve(&w[..f.n()]);
+            w[..f.n()].copy_from_slice(&head);
+        }
+        for update in updates {
+            match update {
+                Update::Eta(eta) => {
+                    let vr = w[eta.r] / eta.pivot;
+                    w[eta.r] = vr;
+                    if !exactly_zero(vr) {
+                        for &(i, wi) in &eta.w {
+                            w[i] -= wi * vr;
+                        }
+                    }
+                }
+                Update::Border(border) => {
+                    for (k, row) in border.rows.iter().enumerate() {
+                        let s: f64 = row.iter().map(|&(p, a)| a * w[p]).sum();
+                        w[border.start + k] -= s;
+                    }
                 }
             }
         }
@@ -293,18 +512,19 @@ impl Tableau {
             .filter(|&(i, &wi)| i != r && !exactly_zero(wi))
             .map(|(i, &wi)| (i, wi))
             .collect();
-        self.factor.etas.push(Eta {
+        self.factor.updates.push(Update::Eta(Eta {
             r,
             w: wr,
             pivot: w[r],
-        });
-        self.factor_updates += 1;
+        }));
+        self.factor.etas += 1;
+        self.work.factor_updates += 1;
     }
 
     /// Rebuilds the basis factorization and `xb` from scratch (numerical
-    /// hygiene; also the eta compaction point).
+    /// hygiene; also the point where the updates are folded in).
     fn refactorize(&mut self) -> Result<(), ()> {
-        self.factorizations += 1;
+        self.work.factorizations += 1;
         let bcols: Vec<&[(usize, f64)]> = self
             .basis
             .iter()
@@ -313,10 +533,19 @@ impl Tableau {
         let b = CscMatrix::from_columns(self.m, &bcols).map_err(|_| ())?;
         let sym = LuSymbolic::by_column_count(&b).map_err(|_| ())?;
         let f = SparseLu::factorize(&b, &sym, &mut self.factor.ws).map_err(|_| ())?;
-        self.fill_nnz += f.fill_nnz() as u64;
-        self.factor.etas.clear();
+        self.work.fill_nnz += f.fill_nnz() as u64;
+        self.factor.updates.clear();
+        self.factor.etas = 0;
         self.factor.lu = Some(f);
         self.recompute_xb();
+        Ok(())
+    }
+
+    /// Refactorizes once the eta chain reaches `REFACTOR_EVERY`.
+    fn refresh(&mut self) -> Result<(), ()> {
+        if self.factor.etas >= REFACTOR_EVERY {
+            self.refactorize()?;
+        }
         Ok(())
     }
 
@@ -338,13 +567,13 @@ impl Tableau {
     }
 
     /// An outcome without a point (`Infeasible`, `Unbounded` or
-    /// `IterationLimit`), carrying this tableau's factorization work.
+    /// `IterationLimit`), carrying this solve's factorization work.
     fn stopped(&self, status: LpStatus, iterations: usize, dual_pivots: usize) -> LpSolution {
         LpSolution {
             dual_pivots,
-            factorizations: self.factorizations,
-            factor_updates: self.factor_updates,
-            fill_nnz: self.fill_nnz,
+            factorizations: self.work.factorizations,
+            factor_updates: self.work.factor_updates,
+            fill_nnz: self.work.fill_nnz,
             ..LpSolution::without_point(status, iterations)
         }
     }
@@ -373,12 +602,12 @@ impl Tableau {
     }
 
     /// Whether the point has drifted off a row of `lp`: the basic values
-    /// went through eta updates since the last refactorization, and some
-    /// row residual of the structural point fails the row check of
+    /// went through the factor's updates since the last refactorization,
+    /// and some row residual of the structural point fails the row check of
     /// [`LpSolution::certify`] (relative to `1 + |rhs| + Σ|a_j·x_j|` at
     /// 1e-7, this module's `FEAS_TOL`).
     fn drifted(&self, lp: &LinearProgram) -> bool {
-        !self.factor.etas.is_empty()
+        !self.factor.updates.is_empty()
             && lp.rows().iter().any(|row| {
                 let (act, size) = row.coeffs.iter().fold((0.0, 0.0), |(act, size), &(v, a)| {
                     let ax = a * self.value(v.0);
@@ -400,6 +629,9 @@ enum PhaseEnd {
     Optimal,
     Unbounded,
     IterationLimit,
+    /// The dual simplex found a violated row no column can repair; only
+    /// the cold solve may turn that into `Infeasible`.
+    Infeasible,
 }
 
 /// Solves the LP with default options.
@@ -409,150 +641,38 @@ pub fn solve(lp: &LinearProgram) -> LpSolution {
 
 /// Solves the LP with explicit options.
 pub fn solve_with(lp: &LinearProgram, opts: &SimplexOptions) -> LpSolution {
-    let sol = solve_inner(lp, None);
+    let (sol, _) = solve_inner(lp);
     opts.trace.emit(|| Event::LpSolved {
         pivots: sol.iterations as u64,
     });
     sol
-}
-
-/// Solves the LP, reusing (and refreshing) the basis in `warm`.
-///
-/// The solve runs dual-simplex pivots from the basis `warm` holds when it
-/// is compatible with `lp` (see [`WarmBasis`]), and otherwise from the
-/// slack basis: structurals at a finite bound, every slack basic in its own
-/// row. Either start first moves each boxed nonbasic variable to the bound
-/// its reduced cost asks for. A start that is still dual infeasible, any
-/// numerical trouble and any infeasibility verdict fall back to the cold
-/// two-phase solve, so results never depend on the start being good and
-/// `Infeasible` always comes from the cold path. `dual_pivots`/`warm_used`
-/// in the solution report what happened; the counters include the work of
-/// an abandoned dual attempt.
-pub fn solve_warm(lp: &LinearProgram, opts: &SimplexOptions, warm: &mut WarmBasis) -> LpSolution {
-    let reuse = warm.usable_for(lp);
-    let (status, basis) = if reuse {
-        warm.reload(lp)
-    } else {
-        slack_basis(lp)
-    };
-    let sol = match try_dual(lp, status, basis, warm) {
-        Ok(sol) => LpSolution {
-            warm_used: reuse,
-            ..sol
-        },
-        Err(attempt) => {
-            let cold = solve_inner(lp, Some(warm));
-            LpSolution {
-                iterations: cold.iterations + attempt.iterations,
-                dual_pivots: cold.dual_pivots + attempt.dual_pivots,
-                factorizations: cold.factorizations + attempt.factorizations,
-                factor_updates: cold.factor_updates + attempt.factor_updates,
-                fill_nnz: cold.fill_nnz + attempt.fill_nnz,
-                ..cold
-            }
-        }
-    };
-    opts.trace.emit(|| Event::LpSolved {
-        pivots: sol.iterations as u64,
-    });
-    sol
-}
-
-/// The slack basis of `lp`: structurals nonbasic at [`initial_status`],
-/// every slack basic in its own row.
-fn slack_basis(lp: &LinearProgram) -> (Vec<VarStatus>, Vec<usize>) {
-    let n = lp.num_vars();
-    let m = lp.num_rows();
-    let status = lp
-        .lowers()
-        .iter()
-        .zip(lp.uppers())
-        .map(|(&lo, &hi)| initial_status(lo, hi))
-        .chain((0..m).map(VarStatus::Basic))
-        .collect();
-    (status, (n..n + m).collect())
-}
-
-/// Structural + slack columns, bounds, and row right-hand sides — the part
-/// of the tableau shared by cold and warm starts (artificials are cold-only).
-struct TableauBase {
-    cols: Vec<Column>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    rhs: Vec<f64>,
-}
-
-fn build_base(lp: &LinearProgram) -> TableauBase {
-    let m = lp.num_rows();
-    let n = lp.num_vars();
-    // Structural columns (transpose the row-wise storage, summing dups).
-    let mut cols: Vec<Column> = vec![Vec::new(); n];
-    let mut rhs = vec![0.0; m];
-    for (r, row) in lp.rows().iter().enumerate() {
-        rhs[r] = row.rhs;
-        for &(v, c) in &row.coeffs {
-            // Rows are visited in order, so a repeat of `v` within this row
-            // can only be the column's last entry.
-            match cols[v.0].last_mut() {
-                Some(entry) if entry.0 == r => entry.1 += c,
-                _ if !exactly_zero(c) => cols[v.0].push((r, c)),
-                _ => {}
-            }
-        }
-    }
-    let mut lo = lp.lowers().to_vec();
-    let mut hi = lp.uppers().to_vec();
-
-    // Slack columns.
-    for (r, row) in lp.rows().iter().enumerate() {
-        cols.push(vec![(r, 1.0)]);
-        match row.sense {
-            RowSense::Le => {
-                lo.push(0.0);
-                hi.push(f64::INFINITY);
-            }
-            RowSense::Ge => {
-                lo.push(f64::NEG_INFINITY);
-                hi.push(0.0);
-            }
-            RowSense::Eq => {
-                lo.push(0.0);
-                hi.push(0.0);
-            }
-        }
-    }
-    TableauBase { cols, lo, hi, rhs }
 }
 
 /// The actual two-phase solve; `solve_with` wraps it so that every return
-/// path emits exactly one trace event. When `save` is given, the optimal
-/// basis is recorded into it for later `solve_warm` calls.
-fn solve_inner(lp: &LinearProgram, save: Option<&mut WarmBasis>) -> LpSolution {
+/// path emits exactly one trace event. An optimum also returns its tableau
+/// without the artificial columns, for a [`WarmLp`] to keep.
+fn solve_inner(lp: &LinearProgram) -> (LpSolution, Option<Tableau>) {
     let m = lp.num_rows();
     let n = lp.num_vars();
 
-    let TableauBase {
-        mut cols,
-        mut lo,
-        mut hi,
-        rhs,
-    } = build_base(lp);
-    let mut can_enter = vec![true; n + m];
+    let mut tab = Tableau::columns_of(lp);
     let slack_base = n;
 
     // Initial nonbasic placement for structurals.
-    let mut status: Vec<VarStatus> = (0..n).map(|j| initial_status(lo[j], hi[j])).collect();
+    tab.status = (0..n)
+        .map(|j| initial_status(tab.lo[j], tab.hi[j]))
+        .collect();
 
     // Row residuals with structurals at their parked values.
-    let mut resid = rhs.clone();
+    let mut resid = tab.rhs.clone();
     for j in 0..n {
-        let v = match status[j] {
-            VarStatus::AtLower => lo[j],
-            VarStatus::AtUpper => hi[j],
+        let v = match tab.status[j] {
+            VarStatus::AtLower => tab.lo[j],
+            VarStatus::AtUpper => tab.hi[j],
             _ => 0.0,
         };
         if !exactly_zero(v) {
-            for &(row, a) in &cols[j] {
+            for &(row, a) in &tab.cols[j] {
                 resid[row] -= a * v;
             }
         }
@@ -563,57 +683,41 @@ fn solve_inner(lp: &LinearProgram, save: Option<&mut WarmBasis>) -> LpSolution {
     // Slack statuses are pushed first (they occupy columns n..n+m); the
     // artificial statuses are appended afterwards so `status[j]` stays
     // aligned with column `j`.
-    let mut basis = Vec::with_capacity(m);
-    let mut xb = Vec::with_capacity(m);
     let mut artificials = Vec::new();
     let mut art_status = Vec::new();
     for (r, &s) in resid.iter().enumerate() {
         let sj = slack_base + r;
-        if s >= lo[sj] - FEAS_TOL && s <= hi[sj] + FEAS_TOL {
-            status.push(VarStatus::Basic(r));
-            basis.push(sj);
-            xb.push(s);
+        let (lo, hi) = (tab.lo[sj], tab.hi[sj]);
+        if s >= lo - FEAS_TOL && s <= hi + FEAS_TOL {
+            tab.status.push(VarStatus::Basic(r));
+            tab.basis.push(sj);
+            tab.xb.push(s);
         } else {
-            let parked = if s < lo[sj] { lo[sj] } else { hi[sj] };
-            status.push(if parked == lo[sj] {
+            let parked = if s < lo { lo } else { hi };
+            tab.status.push(if parked == lo {
                 VarStatus::AtLower
             } else {
                 VarStatus::AtUpper
             });
             let deficit = s - parked;
             // Artificial column sign(deficit)·e_r, basic at |deficit|.
-            let aj = cols.len();
-            cols.push(vec![(r, deficit.signum())]);
-            lo.push(0.0);
-            hi.push(f64::INFINITY);
-            can_enter.push(true);
+            let aj = tab.cols.len();
+            tab.cols.push(vec![(r, deficit.signum())]);
+            tab.lo.push(0.0);
+            tab.hi.push(f64::INFINITY);
+            tab.can_enter.push(true);
             art_status.push(VarStatus::Basic(r));
-            basis.push(aj);
-            xb.push(deficit.abs());
+            tab.basis.push(aj);
+            tab.xb.push(deficit.abs());
             artificials.push(aj);
         }
     }
-    status.extend(art_status);
+    tab.status.extend(art_status);
 
-    let mut tab = Tableau {
-        cols,
-        lo,
-        hi,
-        status,
-        basis,
-        factor: BasisFactor::default(),
-        factorizations: 0,
-        factor_updates: 0,
-        fill_nnz: 0,
-        xb,
-        rhs,
-        can_enter,
-        m,
-    };
     // The slack part of the initial basis is the identity but artificial
     // columns may carry a -1 coefficient; build the true inverse up front.
     if tab.refactorize().is_err() {
-        return tab.stopped(LpStatus::IterationLimit, 0, 0);
+        return (tab.stopped(LpStatus::IterationLimit, 0, 0), None);
     }
 
     let mut iterations = 0;
@@ -628,13 +732,11 @@ fn solve_inner(lp: &LinearProgram, save: Option<&mut WarmBasis>) -> LpSolution {
             PhaseEnd::Optimal => {}
             // Phase 1 objective is bounded below by 0, so Unbounded cannot
             // legitimately happen; treat as numerical failure.
-            PhaseEnd::Unbounded | PhaseEnd::IterationLimit => {
-                return tab.stopped(LpStatus::IterationLimit, iterations, 0);
-            }
+            _ => return (tab.stopped(LpStatus::IterationLimit, iterations, 0), None),
         }
         let infeasibility: f64 = artificials.iter().map(|&a| tab.value(a).max(0.0)).sum();
         if infeasibility > FEAS_TOL * 10.0 {
-            return tab.stopped(LpStatus::Infeasible, iterations, 0);
+            return (tab.stopped(LpStatus::Infeasible, iterations, 0), None);
         }
         // Freeze artificials at zero for Phase 2.
         for &a in &artificials {
@@ -663,87 +765,61 @@ fn solve_inner(lp: &LinearProgram, save: Option<&mut WarmBasis>) -> LpSolution {
     );
     match end {
         Some(PhaseEnd::Optimal) => {
-            if let Some(warm) = save {
-                warm.save_from(&tab, n);
-            }
-            tab.optimal(lp, &costs2, iterations, dual_pivots)
+            let sol = tab.optimal(lp, &costs2, iterations, dual_pivots);
+            (sol, tab.without_artificials(n + m))
         }
-        Some(PhaseEnd::Unbounded) => tab.stopped(LpStatus::Unbounded, iterations, dual_pivots),
-        Some(PhaseEnd::IterationLimit) | None => {
-            tab.stopped(LpStatus::IterationLimit, iterations, dual_pivots)
-        }
+        Some(PhaseEnd::Unbounded) => (
+            tab.stopped(LpStatus::Unbounded, iterations, dual_pivots),
+            None,
+        ),
+        Some(PhaseEnd::IterationLimit | PhaseEnd::Infeasible) | None => (
+            tab.stopped(LpStatus::IterationLimit, iterations, dual_pivots),
+            None,
+        ),
     }
 }
 
-/// Runs the dual simplex from the start `status`/`basis` and saves the
-/// optimal basis into `warm`. `Err` means the caller should fall back to a
-/// cold solve — singular start, dual infeasibility no bound flip repairs,
-/// pivot breakdown, iteration cap, or a primal-infeasibility verdict
-/// (re-derived cold so infeasibility always comes from one path) — and
-/// carries the abandoned attempt's work.
-fn try_dual(
-    lp: &LinearProgram,
-    mut status: Vec<VarStatus>,
-    basis: Vec<usize>,
-    warm: &mut WarmBasis,
-) -> Result<LpSolution, LpSolution> {
-    let m = lp.num_rows();
+/// How a dual-simplex solve from a kept or slack basis ended.
+enum DualEnd {
+    /// An `Optimal` or `Unbounded` answer; the tableau stays usable.
+    Done(LpSolution),
+    /// The cold solve must take over: after a start no bound flip makes
+    /// dual feasible, numerical trouble, the iteration cap, or a
+    /// primal-infeasibility verdict (re-derived cold so infeasibility
+    /// always comes from one path). `attempt` carries the abandoned work;
+    /// `usable` is true only after the verdict, whose last basis is still
+    /// dual feasible and correctly factored.
+    Abandoned { attempt: LpSolution, usable: bool },
+}
+
+/// Runs the dual simplex on `tab`, which holds `lp`'s columns and a basis
+/// whose basic values are stale.
+fn dual_solve(lp: &LinearProgram, tab: &mut Tableau) -> DualEnd {
     let n = lp.num_vars();
-    let nm = n + m;
-    let TableauBase { cols, lo, hi, rhs } = build_base(lp);
-
-    // Bound moves can change which bounds exist; re-park nonbasic variables
-    // whose saved bound went infinite.
-    for j in 0..nm {
-        match status[j] {
-            VarStatus::Basic(_) => {}
-            VarStatus::AtLower if lo[j].is_finite() => {}
-            VarStatus::AtUpper if hi[j].is_finite() => {}
-            _ => status[j] = initial_status(lo[j], hi[j]),
-        }
-    }
-    for (r, &b) in basis.iter().enumerate() {
-        if status[b] != VarStatus::Basic(r) {
-            return Err(LpSolution::without_point(LpStatus::IterationLimit, 0));
-        }
-    }
-
-    let mut tab = Tableau {
-        cols,
-        lo,
-        hi,
-        status,
-        basis,
-        factor: BasisFactor::default(),
-        factorizations: 0,
-        factor_updates: 0,
-        fill_nnz: 0,
-        xb: vec![0.0; m],
-        rhs,
-        can_enter: vec![true; nm],
-        m,
-    };
-    let mut costs = vec![0.0; nm];
+    let mut costs = vec![0.0; tab.cols.len()];
     costs[..n].copy_from_slice(lp.costs());
     let mut iterations = 0usize;
     let mut dual_pivots = 0usize;
-    let end = run_dual(&mut tab, &costs, &mut iterations, &mut dual_pivots);
-    let end = settle(&mut tab, lp, &costs, end, &mut iterations, &mut dual_pivots);
+    let end = dual_start(tab, &costs)
+        .and_then(|()| run_dual(tab, &costs, &mut iterations, &mut dual_pivots));
+    let end = settle(tab, lp, &costs, end, &mut iterations, &mut dual_pivots);
+    let abandoned = |usable| DualEnd::Abandoned {
+        attempt: tab.stopped(LpStatus::IterationLimit, iterations, dual_pivots),
+        usable,
+    };
     match end {
-        Some(PhaseEnd::Optimal) => {
-            warm.save_from(&tab, n);
-            Ok(tab.optimal(lp, &costs, iterations, dual_pivots))
+        Some(PhaseEnd::Optimal) => DualEnd::Done(tab.optimal(lp, &costs, iterations, dual_pivots)),
+        Some(PhaseEnd::Unbounded) => {
+            DualEnd::Done(tab.stopped(LpStatus::Unbounded, iterations, dual_pivots))
         }
-        Some(PhaseEnd::Unbounded) => Ok(tab.stopped(LpStatus::Unbounded, iterations, dual_pivots)),
-        Some(PhaseEnd::IterationLimit) | None => {
-            Err(tab.stopped(LpStatus::IterationLimit, iterations, dual_pivots))
-        }
+        Some(PhaseEnd::Infeasible) => abandoned(true),
+        Some(PhaseEnd::IterationLimit) | None => abandoned(false),
     }
 }
 
 /// Checks an optimal `end` against eta drift: the simplex tests
-/// feasibility on the basic values, which the eta updates change step by
-/// step, so a point can leave a row unseen. While the optimum has
+/// feasibility on the basic values, which the factor's updates change step
+/// by step, so a point can leave a row unseen. While the optimum has
 /// [`drifted`](Tableau::drifted), the basis is refactorized and pivoting
 /// resumes on the dual simplex (an optimal basis is dual feasible). Each
 /// round that drifts again pivoted at least once, so `MAX_ITERS` bounds
@@ -757,31 +833,34 @@ fn settle(
     dual_pivots: &mut usize,
 ) -> Option<PhaseEnd> {
     while matches!(end, Some(PhaseEnd::Optimal)) && tab.drifted(lp) {
+        tab.refactorize().ok()?;
         end = run_dual(tab, costs, iterations, dual_pivots);
     }
     end
 }
 
-/// Factorizes the start basis of `tab`, makes it dual feasible by bound
-/// flips, runs dual pivots until the basis is primal feasible, then a
-/// primal clean-up phase. `None` is a failure the cold solve must redo.
-fn run_dual(
-    tab: &mut Tableau,
-    costs: &[f64],
-    iterations: &mut usize,
-    dual_pivots: &mut usize,
-) -> Option<PhaseEnd> {
+/// Prepares the basis of `tab` for the dual simplex: nonbasic variables
+/// whose bound went infinite are re-parked, the basis is made dual feasible
+/// by bound flips, and the basic values are recomputed through the factor.
+/// `None` when the start stays dual infeasible.
+fn dual_start(tab: &mut Tableau, costs: &[f64]) -> Option<()> {
     let nm = costs.len();
-    tab.refactorize().ok()?;
+    for j in 0..nm {
+        match tab.status[j] {
+            VarStatus::Basic(_) => {}
+            VarStatus::AtLower if tab.lo[j].is_finite() => {}
+            VarStatus::AtUpper if tab.hi[j].is_finite() => {}
+            _ => tab.status[j] = initial_status(tab.lo[j], tab.hi[j]),
+        }
+    }
 
     // The dual simplex needs a dual-feasible start. A boxed nonbasic
     // variable whose reduced cost has the wrong sign for its bound moves to
-    // the other bound: a pin released since the basis was saved leaves
+    // the other bound: a pin released since the basis was kept leaves
     // exactly that, because a fixed column is never checked (it never
     // enters, so any sign is fine). Any other wrong sign hands over to the
     // cold solve.
     let y = tab.duals(costs);
-    let mut moved = false;
     for j in 0..nm {
         if tab.lo[j] == tab.hi[j] || matches!(tab.status[j], VarStatus::Basic(_)) {
             continue;
@@ -797,21 +876,26 @@ fn run_dual(
             return None;
         }
         tab.status[j] = flipped;
-        moved = true;
     }
-    if moved {
-        tab.recompute_xb();
-    }
+    tab.recompute_xb();
+    Some(())
+}
 
-    let mut since_refactor = 0usize;
+/// Runs dual pivots from the dual-feasible basis of `tab` until it is
+/// primal feasible, then a primal clean-up phase. `None` is numerical
+/// trouble the cold solve must redo.
+fn run_dual(
+    tab: &mut Tableau,
+    costs: &[f64],
+    iterations: &mut usize,
+    dual_pivots: &mut usize,
+) -> Option<PhaseEnd> {
+    let nm = costs.len();
     loop {
         if *iterations >= MAX_ITERS {
-            return None;
+            return Some(PhaseEnd::IterationLimit);
         }
-        if since_refactor >= REFACTOR_EVERY {
-            tab.refactorize().ok()?;
-            since_refactor = 0;
-        }
+        tab.refresh().ok()?;
 
         // ---- Leaving variable: worst bound violation among the basics ----
         let mut leave: Option<(usize, f64, bool)> = None; // (row, viol, below)
@@ -876,7 +960,9 @@ fn run_dual(
         }
         // No column can repair row r: the primal is infeasible. Hand back
         // to the cold path to certify it.
-        let (j, _, _) = enter?;
+        let Some((j, _, _)) = enter else {
+            return Some(PhaseEnd::Infeasible);
+        };
 
         // ---- Pivot: drive xb[r] exactly onto its violated bound ----
         let w = tab.ftran(j);
@@ -904,7 +990,6 @@ fn run_dual(
 
         *iterations += 1;
         *dual_pivots += 1;
-        since_refactor += 1;
     }
 
     // Primal feasible. A primal clean-up phase mops up any reduced-cost
@@ -926,17 +1011,15 @@ fn initial_status(lo: f64, hi: f64) -> VarStatus {
 fn run_phase(tab: &mut Tableau, costs: &[f64], iterations: &mut usize) -> PhaseEnd {
     let mut degenerate_run = 0usize;
     let mut bland = false;
-    let mut since_refactor = 0usize;
 
     loop {
         if *iterations >= MAX_ITERS {
             return PhaseEnd::IterationLimit;
         }
-        if since_refactor >= REFACTOR_EVERY {
-            // A singular refactorization here would indicate corruption of
-            // the basis bookkeeping; keep going with the updated inverse.
-            let _ = tab.refactorize();
-            since_refactor = 0;
+        // A singular refactorization means the basis bookkeeping is
+        // numerically broken: stop as the iteration cap does.
+        if tab.refresh().is_err() {
+            return PhaseEnd::IterationLimit;
         }
 
         let y = tab.duals(costs);
@@ -1027,7 +1110,6 @@ fn run_phase(tab: &mut Tableau, costs: &[f64], iterations: &mut usize) -> PhaseE
         }
 
         *iterations += 1;
-        since_refactor += 1;
         if t_max < DEGENERATE_STEP_TOL {
             degenerate_run += 1;
             if degenerate_run >= DEGENERACY_LIMIT {
@@ -1101,9 +1183,11 @@ fn better_pivot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hslb_linalg::Matrix;
+    use hslb_rng::Rng;
 
     #[test]
-    fn build_base_sums_a_variable_repeated_within_a_row() {
+    fn columns_sum_a_variable_repeated_within_a_row() {
         let mut lp = LinearProgram::new();
         let x = lp.add_var(1.0, 0.0, 10.0);
         let y = lp.add_var(1.0, 0.0, 10.0);
@@ -1115,11 +1199,96 @@ mod tests {
         );
         // A zero first occurrence is skipped, not stored.
         lp.add_row(vec![(x, 0.0), (x, 2.0)], RowSense::Eq, 2.0);
-        let base = build_base(&lp);
-        assert_eq!(base.cols[0], vec![(0, 4.0), (1, -1.0), (2, 2.0)]);
-        assert_eq!(base.cols[1], vec![(0, 2.0), (1, 5.5)]);
+        let tab = Tableau::columns_of(&lp);
+        assert_eq!(tab.cols[0], vec![(0, 4.0), (1, -1.0), (2, 2.0)]);
+        assert_eq!(tab.cols[1], vec![(0, 2.0), (1, 5.5)]);
         // One slack column per row follows the structurals.
-        assert_eq!(base.cols.len(), 2 + 3);
-        assert_eq!(base.rhs, vec![4.0, 1.0, 2.0]);
+        assert_eq!(tab.cols.len(), 2 + 3);
+        assert_eq!(tab.rhs, vec![4.0, 1.0, 2.0]);
+    }
+
+    /// The basis matrix of `tab`, dense.
+    fn basis_matrix(tab: &Tableau) -> Matrix {
+        let mut b = Matrix::zeros(tab.m, tab.m);
+        for (k, &bvar) in tab.basis.iter().enumerate() {
+            for &(row, a) in &tab.cols[bvar] {
+                b[(row, k)] += a;
+            }
+        }
+        b
+    }
+
+    /// `‖B x − v‖∞ / (‖B‖∞·‖x‖∞ + ‖v‖∞)`.
+    fn backward_error(b: &Matrix, x: &[f64], v: &[f64]) -> f64 {
+        let inf = |u: &[f64]| u.iter().fold(0.0_f64, |s, e| s.max(e.abs()));
+        let r: Vec<f64> = b.matvec(x).iter().zip(v).map(|(bx, vi)| bx - vi).collect();
+        inf(&r) / (b.inf_norm() * inf(x) + inf(v))
+    }
+
+    /// A seeded cut loop on a kept tableau: every round appends rows that
+    /// the current optimum violates (bordering the factor) and re-solves
+    /// with dual pivots (etas). Before the eta chain is folded into a
+    /// refactorization, the bordered ftran and btran must solve with the
+    /// basis as accurately as a fresh LU of it.
+    #[test]
+    fn bordered_solves_match_a_fresh_lu() {
+        let mut rng = Rng::new(0xb0_4de4);
+        let mut checked = 0;
+        for case in 0..20 {
+            let n = rng.usize_range(3, 8);
+            let xstar = rng.vec_f64(n, -4.0, 4.0);
+            let mut lp = LinearProgram::new();
+            for &xs in &xstar {
+                lp.add_var(rng.f64_range(-3.0, 3.0), xs - 5.0, xs + 5.0);
+            }
+            let mut warm = WarmLp::new(lp);
+            for round in 0..12 {
+                let sol = warm.solve(&SimplexOptions::default());
+                assert_eq!(sol.status, LpStatus::Optimal, "case {case} round {round}");
+                // Cuts through the midpoint of x* and the optimum keep x*
+                // feasible and cut the optimum off.
+                for _ in 0..rng.usize_range(1, 2) {
+                    let tilt = rng.vec_f64(n, 0.5, 1.5);
+                    let a: Vec<f64> = (0..n).map(|i| tilt[i] * (sol.x[i] - xstar[i])).collect();
+                    let mid: f64 = (0..n).map(|i| a[i] * 0.5 * (sol.x[i] + xstar[i])).sum();
+                    let coeffs = (0..n).map(|i| (VarId(i), a[i])).collect();
+                    warm.add_row(coeffs, RowSense::Le, mid);
+                }
+            }
+            let tab = warm.kept.as_ref().expect("a kept tableau");
+            let updates = &tab.factor.updates;
+            if !(updates.iter().any(|u| matches!(u, Update::Eta(_)))
+                && updates.iter().any(|u| matches!(u, Update::Border(_))))
+            {
+                continue;
+            }
+            checked += 1;
+            let b = basis_matrix(tab);
+            let fresh = {
+                let csc = CscMatrix::from_dense(&b);
+                let sym = LuSymbolic::by_column_count(&csc).unwrap();
+                SparseLu::factorize(&csc, &sym, &mut SparseWorkspace::new()).unwrap()
+            };
+            let bt = b.transpose();
+            for _ in 0..4 {
+                let v = rng.vec_f64(tab.m, -1.0, 1.0);
+                let errors = [
+                    ("ftran", backward_error(&b, &tab.ftran_vec(v.clone()), &v)),
+                    ("fresh LU solve", backward_error(&b, &fresh.solve(&v), &v)),
+                    ("btran", backward_error(&bt, &tab.btran(v.clone()), &v)),
+                    (
+                        "fresh LU transposed solve",
+                        backward_error(&bt, &fresh.solve_transposed(&v), &v),
+                    ),
+                ];
+                for (what, err) in errors {
+                    assert!(err <= 1e-12, "case {case}: {what} backward error {err:e}");
+                }
+            }
+        }
+        assert!(
+            checked >= 10,
+            "only {checked} cases kept borders and etas together"
+        );
     }
 }

@@ -32,24 +32,28 @@ pub struct LpSolution {
     /// Simplex pivots of every kind (includes `dual_pivots`).
     pub iterations: usize,
     /// Dual-simplex pivots spent restoring primal feasibility: those
-    /// `solve_warm` spent from a saved basis or from the slack basis, and
-    /// those any solve spent after an optimum drifted off a row and the
-    /// basis was refactorized (otherwise zero for `solve` and
-    /// `solve_with`). `iterations - dual_pivots` are primal pivots: the
-    /// two-phase solve's and any clean-up after the dual pivots. A dual
-    /// attempt that was abandoned for the cold solve still counts here, as
-    /// all of its work counts in `iterations` and the factorization
-    /// counters below.
+    /// [`WarmLp::solve`](crate::WarmLp::solve) spent from a kept basis or
+    /// from the slack basis, and those any solve spent after an optimum
+    /// drifted off a row and the basis was refactorized (otherwise zero for
+    /// `solve` and `solve_with`). `iterations - dual_pivots` are primal
+    /// pivots: the two-phase solve's and any clean-up after the dual
+    /// pivots. A dual attempt that was abandoned for the cold solve still
+    /// counts here, as all of its work counts in `iterations` and the
+    /// factorization counters below.
     pub dual_pivots: usize,
-    /// Whether `solve_warm` reused a basis saved by an earlier solve and
-    /// finished from it. `false` when it started from the slack basis, when
-    /// it fell back to the cold two-phase solve, and for `solve`/`solve_with`.
+    /// Whether [`WarmLp::solve`](crate::WarmLp::solve) reused the basis
+    /// kept from an earlier solve and finished from it. `false` when it
+    /// started from the slack basis, when it fell back to the cold
+    /// two-phase solve, and for `solve`/`solve_with`.
     pub warm_used: bool,
-    /// Basis refactorizations performed.
+    /// Basis refactorizations performed by this solve. A `WarmLp`
+    /// re-solve pivots on the factor kept from earlier solves and counts
+    /// only the refactorizations it triggered itself.
     pub factorizations: u64,
-    /// Product-form eta updates appended between refactorizations.
+    /// Product-form eta updates this solve appended.
     pub factor_updates: u64,
-    /// Cumulative nonzeros across all sparse LU basis factors.
+    /// Cumulative nonzeros across the sparse LU basis factors this solve
+    /// built.
     pub fill_nnz: u64,
 }
 

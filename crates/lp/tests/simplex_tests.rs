@@ -359,7 +359,7 @@ fn traced_solve_emits_one_lp_solved_event_with_pivot_count() {
 
 mod certificate {
     use super::*;
-    use hslb_lp::{solve_warm, SimplexOptions, WarmBasis};
+    use hslb_lp::{SimplexOptions, WarmLp};
     use hslb_rng::Rng;
 
     /// Random feasible LP (same construction as the property module, wider
@@ -401,47 +401,89 @@ mod certificate {
         }
     }
 
+    /// A cut loop on one kept tableau: each round appends cuts that the
+    /// current optimum violates and that keep x* feasible, moves a bound
+    /// (narrowing around x*, pinning at x*, or releasing to the original
+    /// box), and re-solves warm. Every answer must certify and match the
+    /// cold solve of the same LP. Most sequences run the eta chain past
+    /// `REFACTOR_EVERY` (100 pivots), so the refresh rule fires on warm
+    /// re-solves.
     #[test]
     fn warm_restart_after_a_cut_certifies_and_matches_cold() {
         let mut rng = Rng::new(hslb_rng::seeds::TESTKIT ^ 0x6c);
         let opts = SimplexOptions::default();
+        let mut warm_refactorizations = 0;
+        let mut long_cases = 0;
         for case in 0..50 {
-            let (mut lp, xstar) = feasible_lp(&mut rng);
-            let mut warm = WarmBasis::new();
-            let first = solve_warm(&lp, &opts, &mut warm);
-            assert_eq!(first.status, LpStatus::Optimal, "case {case} first");
-            // Append a cut violated at the incumbent (supported by x*) and
-            // re-solve warm.
+            let (lp, xstar) = feasible_lp(&mut rng);
             let n = xstar.len();
-            let row = rng.vec_f64(n, -2.0, 2.0);
-            let act: f64 = row.iter().zip(&xstar).map(|(a, x)| a * x).sum();
-            let terms: Vec<_> = (0..n).map(|i| (hslb_lp::VarId(i), row[i])).collect();
-            lp.add_row(terms, RowSense::Le, act + 0.5);
-            let again = solve_warm(&lp, &opts, &mut warm);
-            let cold = solve(&lp);
-            assert_eq!(again.status, cold.status, "case {case} warm");
-            assert_eq!(again.status, LpStatus::Optimal, "case {case} warm");
-            if let Err(e) = again.certify(&lp) {
-                panic!("case {case}: {e}");
+            let boxes: Vec<(f64, f64)> = (0..n).map(|j| (lp.lowers()[j], lp.uppers()[j])).collect();
+            let mut warm = WarmLp::new(lp);
+            let mut pivots = 0;
+            for round in 0..60 {
+                let sol = warm.solve(&opts);
+                let lp = warm.lp();
+                let cold = solve(lp);
+                assert_eq!(sol.status, cold.status, "case {case} round {round}");
+                assert_eq!(sol.status, LpStatus::Optimal, "case {case} round {round}");
+                if let Err(e) = sol.certify(lp) {
+                    panic!("case {case} round {round}: {e}");
+                }
+                assert!(
+                    (sol.objective - cold.objective).abs() <= 1e-7,
+                    "case {case} round {round}: warm {} vs cold {}",
+                    sol.objective,
+                    cold.objective
+                );
+                pivots += sol.iterations;
+                if round > 0 {
+                    assert!(sol.warm_used, "case {case} round {round}: {sol:?}");
+                    warm_refactorizations += sol.factorizations;
+                }
+                // A cut through the midpoint of x* and the optimum, with
+                // random weights scaled to a unit largest coefficient: x*
+                // stays feasible, the optimum is cut off.
+                let tilt = rng.vec_f64(n, 0.5, 1.5);
+                let a: Vec<f64> = (0..n).map(|i| tilt[i] * (sol.x[i] - xstar[i])).collect();
+                let scale = a.iter().fold(0.0_f64, |s, ai| s.max(ai.abs()));
+                if scale > 1e-3 {
+                    let a: Vec<f64> = a.iter().map(|ai| ai / scale).collect();
+                    let mid: f64 = (0..n).map(|i| a[i] * 0.5 * (sol.x[i] + xstar[i])).sum();
+                    let terms = (0..n).map(|i| (hslb_lp::VarId(i), a[i])).collect();
+                    warm.add_row(terms, RowSense::Le, mid);
+                }
+                let j = rng.usize_range(0, n - 1);
+                let (lo, hi) = match rng.usize_range(0, 2) {
+                    0 => (
+                        xstar[j] - rng.f64_range(0.0, 6.0),
+                        xstar[j] + rng.f64_range(0.0, 6.0),
+                    ),
+                    1 => (xstar[j], xstar[j]),
+                    _ => boxes[j],
+                };
+                warm.set_bounds(hslb_lp::VarId(j), lo, hi);
             }
-            assert!(
-                (again.objective - cold.objective).abs() <= 1e-7,
-                "case {case}: warm {} vs cold {}",
-                again.objective,
-                cold.objective
-            );
+            long_cases += usize::from(pivots > 100);
         }
+        assert!(
+            long_cases >= 10,
+            "only {long_cases} sequences passed 100 pivots"
+        );
+        assert!(
+            warm_refactorizations > 0,
+            "no warm re-solve reached the refactorization threshold"
+        );
     }
 }
 
 mod warm_path {
     use super::*;
-    use hslb_lp::{solve_warm, SimplexOptions, WarmBasis};
+    use hslb_lp::{SimplexOptions, WarmLp};
 
     /// A pinned variable is fixed, so the dual-feasibility check at the
-    /// node that saves the basis never looks at its reduced cost. Released,
-    /// it sits at the wrong bound for its sign; the reload moves it to the
-    /// other bound and stays on the dual simplex.
+    /// node that keeps the basis never looks at its reduced cost. Released,
+    /// it sits at the wrong bound for its sign; the re-solve moves it to
+    /// the other bound and stays on the dual simplex.
     #[test]
     fn a_released_pin_stays_warm() {
         // min -2x - y  s.t.  x + y <= 10,  x, y in [0, 8].
@@ -453,25 +495,26 @@ mod warm_path {
         assert_close(cold.objective, -18.0, 1e-9);
 
         let opts = SimplexOptions::default();
-        let mut warm = WarmBasis::new();
-        lp.set_bounds(x, 2.0, 2.0);
-        let pinned = solve_warm(&lp, &opts, &mut warm);
+        let mut warm = WarmLp::new(lp);
+        warm.set_bounds(x, 2.0, 2.0);
+        let pinned = warm.solve(&opts);
         assert_eq!(pinned.status, LpStatus::Optimal);
         assert_close(pinned.objective, -12.0, 1e-9);
 
-        lp.set_bounds(x, 0.0, 8.0);
-        let released = solve_warm(&lp, &opts, &mut warm);
+        warm.set_bounds(x, 0.0, 8.0);
+        let released = warm.solve(&opts);
         assert_eq!(released.status, LpStatus::Optimal);
         assert!(released.warm_used, "{released:?}");
         assert_eq!(released.iterations, released.dual_pivots, "{released:?}");
+        assert_eq!(released.factorizations, 0, "{released:?}");
         assert_close(released.objective, cold.objective, 1e-9);
     }
 
-    /// With no saved basis the solve starts from the slack basis on the
-    /// dual simplex: no Phase 1, and `warm_used` stays false because no
-    /// saved basis was reused.
+    /// The first solve starts from the slack basis on the dual simplex: no
+    /// Phase 1, no LU (the slack basis is the identity), and `warm_used`
+    /// stays false because no kept basis was reused.
     #[test]
-    fn an_empty_basis_starts_from_the_slack_basis() {
+    fn the_first_solve_starts_from_the_slack_basis() {
         // An OA-style master: min t  s.t.  t >= a_k n_k + b_k cuts.
         let mut lp = LinearProgram::new();
         let t = lp.add_var(1.0, 0.0, 1e6);
@@ -481,37 +524,59 @@ mod warm_path {
         lp.add_row(vec![(n1, -3.0), (t, -1.0)], RowSense::Le, -30.0);
         lp.add_row(vec![(n2, -2.0), (t, -1.0)], RowSense::Le, -24.0);
         let cold = solve(&lp);
-        let mut warm = WarmBasis::new();
-        let sol = solve_warm(&lp, &SimplexOptions::default(), &mut warm);
+        let mut warm = WarmLp::new(lp);
+        let sol = warm.solve(&SimplexOptions::default());
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(!sol.warm_used);
         assert!(sol.dual_pivots > 0);
         assert_eq!(sol.iterations, sol.dual_pivots, "{sol:?}");
+        assert_eq!(sol.factorizations, 0, "{sol:?}");
         assert_close(sol.objective, cold.objective, 1e-9);
-        assert!(lp.is_feasible(&sol.x, 1e-9));
+        assert!(warm.lp().is_feasible(&sol.x, 1e-9));
     }
 
     /// An abandoned dual attempt's work is charged to the cold solve that
-    /// replaces it: a cut that empties the feasible set sends the re-solve
-    /// back to the two-phase path, which certifies `Infeasible`.
+    /// replaces it: cuts that empty the feasible set send the re-solve back
+    /// to the two-phase path, which certifies `Infeasible`. The attempt
+    /// pivots on the kept factor before it finds the row no column repairs,
+    /// so its pivots and eta updates are added to the cold solve's, and it
+    /// refactorizes nothing.
     #[test]
     fn an_abandoned_warm_attempt_counts_its_work() {
+        // min x + y  s.t.  x + y >= 2,  x, y in [0, 10].
         let mut lp = LinearProgram::new();
         let x = lp.add_var(1.0, 0.0, 10.0);
         let y = lp.add_var(1.0, 0.0, 10.0);
         lp.add_row(vec![(x, 1.0), (y, 1.0)], RowSense::Ge, 2.0);
         let opts = SimplexOptions::default();
-        let mut warm = WarmBasis::new();
-        let first = solve_warm(&lp, &opts, &mut warm);
+        let mut warm = WarmLp::new(lp);
+        let first = warm.solve(&opts);
         assert_close(first.objective, 2.0, 1e-9);
 
-        lp.add_row(vec![(x, 1.0), (y, 1.0)], RowSense::Le, 1.0);
-        let second = solve_warm(&lp, &opts, &mut warm);
+        // y >= 1 is repaired by one dual pivot; with x + y >= 2 it then
+        // forces x + 2y >= 3, which x + 2y <= 2.5 forbids.
+        warm.add_row(vec![(y, -1.0)], RowSense::Le, -1.0);
+        warm.add_row(vec![(x, 1.0), (y, 2.0)], RowSense::Le, 2.5);
+        let second = warm.solve(&opts);
+        let cold = solve(warm.lp());
         assert_eq!(second.status, LpStatus::Infeasible);
+        assert_eq!(cold.status, LpStatus::Infeasible);
         assert!(!second.warm_used);
-        assert!(
-            second.factorizations >= 2,
-            "the warm attempt and the cold solve each factorize: {second:?}"
+        assert_eq!(cold.dual_pivots, 0, "{cold:?}");
+        assert!(second.dual_pivots > 0, "{second:?}");
+        assert_eq!(
+            second.iterations,
+            cold.iterations + second.dual_pivots,
+            "the attempt's pivots are charged: {second:?}"
+        );
+        assert_eq!(
+            second.factor_updates,
+            cold.factor_updates + second.dual_pivots as u64,
+            "one eta per charged pivot: {second:?}"
+        );
+        assert_eq!(
+            second.factorizations, cold.factorizations,
+            "the attempt pivots on the kept factor: {second:?}"
         );
     }
 }

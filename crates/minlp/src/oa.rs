@@ -32,7 +32,7 @@ use crate::model::{MinlpProblem, VarDomain};
 use crate::scratch::ScratchArena;
 use crate::types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection, FEAS_TOL, INT_TOL};
 use hslb_linalg::approx::exactly_zero;
-use hslb_lp::{LinearProgram, LpStatus, RowSense, VarId};
+use hslb_lp::{LinearProgram, LpStatus, RowSense, VarId, WarmLp};
 use hslb_nlp::{ConstraintFn, NlpStatus};
 use hslb_obs::{Deadline, Event, PruneReason, SolveStats};
 use std::cmp::Reverse;
@@ -78,7 +78,7 @@ fn sample_points(relax: &hslb_nlp::NlpProblem) -> Vec<Vec<f64>> {
 }
 
 /// Appends the cut `coeffs·x <= rhs` to the master LP.
-fn add_cut(master: &mut LinearProgram, coeffs: Vec<(usize, f64)>, rhs: f64) {
+fn add_cut(master: &mut WarmLp, coeffs: Vec<(usize, f64)>, rhs: f64) {
     let row = coeffs.into_iter().map(|(v, co)| (VarId(v), co)).collect();
     master.add_row(row, RowSense::Le, rhs);
 }
@@ -113,13 +113,15 @@ fn admissible_neighbours(problem: &MinlpProblem, j: usize, xj: f64) -> Option<(f
 /// domain-feasible point of every node (the neighbours come from the full
 /// domain, not the node box) and exact at both neighbours. `None` when the
 /// row is not convex, no term got a chord, or a value is not finite (`f`
-/// can be infinite at a neighbour).
+/// can be infinite at a neighbour). A row with no nonlinear term on a
+/// fractional coordinate returns before any tangent is evaluated.
 fn integer_secant(
     problem: &MinlpProblem,
     c: &ConstraintFn,
     x: &[f64],
 ) -> Option<(Vec<(usize, f64)>, f64)> {
-    if !c.is_convex() {
+    let fractional = |&(v, _): &(usize, _)| problem.domain_violation(v, x[v]) > INT_TOL;
+    if !c.nonlinear.iter().any(fractional) || !c.is_convex() {
         return None;
     }
     let mut coeffs = c.linear.clone();
@@ -201,10 +203,16 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
     };
 
     // ---- Master LP --------------------------------------------------------
-    let mut master = LinearProgram::new();
+    // The master keeps its simplex state across the whole tree: OA only
+    // moves bounds and appends `<=` cut rows, both of which preserve dual
+    // feasibility of the previous optimal basis, so each node LP re-enters
+    // the dual simplex on the kept tableau and basis factor instead of a
+    // fresh two-phase solve.
+    let mut columns = LinearProgram::new();
     for j in 0..n {
-        master.add_var(relax.costs()[j], relax.lowers()[j], relax.uppers()[j]);
+        columns.add_var(relax.costs()[j], relax.lowers()[j], relax.uppers()[j]);
     }
+    let mut master = WarmLp::new(columns);
     // Linear constraints become permanent rows; nonlinear ones contribute
     // initial OA cuts around the root points and are kept for lazy cutting.
     let mut nonlinear_ids = Vec::new();
@@ -232,11 +240,6 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
     }
 
     // ---- Tree search ------------------------------------------------------
-    // One warm basis persists across the whole tree: OA only moves bounds
-    // and appends `<=` cut rows, both of which preserve dual feasibility of
-    // the previous optimal basis, so each node LP re-enters via dual
-    // simplex instead of a fresh two-phase solve.
-    let mut basis = hslb_lp::WarmBasis::new();
     let root = Node {
         lo: relax.lowers().to_vec(),
         hi: relax.uppers().to_vec(),
@@ -315,9 +318,9 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
         }
         stats.lp_solves += 1;
         let lp_sol = if opts.warm_start {
-            hslb_lp::solve_warm(&master, &lp_opts, &mut basis)
+            master.solve(&lp_opts)
         } else {
-            hslb_lp::solve_with(&master, &lp_opts)
+            hslb_lp::solve_with(master.lp(), &lp_opts)
         };
         stats.simplex_pivots += lp_sol.iterations as u64;
         stats.dual_pivots += lp_sol.dual_pivots as u64;

@@ -49,7 +49,7 @@ pub struct MinlpOptions {
     /// Reuse solver state across the tree: children seed their barrier NLP
     /// from the parent's relaxation point and multipliers, and the OA master
     /// re-enters the simplex from the previous optimal basis via dual
-    /// pivots. Warm starts are advisory — any seed that cannot be repaired
+    /// pivots, on the tableau and basis factor it kept. Warm starts are advisory — any seed that cannot be repaired
     /// falls back to the identical cold path, so statuses and optima are
     /// unchanged; only the work counters shrink. `hslb-cli` exposes
     /// `--no-warm-start` for A/B runs.

@@ -55,13 +55,16 @@ pub struct SolveStats {
     /// Variable-bound tightenings performed by presolve/propagation.
     pub presolve_tightenings: u64,
     /// Solves (LP or NLP) that actually reused warm-start state — a parent
-    /// barrier seed whose repair succeeded, or a reloaded simplex basis.
+    /// barrier seed whose repair succeeded, or the simplex basis an OA
+    /// master kept from its previous solve.
     pub warm_start_hits: u64,
     /// Dual-simplex pivots spent restoring primal feasibility from reused
     /// bases (a subset of `simplex_pivots`).
     pub dual_pivots: u64,
-    /// Simplex basis refactorizations (sparse LU). The barrier's
-    /// structured and dense KKT factorizations are not counted here.
+    /// Simplex basis refactorizations (sparse LU). An OA master keeps its
+    /// factor across re-solves, so it counts only the rebuilds its eta
+    /// chain or a drifted optimum asked for. The barrier's structured and
+    /// dense KKT factorizations are not counted here.
     pub factorizations: u64,
     /// Product-form eta updates appended to the sparse basis factor
     /// between refactorizations.

@@ -14,7 +14,7 @@ use hslb::{
     build_flat_model, build_layout_model, certify_flat, certify_layout, layout_predicted_times,
     solve_minmax_waterfill, CesmModelSpec, FlatSpec, Layout, SolverBackend,
 };
-use hslb_lp::{solve_warm, LinearProgram, LpSolution, LpStatus, SimplexOptions, VarId, WarmBasis};
+use hslb_lp::{LinearProgram, LpSolution, LpStatus, RowSense, SimplexOptions, VarId, WarmLp};
 use hslb_minlp::{
     solve_exhaustive, solve_nlp_bnb, solve_oa_bnb, solve_parallel_bnb, MinlpOptions, MinlpStatus,
 };
@@ -112,46 +112,70 @@ pub fn check_lp(inst: &LpInstance) -> Result<(), String> {
             sol.objective
         ));
     }
-    check_lp_warm(&inst.lp, &sol, tol)
+    check_lp_warm(inst, &sol, tol)
 }
 
-/// `solve_warm` vs `solve` on one cut-loop-like sequence: a solve from an
-/// empty basis (the slack-basis start), a warm re-solve with the first
-/// structural that sits strictly inside its bounds at the optimum pinned
-/// to its value, and a warm re-solve after that pin is released (the
-/// reload must move the released variable to a dual-feasible bound). Each
-/// answer must certify and match the cold solve of the same LP. It draws
-/// no random numbers, so every generated case sees the same draws with or
-/// without it.
-fn check_lp_warm(lp: &LinearProgram, cold: &LpSolution, tol: f64) -> Result<(), String> {
+/// The kept-tableau path ([`WarmLp`]) vs `solve` on one owned program,
+/// re-solved as a cut loop does: from the slack basis, with the first
+/// structural that sits strictly inside its bounds at the optimum pinned to
+/// its value, after that pin is released (the re-solve must move the
+/// released variable to a dual-feasible bound), and after appending the cut
+/// through the midpoint of the cold optimum and the known feasible point,
+/// which the cold optimum violates (the re-solve must border the kept
+/// factor). Each answer must certify and match the cold solve of the same
+/// LP. It draws no random numbers, so every generated case sees the same
+/// draws with or without it.
+fn check_lp_warm(inst: &LpInstance, cold: &LpSolution, tol: f64) -> Result<(), String> {
+    let lp = &inst.lp;
     let opts = SimplexOptions::default();
-    let mut warm = WarmBasis::new();
-    let first = solve_warm(lp, &opts, &mut warm);
-    same_lp_answer("warm from an empty basis", lp, &first, cold, tol)?;
-    let Some(j) = (0..lp.num_vars())
+    let mut warm = WarmLp::new(lp.clone());
+    let first = warm.solve(&opts);
+    same_lp_answer("warm from the slack basis", warm.lp(), &first, cold, tol)?;
+    if let Some(j) = (0..lp.num_vars())
         .find(|&j| cold.x[j] > lp.lowers()[j] + tol && cold.x[j] < lp.uppers()[j] - tol)
-    else {
+    {
+        warm.set_bounds(VarId(j), cold.x[j], cold.x[j]);
+        let pinned = warm.solve(&opts);
+        let pinned_cold = hslb_lp::solve(warm.lp());
+        same_lp_answer(
+            &format!("warm with x{j} pinned"),
+            warm.lp(),
+            &pinned,
+            &pinned_cold,
+            tol,
+        )?;
+        warm.set_bounds(VarId(j), lp.lowers()[j], lp.uppers()[j]);
+        let released = warm.solve(&opts);
+        same_lp_answer(
+            &format!("warm after releasing x{j}"),
+            warm.lp(),
+            &released,
+            cold,
+            tol,
+        )?;
+    }
+    // The cut `a·x <= a·(x_cold + x*)/2` with `a = x_cold − x*`, scaled to
+    // a largest coefficient of 1: x* keeps satisfying it, x_cold violates
+    // it by half its distance to x* along `a`.
+    let a: Vec<f64> = cold.x.iter().zip(&inst.xstar).map(|(x, s)| x - s).collect();
+    let scale = a.iter().fold(0.0_f64, |m, ai| m.max(ai.abs()));
+    if scale <= tol {
         return Ok(());
-    };
-    let mut pinned_lp = lp.clone();
-    pinned_lp.set_bounds(VarId(j), cold.x[j], cold.x[j]);
-    let pinned = solve_warm(&pinned_lp, &opts, &mut warm);
-    let pinned_cold = hslb_lp::solve(&pinned_lp);
-    same_lp_answer(
-        &format!("warm with x{j} pinned"),
-        &pinned_lp,
-        &pinned,
-        &pinned_cold,
-        tol,
-    )?;
-    let released = solve_warm(lp, &opts, &mut warm);
-    same_lp_answer(
-        &format!("warm after releasing x{j}"),
-        lp,
-        &released,
-        cold,
-        tol,
-    )
+    }
+    let rhs: f64 = a
+        .iter()
+        .zip(cold.x.iter().zip(&inst.xstar))
+        .map(|(ai, (x, s))| ai / scale * 0.5 * (x + s))
+        .sum();
+    let terms = a
+        .iter()
+        .enumerate()
+        .map(|(j, ai)| (VarId(j), ai / scale))
+        .collect();
+    warm.add_row(terms, RowSense::Le, rhs);
+    let cut = warm.solve(&opts);
+    let cut_cold = hslb_lp::solve(warm.lp());
+    same_lp_answer("warm after a violated cut", warm.lp(), &cut, &cut_cold, tol)
 }
 
 /// `got` must match the cold answer `want` in status and, within `tol`, in

@@ -5,7 +5,7 @@
 //! pivot-count regression pin for the dual-simplex basis reuse that OA
 //! masters rely on.
 
-use hslb_lp::{LinearProgram, LpStatus, RowSense, SimplexOptions, WarmBasis};
+use hslb_lp::{LinearProgram, LpStatus, RowSense, SimplexOptions, WarmLp};
 use hslb_minlp::{
     solve_nlp_bnb, solve_oa_bnb, solve_parallel_bnb, MinlpOptions, MinlpSolution, MinlpStatus,
 };
@@ -117,8 +117,8 @@ fn warm_newton_stays_at_or_below_cold_per_family() {
 }
 
 /// Mimics one OA master iteration: solve, append a violated `<=` cut, and
-/// re-solve. The warm re-solve enters through the dual simplex from the
-/// previous basis and must beat the cold from-scratch pivot count — that
+/// re-solve. The warm re-solve enters the dual simplex on the kept basis
+/// and factor and must beat the cold from-scratch pivot count — that
 /// inequality is the whole point of keeping the basis across cut rounds.
 #[test]
 fn dual_resolve_after_cut_beats_cold_pivot_count() {
@@ -130,15 +130,15 @@ fn dual_resolve_after_cut_beats_cold_pivot_count() {
     lp.add_row(vec![(x1, 2.0), (x2, 1.0)], RowSense::Le, 18.0);
 
     let opts = SimplexOptions::default();
-    let mut basis = WarmBasis::new();
-    let first = hslb_lp::solve_warm(&lp, &opts, &mut basis);
+    let mut master = WarmLp::new(lp);
+    let first = master.solve(&opts);
     assert_eq!(first.status, LpStatus::Optimal);
 
     // An OA-style cut violated at the current optimum.
-    lp.add_row(vec![(x1, 1.0), (x2, 2.0)], RowSense::Le, 12.0);
+    master.add_row(vec![(x1, 1.0), (x2, 2.0)], RowSense::Le, 12.0);
 
-    let warm = hslb_lp::solve_warm(&lp, &opts, &mut basis);
-    let cold = hslb_lp::solve_with(&lp, &opts);
+    let warm = master.solve(&opts);
+    let cold = hslb_lp::solve_with(master.lp(), &opts);
     assert_eq!(warm.status, LpStatus::Optimal);
     assert_eq!(cold.status, LpStatus::Optimal);
     assert!(

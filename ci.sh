@@ -112,13 +112,15 @@ echo "== nlp fuzz =="
 echo "== minlp, cesm and pipeline fuzz =="
 # The OA tree, with its integer-secant cut rounds, gets a deeper sweep on
 # every layer that runs it: each minlp case checks every backend against
-# the exhaustive oracle, each cesm case certifies an OA solve of one layout
-# (drawn from the seed) on paper models and allowed sets against the exact
-# structure certificate, and each pipeline case runs gather, fit, OA solve
-# and execute on a seeded 1° scenario. The layers run on every 40th, 40th
-# and 50th round (their cost weights, capped at 50), so the commands below
-# are 500, 500 and 400 cases; the three take about 15 s, nearly all of
-# it in the minlp layer.
+# the exhaustive oracle, and OA again on the binary encoding of a case
+# with an allowed set (whose integer points still polish on the barrier);
+# each cesm case certifies an OA solve of one layout (drawn from the seed)
+# on paper models and allowed sets against the exact structure
+# certificate, and each pipeline case runs gather, fit, OA solve and
+# execute on a seeded 1° scenario. The layers run on every 40th, 40th and
+# 50th round (their cost weights, capped at 50), so the commands below are
+# 500, 500 and 400 cases; the three take about 6 s, nearly all of it in
+# the minlp layer.
 ./target/release/testkit fuzz --layer minlp --seeds 20000
 ./target/release/testkit fuzz --layer cesm --seeds 20000
 ./target/release/testkit fuzz --layer pipeline --seeds 20000

@@ -31,19 +31,16 @@ pub fn solve_model(problem: &MinlpProblem, backend: SolverBackend) -> MinlpSolut
 ///
 /// Runs a bound-tightening presolve first (MINOTAUR's reformulation step):
 /// linear rows and equalities propagate into variable boxes and prune
-/// allowed-set members before the tree search starts. A presolve-proven
-/// infeasibility returns immediately.
+/// allowed-set members before the tree search starts. The problem is
+/// copied only when a bound moved. A presolve-proven infeasibility returns
+/// immediately.
 pub fn solve_model_with(
     problem: &MinlpProblem,
     backend: SolverBackend,
     opts: &MinlpOptions,
 ) -> MinlpSolution {
-    let mut reduced = problem.clone();
-    let root_tightenings = match hslb_minlp::presolve(&mut reduced, 8) {
-        hslb_minlp::PresolveOutcome::Infeasible => {
-            return MinlpSolution::infeasible(hslb_minlp::SolveStats::default());
-        }
-        hslb_minlp::PresolveOutcome::Reduced { tightenings } => tightenings,
+    let Some((reduced, root_tightenings)) = hslb_minlp::presolved(problem, 8) else {
+        return MinlpSolution::infeasible(hslb_minlp::SolveStats::default());
     };
     let backend = if !reduced.is_convex() && backend == SolverBackend::OuterApproximation {
         SolverBackend::NlpBnb

@@ -70,7 +70,7 @@ pub use model::{MinlpProblem, VarDomain};
 pub use oa::solve_oa_bnb;
 pub use oracle::solve_exhaustive;
 pub use parallel::solve_parallel_bnb;
-pub use presolve::{presolve, PresolveOutcome};
+pub use presolve::{presolve, presolved, PresolveOutcome};
 pub use types::{MinlpOptions, MinlpSolution, MinlpStatus, NodeSelection, ABS_GAP, REL_GAP};
 
 // Observability vocabulary, re-exported so downstream crates can configure

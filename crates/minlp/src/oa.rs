@@ -16,17 +16,22 @@
 //!    (see `integer_secant`), and the node is re-solved. Only a point no
 //!    secant separates triggers branching.
 //! 4. An integer LP solution is checked against the true nonlinear
-//!    constraints; if feasible it becomes the incumbent, otherwise the
-//!    violated constraints are linearized around it ("we later add
-//!    linearization constraints for only those nonlinear constraints that
-//!    are violated significantly") and the node is re-solved.
+//!    constraints; if feasible it becomes the incumbent. Otherwise the
+//!    integers are fixed and the rest is solved (`polish_candidate`: an LP
+//!    on the dual simplex when no nonlinear term sits on a continuous
+//!    column, as in every HSLB model, else the pinned NLP); its point can
+//!    become the incumbent, and the nonlinear rows it leaves active are
+//!    linearized there. The rows the LP point violates are linearized
+//!    around it too ("we later add linearization constraints for only
+//!    those nonlinear constraints that are violated significantly"), and
+//!    the node is re-solved.
 //!
 //! For convex constraints the first-order linearization underestimates the
 //! function everywhere, and the chord underestimates it at every admissible
 //! value, so every cut is valid at every node and the method terminates at
 //! the global optimum.
 
-use crate::bnb::{polish_candidate, prune_cutoff, recycle_node, Node, OrdF64};
+use crate::bnb::{count_lp_solve, polish_candidate, prune_cutoff, recycle_node, Node, OrdF64};
 use crate::branching::{make_branch, select_branch_var};
 use crate::model::{MinlpProblem, VarDomain};
 use crate::scratch::ScratchArena;
@@ -185,7 +190,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
     // a failed/degenerate root NLP falls back to multi-point sampling
     // linearization: cuts of a convex function are valid at *any* point, the
     // root NLP merely provides a good one.
-    let mut arena = ScratchArena::new(relax.clone());
+    let mut arena = ScratchArena::new(problem);
     stats.nlp_solves += 1;
     // A non-optimal verdict (including Infeasible: the barrier cannot see
     // through empty-interior equality pairs) defers to the LP tree, which
@@ -316,18 +321,12 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
         for j in 0..n {
             master.set_bounds(VarId(j), node.lo[j], node.hi[j]);
         }
-        stats.lp_solves += 1;
         let lp_sol = if opts.warm_start {
             master.solve(&lp_opts)
         } else {
             hslb_lp::solve_with(master.lp(), &lp_opts)
         };
-        stats.simplex_pivots += lp_sol.iterations as u64;
-        stats.dual_pivots += lp_sol.dual_pivots as u64;
-        stats.warm_start_hits += lp_sol.warm_used as u64;
-        stats.factorizations += lp_sol.factorizations;
-        stats.factor_updates += lp_sol.factor_updates;
-        stats.fill_nnz += lp_sol.fill_nnz;
+        count_lp_solve(&mut stats, &lp_sol);
         match lp_sol.status {
             LpStatus::Infeasible => {
                 stats.pruned_infeasible += 1;
@@ -377,7 +376,7 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
                 recycle_node(&mut arena, node);
                 continue;
             }
-            // Violated: fix integers, solve the NLP, cut, and re-queue.
+            // Violated: fix integers, solve what is left, cut, and re-queue.
             if let Some((cand, obj)) = polish_candidate(
                 problem, &mut arena, &x, &node.lo, &node.hi, opts, &barrier, &mut stats,
             ) {
@@ -387,16 +386,24 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
                     stats.incumbents += 1;
                     opts.trace.emit(|| Event::Incumbent { objective: obj });
                 }
-                // OA cuts around the NLP optimum (the Quesada–Grossmann
-                // "no-good via linearization" step).
+                // OA cuts around the polished point (the Quesada–Grossmann
+                // "no-good via linearization" step), on the rows it leaves
+                // active. Only those carry a nonzero dual there, so their
+                // tangents alone keep the master at these integers from
+                // beating the polished objective again.
                 let mut round_cuts = 0u64;
                 for &ci in &nonlinear_ids {
-                    let (coeffs, rhs) = relax.constraints()[ci].linearize(&cand);
-                    add_cut(&mut master, coeffs, rhs);
-                    round_cuts += 1;
+                    let c = &relax.constraints()[ci];
+                    if c.eval(&cand) >= -FEAS_TOL {
+                        let (coeffs, rhs) = c.linearize(&cand);
+                        add_cut(&mut master, coeffs, rhs);
+                        round_cuts += 1;
+                    }
                 }
                 stats.oa_cuts += round_cuts;
-                opts.trace.emit(|| Event::CutsAdded { count: round_cuts });
+                if round_cuts > 0 {
+                    opts.trace.emit(|| Event::CutsAdded { count: round_cuts });
+                }
             }
             // Also cut away the LP point itself where it violates.
             let mut point_cuts = 0u64;
@@ -518,13 +525,13 @@ pub fn solve_oa_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpSolutio
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bnb::solve_nlp_bnb;
     use hslb_nlp::{ScalarFn, Term};
 
     /// A seeded uniform stream on `[lo, hi)` (Knuth's MMIX LCG, top bits).
-    fn uniform(seed: u64) -> impl FnMut(f64, f64) -> f64 {
+    pub(crate) fn uniform(seed: u64) -> impl FnMut(f64, f64) -> f64 {
         let mut state = seed;
         move |lo, hi| {
             state = state
@@ -535,7 +542,7 @@ mod tests {
     }
 
     /// A seeded convex performance term `a·n^(-c) + b·n`.
-    fn seeded_perf_model(draw: &mut impl FnMut(f64, f64) -> f64) -> ScalarFn {
+    pub(crate) fn seeded_perf_model(draw: &mut impl FnMut(f64, f64) -> f64) -> ScalarFn {
         ScalarFn::perf_model(draw(10.0, 1e5), draw(0.0, 2.0), draw(0.2, 2.5))
     }
 

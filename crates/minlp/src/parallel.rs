@@ -239,7 +239,7 @@ pub fn solve_parallel_bnb(problem: &MinlpProblem, opts: &MinlpOptions) -> MinlpS
 
     let lo = problem.relaxation().lowers().to_vec();
     let hi = problem.relaxation().uppers().to_vec();
-    let mut arena = ScratchArena::new(problem.relaxation().clone());
+    let mut arena = ScratchArena::new(problem);
     explore(
         &shared,
         &mut arena,
@@ -642,7 +642,7 @@ fn explore_node(
                 // per *fork*, not per node); the caller keeps reusing its
                 // own for the first child.
                 s.spawn(move || {
-                    let mut spawned = ScratchArena::new(shared.problem.relaxation().clone());
+                    let mut spawned = ScratchArena::new(shared.problem);
                     explore(shared, &mut spawned, l2, h2, node_bound, lb2, seed2);
                 });
                 explore(shared, arena, l1, h1, node_bound, lb1, child_seed);

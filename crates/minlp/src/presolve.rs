@@ -16,6 +16,7 @@
 
 use crate::model::{MinlpProblem, VarDomain};
 use hslb_linalg::approx::{exactly_zero, fuzzy_ceil, fuzzy_floor, SNAP_TOL};
+use std::borrow::Cow;
 
 /// Minimum *relative* improvement before a propagated bound replaces the
 /// stored one — avoids ping-ponging on sub-noise updates.
@@ -50,6 +51,31 @@ pub fn presolve(problem: &mut MinlpProblem, max_rounds: usize) -> PresolveOutcom
         }
         None => PresolveOutcome::Infeasible,
     }
+}
+
+/// [`presolve`] without a copy of the problem: propagates on copies of the
+/// bound vectors and clones the problem only when a bound moved. Returns
+/// the problem to solve, which is `problem` itself when every bound came
+/// back bit for bit, and the number of tightenings; `None` when
+/// propagation proves the problem infeasible.
+pub fn presolved(
+    problem: &MinlpProblem,
+    max_rounds: usize,
+) -> Option<(Cow<'_, MinlpProblem>, usize)> {
+    let relax = problem.relaxation();
+    let mut lo = relax.lowers().to_vec();
+    let mut hi = relax.uppers().to_vec();
+    let tightenings = propagate_box(problem, &mut lo, &mut hi, max_rounds)?;
+    let same =
+        |new: &[f64], old: &[f64]| new.iter().zip(old).all(|(a, b)| a.to_bits() == b.to_bits());
+    if same(&lo, relax.lowers()) && same(&hi, relax.uppers()) {
+        return Some((Cow::Borrowed(problem), tightenings));
+    }
+    let mut reduced = problem.clone();
+    for j in 0..reduced.num_vars() {
+        reduced.relaxation_mut().set_bounds(j, lo[j], hi[j]);
+    }
+    Some((Cow::Owned(reduced), tightenings))
 }
 
 /// Per-node variant of [`presolve`]: propagates the problem's linear rows

@@ -15,6 +15,8 @@
 //! node hot path and the `threads: 1` traversal stays bit-identical to the
 //! serial depth-first loop.
 
+use crate::bnb::PinnedLp;
+use crate::model::MinlpProblem;
 use hslb_nlp::NlpProblem;
 
 /// Reusable per-worker solve state: one scratch relaxation whose bounds are
@@ -23,14 +25,18 @@ use hslb_nlp::NlpProblem;
 pub(crate) struct ScratchArena {
     /// The relaxation NLP mutated in place (`set_bounds`) for each solve.
     pub relax: NlpProblem,
+    /// How polishing pins the discrete columns into an LP, read once from
+    /// the problem; `None` when the pinned problem stays an NLP.
+    pub pinned_lp: Option<PinnedLp>,
     /// Free list of buffers, all sized for one variable box.
     bufs: Vec<Vec<f64>>,
 }
 
 impl ScratchArena {
-    pub fn new(relax: NlpProblem) -> Self {
+    pub fn new(problem: &MinlpProblem) -> Self {
         ScratchArena {
-            relax,
+            relax: problem.relaxation().clone(),
+            pinned_lp: PinnedLp::of(problem),
             bufs: Vec::new(),
         }
     }
@@ -56,7 +62,7 @@ mod tests {
 
     #[test]
     fn buffers_are_recycled() {
-        let mut arena = ScratchArena::new(NlpProblem::new());
+        let mut arena = ScratchArena::new(&MinlpProblem::new());
         let a = arena.take_copy(&[1.0, 2.0]);
         let ptr = a.as_ptr();
         arena.put(a);

@@ -299,32 +299,15 @@ fn solve_inner(
         if c.touches_free(&is_free) {
             reduced.add_constraint(c.clone());
             active_map.push(ci);
-        } else {
-            let g = c.eval(&x_pinned);
-            let scale = 1.0
-                + c.linear
-                    .iter()
-                    .map(|&(v, co)| (co * x_pinned[v]).abs())
-                    .sum::<f64>()
-                + c.constant.abs();
-            if g > PINNED_FEAS_TOL * scale {
-                return Ok(NlpSolution::failed(NlpStatus::Infeasible, 0));
-            }
+        } else if !c.holds_pinned(&x_pinned) {
+            return Ok(NlpSolution::failed(NlpStatus::Infeasible, 0));
         }
     }
     for e in p.equalities() {
         if e.touches_free(&is_free) {
             reduced.add_linear_eq(e.coeffs.clone(), e.rhs);
-        } else {
-            let scale = 1.0
-                + e.coeffs
-                    .iter()
-                    .map(|&(v, co)| (co * x_pinned[v]).abs())
-                    .sum::<f64>()
-                + e.rhs.abs();
-            if e.residual(&x_pinned).abs() > PINNED_FEAS_TOL * scale {
-                return Ok(NlpSolution::failed(NlpStatus::Infeasible, 0));
-            }
+        } else if !e.holds_pinned(&x_pinned) {
+            return Ok(NlpSolution::failed(NlpStatus::Infeasible, 0));
         }
     }
 
@@ -334,21 +317,38 @@ fn solve_inner(
     // Warm path: repair the parent point into a strictly feasible start.
     // Only a *proven* strictly feasible repair is used, so the warm path can
     // never produce an infeasibility verdict the cold path wouldn't.
-    let warm_seed = warm.filter(|ws| ws.x.len() == n).and_then(|ws| {
+    let seed = warm.filter(|ws| ws.x.len() == n);
+    let warm_seed = seed.and_then(|ws| {
         let xw = repair_warm_point(&reduced, &ws.x, !ws.multipliers.is_empty())?;
         let mu0 = warm_mu0(p, &xw, &ws.multipliers);
         Some((xw, mu0))
     });
-    let warm_started = warm_seed.is_some();
     let start = match warm_seed {
-        Some(seed) => Ok(seed),
-        None => cold_start(&reduced, opts, &mut newton_total, &mut tally).map(|x0| (x0, MU0)),
+        Some((xw, mu0)) => Ok((xw, mu0, true)),
+        None => cold_start(&reduced, opts, &mut newton_total, &mut tally).map(|x0| {
+            // A dual-less seed that no midpoint blend repaired (a capacity
+            // row active at the seed and violated at the midpoint) blends
+            // toward the cold start instead: that point is strictly
+            // feasible, so by convexity the blend is too once it weighs
+            // the start enough to absorb the seed's violations.
+            let blended = seed
+                .filter(|ws| ws.multipliers.is_empty())
+                .and_then(|ws| blend_toward(&reduced, &clamped(&reduced, &ws.x), &x0));
+            match blended {
+                Some(xw) => {
+                    let mu0 = warm_mu0(p, &xw, &[]);
+                    (xw, mu0, true)
+                }
+                None => (x0, MU0, false),
+            }
+        }),
     };
-    let mut out = match start {
-        Ok((x0, mu0)) => {
-            crate::mpc::run(&reduced, x0, mu0, opts, &mut newton_total, &mut tally, None)
-        }
-        Err(status) => NlpSolution::failed(status, newton_total),
+    let (mut out, warm_started) = match start {
+        Ok((x0, mu0, warm_started)) => (
+            crate::mpc::run(&reduced, x0, mu0, opts, &mut newton_total, &mut tally, None),
+            warm_started,
+        ),
+        Err(status) => (NlpSolution::failed(status, newton_total), false),
     };
     out.warm_started = warm_started;
     tally.attach(&mut out);
@@ -438,36 +438,21 @@ pub fn kkt_path(p: &NlpProblem) -> KktPath {
 /// node: box-clamp (pinned coordinates snap to their pin), then try blend
 /// candidates toward the cold midpoint start, re-projecting each onto the
 /// equality manifold. Returns `None` when no candidate is strictly feasible
-/// — the caller then runs the cold path.
+/// — the caller then runs the cold path, and blends a dual-less seed
+/// toward the cold start it finds.
 ///
 /// `has_duals` says whether the seed carries parent multipliers. Only then
 /// is the aggressive [`push_interior`] restoration tried: it lands the
 /// point right at the target slack of previously-violated rows, and
 /// starting there is productive only when `warm_mu0` can match μ to that
-/// proximity via the parent's complementarity. Dual-less seeds (candidate
-/// polish) get the blend repair alone — an active-set-hugging start paired
-/// with the fallback μ reliably stalls the inner Newton at its cap.
+/// proximity via the parent's complementarity. Dual-less seeds (a served
+/// allocation, a barrier polish) get blend repairs alone — an
+/// active-set-hugging start paired with the fallback μ reliably stalls the
+/// inner Newton at its cap.
 fn repair_warm_point(p: &NlpProblem, parent: &[f64], has_duals: bool) -> Option<Vec<f64>> {
-    let mut xw = parent.to_vec();
-    clamp_into_box(p, &mut xw);
-    let mid = default_start(p);
-    for &theta in &WARM_BLEND_STEPS {
-        let cand: Vec<f64> = xw
-            .iter()
-            .zip(&mid)
-            .map(|(&a, &b)| (1.0 - theta) * a + theta * b)
-            .collect();
-        let cand = if p.equalities().is_empty() {
-            cand
-        } else {
-            match equality_project(p, cand) {
-                Some(projected) => projected,
-                None => continue,
-            }
-        };
-        if strictly_feasible(p, &cand, INTERIOR_MARGIN) {
-            return Some(cand);
-        }
+    let xw = clamped(p, parent);
+    if let Some(x) = blend_toward(p, &xw, &default_start(p)) {
+        return Some(x);
     }
     // Every blend failed. The typical cause: a capacity-style row is active
     // at the parent optimum *and* violated at the box midpoint, so the whole
@@ -478,6 +463,31 @@ fn repair_warm_point(p: &NlpProblem, parent: &[f64], has_duals: bool) -> Option<
     } else {
         None
     }
+}
+
+/// The first of the [`WARM_BLEND_STEPS`] blends of `xw` toward `anchor`,
+/// re-projected onto the equality manifold, that is strictly feasible.
+fn blend_toward(p: &NlpProblem, xw: &[f64], anchor: &[f64]) -> Option<Vec<f64>> {
+    WARM_BLEND_STEPS.iter().find_map(|&theta| {
+        let cand: Vec<f64> = xw
+            .iter()
+            .zip(anchor)
+            .map(|(&a, &b)| (1.0 - theta) * a + theta * b)
+            .collect();
+        let cand = if p.equalities().is_empty() {
+            cand
+        } else {
+            equality_project(p, cand)?
+        };
+        strictly_feasible(p, &cand, INTERIOR_MARGIN).then_some(cand)
+    })
+}
+
+/// `x` pulled into the box by [`clamp_into_box`].
+fn clamped(p: &NlpProblem, x: &[f64]) -> Vec<f64> {
+    let mut x = x.to_vec();
+    clamp_into_box(p, &mut x);
+    x
 }
 
 /// Pulls free coordinates strictly inside their box by the start margin;

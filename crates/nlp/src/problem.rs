@@ -1,5 +1,6 @@
 //! Structured NLP problem representation.
 
+use crate::barrier::PINNED_FEAS_TOL;
 use crate::term::ScalarFn;
 
 /// A constraint `g(x) <= 0` of the structured form
@@ -43,6 +44,16 @@ impl ConstraintFn {
     pub fn with_constant(mut self, c: f64) -> Self {
         self.constant = c;
         self
+    }
+
+    /// Whether the row holds at `x` as a row whose columns are all pinned
+    /// there: `g(x)` at most `PINNED_FEAS_TOL` (1e-7) times
+    /// `1 + Σ|a_j·x_j| + |constant|`. Such a row is checked once instead of
+    /// being enforced, because it may sit exactly on its boundary (a
+    /// saturated capacity row), where no strict interior exists.
+    pub fn holds_pinned(&self, x: &[f64]) -> bool {
+        let size: f64 = self.linear.iter().map(|&(v, co)| (co * x[v]).abs()).sum();
+        self.eval(x) <= PINNED_FEAS_TOL * (1.0 + size + self.constant.abs())
     }
 
     /// Whether a term with a nonzero coefficient sits on a free variable.
@@ -155,6 +166,13 @@ impl LinearEq {
     /// Residual `Σ coeffs·x - rhs` (zero when satisfied).
     pub fn residual(&self, x: &[f64]) -> f64 {
         self.coeffs.iter().map(|&(v, c)| c * x[v]).sum::<f64>() - self.rhs
+    }
+
+    /// [`ConstraintFn::holds_pinned`] for an equality: the residual at `x`
+    /// is at most `PINNED_FEAS_TOL` (1e-7) times `1 + Σ|a_j·x_j| + |rhs|`.
+    pub fn holds_pinned(&self, x: &[f64]) -> bool {
+        let size: f64 = self.coeffs.iter().map(|&(v, co)| (co * x[v]).abs()).sum();
+        self.residual(x).abs() <= PINNED_FEAS_TOL * (1.0 + size + self.rhs.abs())
     }
 }
 

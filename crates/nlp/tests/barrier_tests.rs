@@ -1,6 +1,9 @@
 //! Integration tests for the log-barrier NLP solver.
 
-use hslb_nlp::{solve, ConstraintFn, NlpProblem, NlpStatus, ScalarFn, Term};
+use hslb_nlp::{
+    solve, solve_warm_with, BarrierOptions, ConstraintFn, NlpProblem, NlpStatus, ScalarFn, Term,
+    WarmStart,
+};
 
 fn assert_close(a: f64, b: f64, tol: f64) {
     assert!((a - b).abs() <= tol, "expected {b}, got {a}");
@@ -525,4 +528,33 @@ fn phase_one_optimum_on_the_box_starts_the_solve() {
     let sol = solve(&p).unwrap();
     assert_eq!(sol.status, NlpStatus::Optimal);
     assert_eq!(sol.certify(&p), Ok(()));
+}
+
+/// A seed without duals that sits on the node budget (an allocation that
+/// uses every node, as the serve cache stores it) after its time rows
+/// drifted up: every blend toward the box midpoint breaks the budget, so
+/// the seed is blended toward the cold start, and the solve still counts
+/// as warm and reaches the cold optimum.
+#[test]
+fn dual_less_seed_on_an_active_budget_starts_warm() {
+    let mut p = NlpProblem::new();
+    let n: Vec<usize> = (0..3).map(|_| p.add_var(0.0, 1.0, 16.0)).collect();
+    let t = p.add_var(1.0, 0.0, 1e3);
+    for (&v, a) in n.iter().zip([122.4, 367.2, 61.2]) {
+        p.add_constraint(
+            ConstraintFn::new("t")
+                .nonlinear_term(v, ScalarFn::perf_model(a, 0.0, 1.0))
+                .linear_term(t, -1.0),
+        );
+    }
+    let budget = n.iter().fold(ConstraintFn::new("budget"), |row, &v| {
+        row.linear_term(v, 1.0)
+    });
+    p.add_constraint(budget.with_constant(-18.0));
+    let seed = WarmStart::new(vec![4.0, 12.0, 2.0, 30.0], Vec::new());
+    let warm = solve_warm_with(&p, &BarrierOptions::default(), Some(&seed)).unwrap();
+    let cold = solve(&p).unwrap();
+    assert!(warm.warm_started, "the seed was used");
+    assert_eq!(warm.status, NlpStatus::Optimal);
+    assert_close(warm.objective, cold.objective, 1e-6 * cold.objective);
 }

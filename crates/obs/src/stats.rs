@@ -24,9 +24,13 @@ pub struct SolveStats {
     pub incumbents: u64,
     /// Outer-approximation cuts added to the LP master problem.
     pub oa_cuts: u64,
-    /// LP (simplex) solves issued.
+    /// LP (simplex) solves issued: master LPs, and the polish of an integer
+    /// point when pinning the discrete columns leaves an LP (no nonlinear
+    /// term on a continuous column, as in every HSLB model).
     pub lp_solves: u64,
-    /// NLP (barrier) solves issued, including polishing re-solves.
+    /// NLP (barrier) solves issued: node relaxations, and the polish of an
+    /// integer point when the pinned problem keeps a nonlinear term (a
+    /// binary-encoded allowed set).
     pub nlp_solves: u64,
     /// Total simplex pivots across all LP solves.
     pub simplex_pivots: u64,

@@ -14,9 +14,7 @@
 use std::collections::BTreeMap;
 
 use hslb::{build_flat_model, FlatModel, FlatSpec};
-use hslb_minlp::{
-    presolve, solve_nlp_bnb_seeded, MinlpOptions, MinlpSolution, MinlpStatus, PresolveOutcome,
-};
+use hslb_minlp::{presolved, solve_nlp_bnb_seeded, MinlpOptions, MinlpSolution, MinlpStatus};
 use hslb_nlp::WarmStart;
 use hslb_obs::{ServeStats, SolveStats};
 use hslb_perfmodel::{fit, ScalingData};
@@ -190,19 +188,17 @@ impl Shard {
         time_limit: Option<f64>,
     ) -> (MinlpSolution, FlatModel) {
         let model = build_flat_model(spec);
-        let mut reduced = model.problem.clone();
         let mut opts = self.solver.clone();
         opts.time_limit = time_limit;
-        match presolve(&mut reduced, 8) {
-            PresolveOutcome::Infeasible => {
-                (MinlpSolution::infeasible(SolveStats::default()), model)
-            }
-            PresolveOutcome::Reduced { tightenings } => {
+        let sol = match presolved(&model.problem, 8) {
+            None => MinlpSolution::infeasible(SolveStats::default()),
+            Some((reduced, tightenings)) => {
                 let mut sol = solve_nlp_bnb_seeded(&reduced, &opts, seed);
                 sol.stats.presolve_tightenings += tightenings as u64;
-                (sol, model)
+                sol
             }
-        }
+        };
+        (sol, model)
     }
 
     /// Appends observations for a component; returns the count accepted.

@@ -16,7 +16,8 @@ use hslb::{
 };
 use hslb_lp::{LinearProgram, LpSolution, LpStatus, RowSense, SimplexOptions, VarId, WarmLp};
 use hslb_minlp::{
-    solve_exhaustive, solve_nlp_bnb, solve_oa_bnb, solve_parallel_bnb, MinlpOptions, MinlpStatus,
+    encode_sets_as_binaries, solve_exhaustive, solve_nlp_bnb, solve_oa_bnb, solve_parallel_bnb,
+    MinlpOptions, MinlpStatus,
 };
 use hslb_nlp::{ConstraintFn, NlpProblem, NlpStatus, ScalarFn};
 use hslb_perfmodel::fit;
@@ -273,7 +274,8 @@ pub fn check_nlp(inst: &NlpInstance) -> Result<(), String> {
 /// One branch-and-bound entry point under differential test.
 type MinlpSolver = fn(&hslb_minlp::MinlpProblem, &MinlpOptions) -> hslb_minlp::MinlpSolution;
 
-/// All three branch-and-bound backends vs the exhaustive oracle.
+/// All three branch-and-bound backends vs the exhaustive oracle, and OA
+/// on the binary encoding of an instance with an allowed set.
 pub fn check_minlp(inst: &MinlpInstance) -> Result<(), String> {
     let opts = MinlpOptions::default();
     let oracle = solve_exhaustive(&inst.problem, 2_000_000)
@@ -284,17 +286,12 @@ pub fn check_minlp(inst: &MinlpInstance) -> Result<(), String> {
             oracle.status
         ));
     }
-    let solvers: [(&str, MinlpSolver); 3] = [
-        ("oa_bnb", solve_oa_bnb),
-        ("nlp_bnb", solve_nlp_bnb),
-        ("parallel_bnb", solve_parallel_bnb),
-    ];
-    for (name, solver) in solvers {
-        let sol = solver(&inst.problem, &opts);
+    let matches_oracle = |name: &str, problem: &hslb_minlp::MinlpProblem, solver: MinlpSolver| {
+        let sol = solver(problem, &opts);
         if sol.status != MinlpStatus::Optimal {
             return Err(format!("{name} returned {:?}", sol.status));
         }
-        if !inst.problem.is_feasible(&sol.x, 1e-5) {
+        if !problem.is_feasible(&sol.x, 1e-5) {
             return Err(format!("{name} point infeasible"));
         }
         if !agree(sol.objective, oracle.objective, REL_TOL) {
@@ -303,6 +300,22 @@ pub fn check_minlp(inst: &MinlpInstance) -> Result<(), String> {
                 sol.objective, oracle.objective
             ));
         }
+        Ok(())
+    };
+    let solvers: [(&str, MinlpSolver); 3] = [
+        ("oa_bnb", solve_oa_bnb),
+        ("nlp_bnb", solve_nlp_bnb),
+        ("parallel_bnb", solve_parallel_bnb),
+    ];
+    for (name, solver) in solvers {
+        matches_oracle(name, &inst.problem, solver)?;
+    }
+    // The binary encoding turns each set column continuous under its
+    // nonlinear term, so OA's integer points polish on the barrier: the one
+    // generated shape that still reaches that path.
+    if inst.sets.iter().any(Option::is_some) {
+        let (encoded, _) = encode_sets_as_binaries(&inst.problem);
+        matches_oracle("binary-encoded oa_bnb", &encoded, solve_oa_bnb)?;
     }
 
     // Replay-determinism cross-check: a completed parallel search must

@@ -33,40 +33,43 @@ fn e7_oa_counters_golden() {
     let expected = SolveStats {
         // Integer secants cut off fractional master points before the tree
         // branches on them, and the master closes around the optimum before
-        // most polish NLPs run. Since the master keeps its tableau and
-        // basis factor across re-solves, its basic values and duals come
-        // through the kept LU, etas and borders instead of a fresh LU per
-        // solve; they round a few ulps differently, which moves a best-bound
-        // tie: 18 -> 19 nodes opened, one more polish NLP (2 -> 3 NLP
-        // solves, 46 -> 64 Newton steps) and its cuts (22 -> 26: 4
-        // initial, the rest at violated integer points and secants).
+        // most polishes run.
         nodes_opened: 19,
         pruned_by_bound: 3,
         pruned_infeasible: 0,
         incumbents: 2,
-        oa_cuts: 26,
+        // 4 initial cuts, the rest at violated integer points, secants and
+        // the rows each of the 2 polished points leaves active (26 -> 22
+        // since the polish cuts only those: 4 of its 8 rows).
+        oa_cuts: 22,
         // Since the tree's first master LP starts from the slack basis on
         // the dual simplex, it spends no Phase 1 pivots, and every LP but
-        // the first reuses the kept basis: every pivot is dual.
-        lp_solves: 16,
-        nlp_solves: 3,
-        simplex_pivots: 22,
+        // the first reuses the kept basis: every pivot is dual. The 2
+        // polishes are LPs since the pinned layout-1 model has no
+        // nonlinear term on a continuous column: 16 master LPs and 22
+        // pivots plus 2 polish LPs from the slack basis and their 5 dual
+        // pivots (3 -> 1 NLP solves: only the root relaxation is left).
+        lp_solves: 18,
+        nlp_solves: 1,
+        simplex_pivots: 27,
         // Mehrotra predictor-corrector barrier: every Newton iteration is
         // one predictor + one corrector solve off a single factorization.
-        newton_iters: 64,
-        predictor_steps: 64,
-        corrector_steps: 64,
-        line_search_backtracks: 37,
+        // All of them are the root relaxation's (64 -> 27 and 37 -> 19
+        // backtracks without the 2 polish NLPs).
+        newton_iters: 27,
+        predictor_steps: 27,
+        corrector_steps: 27,
+        line_search_backtracks: 19,
         barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 3,
         warm_start_hits: 15,
-        dual_pivots: 22,
-        // Sparse LU: the slack basis is the identity and the tree's 22
-        // pivots stay below the refactorization threshold, so the kept
-        // factor is never rebuilt: no factorization, one eta per pivot.
+        dual_pivots: 27,
+        // Sparse LU: each slack basis is the identity and no LP reaches
+        // the refactorization threshold, so no factor is ever rebuilt: no
+        // factorization, one eta per pivot.
         factorizations: 0,
-        factor_updates: 22,
+        factor_updates: 27,
         fill_nnz: 0,
     };
     assert_eq!(stats, expected);
@@ -79,27 +82,29 @@ fn e7_nlp_bnb_counters_golden() {
     // fixed-μ schedule's, so tolerance-level ties in the best-bound queue
     // flip a few prune-vs-branch decisions (541 -> 741 nodes) while the
     // incumbents — and the optimum — are unchanged. The Newton total is
-    // the headline: 25,848 -> 6,629 (3.9x) despite the extra nodes.
+    // the headline: 25,848 -> 6,629 (3.9x) despite the extra nodes. The 2
+    // polishes are LPs on the dual simplex (496 -> 494 NLP solves, 6,629
+    // -> 6,583 Newton steps; 2 LP solves with 5 dual pivots).
     let expected = SolveStats {
         nodes_opened: 741,
         pruned_by_bound: 370,
         pruned_infeasible: 0,
         incumbents: 2,
         oa_cuts: 0,
-        lp_solves: 0,
-        nlp_solves: 496,
-        simplex_pivots: 0,
-        newton_iters: 6629,
-        predictor_steps: 6629,
-        corrector_steps: 6629,
-        line_search_backtracks: 3765,
+        lp_solves: 2,
+        nlp_solves: 494,
+        simplex_pivots: 5,
+        newton_iters: 6583,
+        predictor_steps: 6583,
+        corrector_steps: 6583,
+        line_search_backtracks: 3746,
         barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 248,
         warm_start_hits: 492,
-        dual_pivots: 0,
+        dual_pivots: 5,
         factorizations: 0,
-        factor_updates: 0,
+        factor_updates: 5,
         fill_nnz: 0,
     };
     assert_eq!(stats, expected);
@@ -108,26 +113,28 @@ fn e7_nlp_bnb_counters_golden() {
 #[test]
 fn e7_parallel_t1_counters_golden() {
     let stats = e7_stats(SolverBackend::ParallelBnb, 1);
+    // As `NlpBnb`: the 2 polishes are LPs (492 -> 490 NLP solves, 6,571 ->
+    // 6,526 Newton steps; 2 LP solves with 4 dual pivots).
     let expected = SolveStats {
         nodes_opened: 491,
         pruned_by_bound: 245,
         pruned_infeasible: 0,
         incumbents: 2,
         oa_cuts: 0,
-        lp_solves: 0,
-        nlp_solves: 492,
-        simplex_pivots: 0,
-        newton_iters: 6571,
-        predictor_steps: 6571,
-        corrector_steps: 6571,
-        line_search_backtracks: 3726,
+        lp_solves: 2,
+        nlp_solves: 490,
+        simplex_pivots: 4,
+        newton_iters: 6526,
+        predictor_steps: 6526,
+        corrector_steps: 6526,
+        line_search_backtracks: 3708,
         barrier_fallbacks: 0,
         lm_steps: 0,
         presolve_tightenings: 248,
         warm_start_hits: 488,
-        dual_pivots: 0,
+        dual_pivots: 4,
         factorizations: 0,
-        factor_updates: 0,
+        factor_updates: 4,
         fill_nnz: 0,
     };
     assert_eq!(stats, expected);
@@ -176,9 +183,10 @@ fn e8_binary_encoding_runs_on_the_fixed_mu_fallback() {
     }
 }
 
-/// Every master LP of the pinned FMO OA solve stays on the dual simplex:
-/// each tree's first LP starts from the slack basis and every re-solve
-/// from the saved one, so no two-phase primal solve runs.
+/// Every LP of the pinned FMO OA solve stays on the dual simplex: each
+/// tree's first master LP and each polish LP start from the slack basis
+/// and every master re-solve from the saved one, so no two-phase primal
+/// solve runs.
 #[test]
 fn fmo_oa_masters_run_only_dual_pivots() {
     let stats = hslb_bench::perf::fmo_oa_case().stats;
